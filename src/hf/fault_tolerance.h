@@ -7,8 +7,9 @@
 // bitwise identical to the collective path) but moves every exchange onto
 // flat, CRC-framed point-to-point messages with deadlines:
 //
-//   * master -> worker: command headers and payloads are per-worker sends,
-//     each framed [crc | status | payload] (util::crc32);
+//   * master -> worker: command headers and payloads are framed
+//     [crc | status | payload] (util::crc32) once per broadcast, and the
+//     one frame is sent to every live worker;
 //   * worker -> master: one framed reply per command, so a worker's
 //     contribution and its loss statistics arrive atomically;
 //   * the master retries timed-out replies with backoff, then excludes the
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -52,34 +54,48 @@ enum class FtStatus : std::uint32_t {
 
 /// A decoded framed message. `ok` is false when the CRC does not match or
 /// the frame is structurally invalid — the payload must not be trusted.
+/// `data` views the received buffer in place; `buffer` keeps it alive.
 template <typename T>
 struct FtFrame {
-  std::vector<T> data;
+  std::span<const T> data;
   FtStatus status = FtStatus::kOk;
   bool ok = false;
+  simmpi::Payload buffer;
 };
 
 /// Frame layout: [u32 crc | u32 status | payload bytes]; crc covers
 /// everything after itself.
 inline constexpr std::size_t kFtFrameHeaderBytes = 2 * sizeof(std::uint32_t);
 
-template <typename T>
-void ft_send(simmpi::Comm& comm, std::span<const T> payload, int dest,
-             int tag, FtStatus status = FtStatus::kOk) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::byte> frame(kFtFrameHeaderBytes + payload.size_bytes());
+/// Build one frame whose payload is the concatenation of `parts`: each part
+/// is copied once, straight into the frame, and the frame is checksummed
+/// once, however many destinations it is then sent to.
+inline simmpi::Payload ft_frame(
+    std::initializer_list<std::span<const std::byte>> parts,
+    FtStatus status = FtStatus::kOk) {
+  std::size_t bytes = kFtFrameHeaderBytes;
+  for (const auto& part : parts) bytes += part.size();
+  std::vector<std::byte> frame(bytes);
   const auto status_raw = static_cast<std::uint32_t>(status);
   std::memcpy(frame.data() + sizeof(std::uint32_t), &status_raw,
               sizeof(status_raw));
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFtFrameHeaderBytes, payload.data(),
-                payload.size_bytes());
+  std::byte* out = frame.data() + kFtFrameHeaderBytes;
+  for (const auto& part : parts) {
+    if (!part.empty()) std::memcpy(out, part.data(), part.size());
+    out += part.size();
   }
   const std::uint32_t crc =
       util::crc32(frame.data() + sizeof(std::uint32_t),
                   frame.size() - sizeof(std::uint32_t));
   std::memcpy(frame.data(), &crc, sizeof(crc));
-  comm.send<std::byte>(frame, dest, tag);
+  return simmpi::Payload(std::move(frame));
+}
+
+template <typename T>
+void ft_send(simmpi::Comm& comm, std::span<const T> payload, int dest,
+             int tag, FtStatus status = FtStatus::kOk) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  comm.send_shared(ft_frame({std::as_bytes(payload)}, status), dest, tag);
 }
 
 /// Receive and validate one frame. Propagates simmpi::TimeoutError when
@@ -89,39 +105,30 @@ template <typename T>
 FtFrame<T> ft_recv_for(simmpi::Comm& comm, int source, int tag,
                        double timeout_seconds) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const std::vector<std::byte> frame =
-      comm.recv_for<std::byte>(source, tag, timeout_seconds);
+  // Frames are heap buffers (aligned for any scalar) and the header is 8
+  // bytes, so the payload is aligned for T in place.
+  static_assert(alignof(T) <= kFtFrameHeaderBytes);
   FtFrame<T> out;
-  if (frame.size() < kFtFrameHeaderBytes) return out;
+  out.buffer = comm.recv_payload_for(source, tag, timeout_seconds);
+  const std::byte* frame = out.buffer.data();
+  const std::size_t size = out.buffer.size();
+  if (size < kFtFrameHeaderBytes) return out;
   std::uint32_t crc = 0;
-  std::memcpy(&crc, frame.data(), sizeof(crc));
-  if (util::crc32(frame.data() + sizeof(std::uint32_t),
-                  frame.size() - sizeof(std::uint32_t)) != crc) {
+  std::memcpy(&crc, frame, sizeof(crc));
+  if (util::crc32(frame + sizeof(std::uint32_t),
+                  size - sizeof(std::uint32_t)) != crc) {
     return out;
   }
   std::uint32_t status_raw = 0;
-  std::memcpy(&status_raw, frame.data() + sizeof(std::uint32_t),
-              sizeof(status_raw));
+  std::memcpy(&status_raw, frame + sizeof(std::uint32_t), sizeof(status_raw));
   out.status = static_cast<FtStatus>(status_raw);
-  const std::size_t payload_bytes = frame.size() - kFtFrameHeaderBytes;
+  const std::size_t payload_bytes = size - kFtFrameHeaderBytes;
   if (payload_bytes % sizeof(T) != 0) return out;
-  out.data.resize(payload_bytes / sizeof(T));
-  if (payload_bytes > 0) {
-    std::memcpy(out.data.data(), frame.data() + kFtFrameHeaderBytes,
-                payload_bytes);
-  }
+  out.data = std::span<const T>(
+      reinterpret_cast<const T*>(frame + kFtFrameHeaderBytes),
+      payload_bytes / sizeof(T));
   out.ok = true;
   return out;
-}
-
-// ---- mixed-type reply payloads (floats + double loss stats) ----
-
-template <typename T>
-void append_pod_span(std::vector<std::byte>& out, std::span<const T> v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t old = out.size();
-  out.resize(old + v.size_bytes());
-  if (!v.empty()) std::memcpy(out.data() + old, v.data(), v.size_bytes());
 }
 
 /// Consume sizeof(T)*out.size() bytes from the front of `in` into `out`;

@@ -106,22 +106,23 @@ void MasterCompute::broadcast_command(Command cmd, std::uint64_t aux) {
     comm_->bcast(header, 0);
     return;
   }
+  ft_send_all(std::as_bytes(std::span<const std::uint64_t>(header)),
+              kTagFtCommand);
+}
+
+void MasterCompute::ft_send_all(std::span<const std::byte> payload,
+                                int tag) {
+  // One frame, checksummed once, shared by every live worker's mailbox.
+  const simmpi::Payload frame = ft_frame({payload});
   for (int r = 1; r < comm_->size(); ++r) {
     if (!alive_[static_cast<std::size_t>(r)]) continue;
-    ft_send<std::uint64_t>(*comm_, header, r, kTagFtCommand);
+    comm_->send_shared(frame, r, tag);
   }
 }
 
-void MasterCompute::ft_send_all(std::span<const float> payload, int tag) {
-  for (int r = 1; r < comm_->size(); ++r) {
-    if (!alive_[static_cast<std::size_t>(r)]) continue;
-    ft_send<float>(*comm_, payload, r, tag);
-  }
-}
-
-std::vector<std::vector<std::byte>> MasterCompute::ft_collect_replies() {
+std::vector<FtFrame<std::byte>> MasterCompute::ft_collect_replies() {
   BGQHF_SPAN("fault", "ft_collect_replies");
-  std::vector<std::vector<std::byte>> replies(
+  std::vector<FtFrame<std::byte>> replies(
       static_cast<std::size_t>(comm_->size()));
   for (int r = 1; r < comm_->size(); ++r) {
     if (!alive_[static_cast<std::size_t>(r)]) continue;
@@ -137,7 +138,7 @@ std::vector<std::vector<std::byte>> MasterCompute::ft_collect_replies() {
         } else if (frame.status != FtStatus::kOk) {
           exclude(r, "worker withdrew");
         } else {
-          replies[static_cast<std::size_t>(r)] = std::move(frame.data);
+          replies[static_cast<std::size_t>(r)] = std::move(frame);
         }
         break;
       } catch (const simmpi::TimeoutError&) {
@@ -200,7 +201,7 @@ void MasterCompute::set_params(std::span<const float> theta) {
   PhaseTimer timer(stats_, Phase::kSyncWeights);
   broadcast_command(Command::kSetParams);
   if (ft_.enabled) {
-    ft_send_all(theta, kTagFtPayload);
+    ft_send_all(std::as_bytes(theta), kTagFtPayload);
     return;
   }
   std::vector<float> buf(theta.begin(), theta.end());
@@ -236,8 +237,8 @@ nn::BatchLoss MasterCompute::gradient(std::span<float> grad_out) {
       const auto& reply = replies[static_cast<std::size_t>(r)];
       std::vector<float> slice(num_params_, 0.0f);
       std::vector<double> stats_flat(kLossStatsLen, 0.0);
-      if (!reply.empty()) {
-        std::span<const std::byte> in(reply);
+      if (reply.ok) {
+        std::span<const std::byte> in = reply.data;
         if (!consume_pod_span<float>(in, slice) ||
             !consume_pod_span<double>(in, stats_flat) || !in.empty()) {
           exclude(r, "malformed gradient reply");
@@ -302,8 +303,8 @@ nn::BatchLoss MasterCompute::gradient_with_squares(
       std::vector<float> slice(num_params_, 0.0f);
       std::vector<float> sq_slice(num_params_, 0.0f);
       std::vector<double> stats_flat(kLossStatsLen, 0.0);
-      if (!reply.empty()) {
-        std::span<const std::byte> in(reply);
+      if (reply.ok) {
+        std::span<const std::byte> in = reply.data;
         if (!consume_pod_span<float>(in, slice) ||
             !consume_pod_span<float>(in, sq_slice) ||
             !consume_pod_span<double>(in, stats_flat) || !in.empty()) {
@@ -350,8 +351,8 @@ void MasterCompute::prepare_curvature(std::uint64_t seed) {
   const auto replies = ft_collect_replies();
   for (int r = 1; r < comm_->size(); ++r) {
     const auto& reply = replies[static_cast<std::size_t>(r)];
-    if (reply.empty()) continue;
-    std::span<const std::byte> in(reply);
+    if (!reply.ok) continue;
+    std::span<const std::byte> in = reply.data;
     double count = 0.0;
     if (!consume_pod_span<double>(in, std::span<double>(&count, 1)) ||
         !in.empty()) {
@@ -379,7 +380,7 @@ void MasterCompute::curvature_product(std::span<const float> v,
     for (auto& g : out) g *= inv;
     return;
   }
-  ft_send_all(v, kTagFtPayload);
+  ft_send_all(std::as_bytes(v), kTagFtPayload);
   const auto replies = ft_collect_replies();
   simmpi::PairwiseFold<float> fold;
   fold.push(std::vector<float>(num_params_, 0.0f));
@@ -387,8 +388,8 @@ void MasterCompute::curvature_product(std::span<const float> v,
   for (int r = 1; r < comm_->size(); ++r) {
     const auto& reply = replies[static_cast<std::size_t>(r)];
     std::vector<float> slice(num_params_, 0.0f);
-    if (!reply.empty()) {
-      std::span<const std::byte> in(reply);
+    if (reply.ok) {
+      std::span<const std::byte> in = reply.data;
       if (!consume_pod_span<float>(in, slice) || !in.empty()) {
         exclude(r, "malformed curvature-product reply");
         slice.assign(num_params_, 0.0f);
@@ -422,8 +423,8 @@ nn::BatchLoss MasterCompute::heldout_loss() {
   for (int r = 1; r < comm_->size(); ++r) {
     const auto& reply = replies[static_cast<std::size_t>(r)];
     std::vector<double> stats_flat(kLossStatsLen, 0.0);
-    if (!reply.empty()) {
-      std::span<const std::byte> in(reply);
+    if (reply.ok) {
+      std::span<const std::byte> in = reply.data;
       if (!consume_pod_span<double>(in, stats_flat) || !in.empty()) {
         exclude(r, "malformed held-out reply");
         stats_flat.assign(kLossStatsLen, 0.0);

@@ -89,12 +89,12 @@ class MasterCompute : public HfCompute {
   nn::BatchLoss reduce_loss_stats();
 
   // ---- fault-tolerant path ----
-  /// Send the framed payload to every live worker.
-  void ft_send_all(std::span<const float> payload, int tag);
+  /// Frame the payload once and send that frame to every live worker.
+  void ft_send_all(std::span<const std::byte> payload, int tag);
   /// Collect one framed reply per live worker in rank order. Returns the
-  /// reply bytes per worker rank (empty entry = excluded this round);
+  /// reply frame per worker rank (ok == false: excluded this round);
   /// timed-out / corrupt-reply workers are excluded and logged.
-  std::vector<std::vector<std::byte>> ft_collect_replies();
+  std::vector<FtFrame<std::byte>> ft_collect_replies();
   void exclude(int rank, const char* reason);
 
   simmpi::Comm* comm_;

@@ -1,5 +1,6 @@
 #include "hf/worker.h"
 
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <vector>
@@ -188,12 +189,15 @@ void worker_loop_ft(simmpi::Comm& comm, Workload& workload, PhaseStats* stats,
   auto stamp = [&](Phase phase, const util::Timer& timer) {
     if (stats != nullptr) stats->add(phase, timer.seconds());
   };
-  auto append_loss_stats = [](std::vector<std::byte>& reply,
-                              const nn::BatchLoss& loss) {
-    const double flat[kLossStatsLen] = {loss.loss_sum,
-                                        static_cast<double>(loss.frames),
-                                        static_cast<double>(loss.correct)};
-    append_pod_span<double>(reply, flat);
+  using Bytes = std::span<const std::byte>;
+  using LossStats = std::array<double, kLossStatsLen>;
+  auto loss_stats = [](const nn::BatchLoss& loss) {
+    return LossStats{loss.loss_sum, static_cast<double>(loss.frames),
+                     static_cast<double>(loss.correct)};
+  };
+  // Each reply is framed straight from its parts: one copy, one checksum.
+  auto reply = [&](std::initializer_list<Bytes> parts) {
+    comm.send_shared(ft_frame(parts), 0, kTagFtReply);
   };
   // Checksum failed on an incoming payload: the worker's state can no
   // longer be trusted to match the master's, so report and withdraw — the
@@ -242,20 +246,18 @@ void worker_loop_ft(simmpi::Comm& comm, Workload& workload, PhaseStats* stats,
       }
       case Command::kGradient: {
         std::fill(scratch.begin(), scratch.end(), 0.0f);
-        std::vector<std::byte> reply;
         if (header.data[1] == 0) {
-          const nn::BatchLoss loss = workload.gradient(scratch);
-          append_pod_span<float>(reply, scratch);
-          append_loss_stats(reply, loss);
+          const LossStats loss = loss_stats(workload.gradient(scratch));
+          reply({std::as_bytes(std::span<const float>(scratch)),
+                 std::as_bytes(std::span<const double>(loss))});
         } else {
           std::vector<float> squares(n, 0.0f);
-          const nn::BatchLoss loss =
-              workload.gradient_with_squares(scratch, squares);
-          append_pod_span<float>(reply, scratch);
-          append_pod_span<float>(reply, squares);
-          append_loss_stats(reply, loss);
+          const LossStats loss =
+              loss_stats(workload.gradient_with_squares(scratch, squares));
+          reply({std::as_bytes(std::span<const float>(scratch)),
+                 std::as_bytes(std::span<const float>(squares)),
+                 std::as_bytes(std::span<const double>(loss))});
         }
-        ft_send<std::byte>(comm, reply, 0, kTagFtReply);
         stamp(Phase::kGradient, timer);
         break;
       }
@@ -263,9 +265,7 @@ void worker_loop_ft(simmpi::Comm& comm, Workload& workload, PhaseStats* stats,
         workload.prepare_curvature(header.data[1]);
         const double count =
             static_cast<double>(workload.curvature_frames());
-        std::vector<std::byte> reply;
-        append_pod_span<double>(reply, std::span<const double>(&count, 1));
-        ft_send<std::byte>(comm, reply, 0, kTagFtReply);
+        reply({std::as_bytes(std::span<const double>(&count, 1))});
         stamp(Phase::kCurvaturePrepare, timer);
         break;
       }
@@ -278,16 +278,13 @@ void worker_loop_ft(simmpi::Comm& comm, Workload& workload, PhaseStats* stats,
         }
         std::fill(scratch.begin(), scratch.end(), 0.0f);
         workload.curvature_product(v.data, scratch);
-        std::vector<std::byte> reply;
-        append_pod_span<float>(reply, scratch);
-        ft_send<std::byte>(comm, reply, 0, kTagFtReply);
+        reply({std::as_bytes(std::span<const float>(scratch))});
         stamp(Phase::kCurvatureProduct, timer);
         break;
       }
       case Command::kHeldoutLoss: {
-        std::vector<std::byte> reply;
-        append_loss_stats(reply, workload.heldout_loss());
-        ft_send<std::byte>(comm, reply, 0, kTagFtReply);
+        const LossStats loss = loss_stats(workload.heldout_loss());
+        reply({std::as_bytes(std::span<const double>(loss))});
         stamp(Phase::kHeldoutLoss, timer);
         break;
       }

@@ -79,6 +79,19 @@ void Comm::send_bytes(std::vector<std::byte> bytes, int dest, int tag,
   if (!collective) stats().add_p2p(n, t.seconds());
 }
 
+void Comm::send_shared(const Payload& p, int dest, int tag) {
+  check_rank(dest);
+  if (tag < 0) throw std::invalid_argument("simmpi: user tag must be >= 0");
+  util::Timer t;
+  send_payload(p, dest, tag);
+  stats().add_p2p(p.size(), t.seconds());
+}
+
+Payload Comm::recv_payload_for(int source, int tag, double timeout_seconds) {
+  return recv_message_for(source, tag, timeout_seconds, /*collective=*/false)
+      .payload;
+}
+
 Message Comm::recv_message(int source, int tag, bool collective) {
   fault_op();
   util::Timer t;

@@ -210,6 +210,14 @@ class Comm {
     return from_bytes<T>(m);
   }
 
+  /// Buffered send of an already-built payload. The buffer is shared, not
+  /// copied, so one payload can go to many destinations; an injected
+  /// corruption still flips a bit in that delivery's private copy only.
+  void send_shared(const Payload& p, int dest, int tag);
+
+  /// recv_for() without the typed copy: the payload exactly as sent.
+  Payload recv_payload_for(int source, int tag, double timeout_seconds);
+
   /// Non-destructive probe.
   bool probe(int source, int tag) const {
     return world_->mailbox(world_rank_).probe(translate_source(source), tag);

@@ -1,5 +1,6 @@
 #include "simmpi/fault.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "simmpi/message.h"
@@ -25,6 +26,13 @@ FaultInjector::FaultInjector(FaultConfig config, int world_size)
     state.kill_scheduled = true;
     state.kill_after = kill.after_ops;
   }
+  for (const auto& flip : config_.corrupt_sends) {
+    if (flip.rank < 0 || flip.rank >= world_size) {
+      throw std::out_of_range("FaultInjector: corrupt rank out of range");
+    }
+    ranks_[static_cast<std::size_t>(flip.rank)].corrupt_at.push_back(
+        flip.send_index);
+  }
 }
 
 void FaultInjector::on_op(int rank) {
@@ -39,7 +47,10 @@ void FaultInjector::on_op(int rank) {
 
 FaultAction FaultInjector::on_send(int source, Message& m) {
   auto& state = ranks_.at(static_cast<std::size_t>(source));
-  ++state.log.sends;
+  const std::size_t index = state.log.sends++;
+  const bool scheduled_flip =
+      std::find(state.corrupt_at.begin(), state.corrupt_at.end(), index) !=
+      state.corrupt_at.end();
   FaultAction action = FaultAction::kDeliver;
   // One draw per fault class keeps the decision sequence stable when a
   // probability is toggled off between runs.
@@ -50,7 +61,7 @@ FaultAction FaultInjector::on_send(int source, Message& m) {
   if (drop_draw < config_.drop_probability) {
     action = FaultAction::kDrop;
     ++state.log.drops;
-  } else if (corrupt_draw < config_.corrupt_probability &&
+  } else if ((scheduled_flip || corrupt_draw < config_.corrupt_probability) &&
              m.size_bytes() > 0) {
     action = FaultAction::kCorrupt;
     ++state.log.corruptions;

@@ -97,6 +97,15 @@ struct KillSchedule {
   std::size_t after_ops = 0;
 };
 
+/// One scheduled bit flip: the `send_index`-th message (0-based, over
+/// every send) that `rank` makes is corrupted unless the drop draw claims
+/// it first.
+/// Lets a test aim one corruption at one destination of a fan-out.
+struct CorruptSchedule {
+  int rank = -1;
+  std::size_t send_index = 0;
+};
+
 struct FaultConfig {
   std::uint64_t seed = 0;
   /// Probability a sent message is silently discarded.
@@ -108,10 +117,12 @@ struct FaultConfig {
   double delay_probability = 0.0;
   double delay_seconds = 0.0;
   std::vector<KillSchedule> kills;
+  std::vector<CorruptSchedule> corrupt_sends;
 
   bool any_active() const {
     return drop_probability > 0.0 || corrupt_probability > 0.0 ||
-           delay_probability > 0.0 || !kills.empty();
+           delay_probability > 0.0 || !kills.empty() ||
+           !corrupt_sends.empty();
   }
 };
 
@@ -154,6 +165,7 @@ class FaultInjector {
     std::size_t kill_after = 0;
     bool kill_scheduled = false;
     bool killed = false;
+    std::vector<std::size_t> corrupt_at;  // scheduled send indices
     FaultLog log;
   };
 

@@ -92,11 +92,16 @@ std::string env_string(const char* name) {
   return v == nullptr ? std::string() : std::string(v);
 }
 
+/// Unset or empty is off; a misspelling throws rather than reading as on.
 bool env_flag(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr) return false;
   const std::string s(v);
-  return !(s.empty() || s == "0" || s == "false" || s == "no" || s == "off");
+  if (s.empty() || s == "0" || s == "false" || s == "no" || s == "off") {
+    return false;
+  }
+  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
+  throw ConfigError(name, s, "0|1|false|true|no|yes|off|on");
 }
 
 double env_double(const char* name) {

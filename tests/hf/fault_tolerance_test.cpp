@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hf/fault_tolerance.h"
@@ -162,6 +164,85 @@ TEST(FaultTolerance, SurvivorReweightingIsExactMeanOverSurvivors) {
     } else {
       EXPECT_TRUE(excluded.empty());
     }
+  }
+}
+
+/// StubWorkload that keeps the θ it was last given.
+class RecordingWorkload : public StubWorkload {
+ public:
+  using StubWorkload::StubWorkload;
+  void set_params(std::span<const float> theta) override {
+    theta_.assign(theta.begin(), theta.end());
+  }
+  const std::vector<float>& theta() const { return theta_; }
+
+ private:
+  std::vector<float> theta_;
+};
+
+TEST(FaultTolerance, CorruptSharedBroadcastFrameHitsOnlyOneWorker) {
+  // set_params frames θ once and sends that frame to workers 1..3. The
+  // master's sends are the three command headers (0..2), then θ to
+  // workers 1, 2, 3 (3..5): flipping a bit in send 4 corrupts worker 2's
+  // delivery alone.
+  const std::size_t n = 4;
+  simmpi::World world(4);
+  simmpi::FaultConfig fc;
+  fc.seed = 17;
+  fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/4});
+  world.install_faults(fc);
+  FtOptions ft = fast_ft();
+  ft.reply_timeout = 0.1;
+  ft.max_retries = 1;
+  ft.verbose = true;  // exclusion reasons are asserted from the log
+
+  const std::vector<float> theta{0.25f, -1.0f, 3.5f, 8.0f};
+  const std::vector<float> v{1.0f, -2.0f, 0.5f, 4.0f};
+  std::vector<float> grad(n, 0.0f);
+  std::vector<float> product(n, 0.0f);
+  std::size_t grad_frames = 0;
+  std::vector<int> excluded;
+  std::vector<std::vector<float>> seen(4);
+  testing::internal::CaptureStderr();
+  simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
+    if (comm.rank() == 0) {
+      MasterCompute compute(comm, n, /*total_train_frames=*/46, nullptr, ft);
+      compute.set_params(theta);
+      grad_frames = compute.gradient(grad).frames;
+      compute.prepare_curvature(/*seed=*/1);
+      compute.curvature_product(v, product);
+      excluded = compute.excluded_workers();
+      compute.shutdown();
+      return;
+    }
+    // Survivors 1 and 3 hold 10 + 6 = 16 frames, so the survivor means
+    // below are exact in float: (10*0.5 + 6*2.5) / 16 = 1.25, and the
+    // curvature product (10 + 6) * v / 16 = v.
+    const int r = comm.rank();
+    RecordingWorkload workload(n, r == 1 ? 10 : r == 2 ? 30 : 6,
+                               r == 1 ? 0.5f : r == 2 ? 1.5f : 2.5f);
+    worker_loop(comm, workload, nullptr, ft);
+    seen[static_cast<std::size_t>(r)] = workload.theta();
+  });
+  const std::string log = testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(world.faults()->log(0).corruptions, 1u);
+  EXPECT_EQ(excluded, std::vector<int>{2});
+  EXPECT_NE(log.find("worker rank 2: corrupt theta payload"),
+            std::string::npos)
+      << log;
+  EXPECT_NE(log.find("excluding worker rank 2 (worker reported corrupt "
+                     "payload)"),
+            std::string::npos)
+      << log;
+  // Worker 2 rejected θ before using it; the others got it bitwise.
+  EXPECT_TRUE(seen[2].empty());
+  EXPECT_EQ(seen[1], theta);
+  EXPECT_EQ(seen[3], theta);
+  EXPECT_EQ(grad_frames, 16u);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(grad[i], 1.25f) << "i=" << i;
+    EXPECT_EQ(product[i], v[i]) << "i=" << i;
   }
 }
 

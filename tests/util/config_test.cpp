@@ -184,5 +184,43 @@ TEST(RuntimeEnvDataKnobs, MalformedPrefetchDepthNamesTheKnob) {
   unsetenv("BGQHF_PREFETCH_DEPTH");
 }
 
+TEST(RuntimeEnvFlags, AcceptsOnlyTheBooleanSpellings) {
+  const std::pair<const char*, bool> cases[] = {
+      {"", false},     {"0", false},   {"false", false}, {"no", false},
+      {"off", false},  {"1", true},    {"true", true},   {"yes", true},
+      {"on", true}};
+  for (const auto& [value, expected] : cases) {
+    ASSERT_EQ(setenv("BGQHF_OVERLAP", value, 1), 0);
+    EXPECT_EQ(RuntimeEnv::from_process_env().overlap, expected) << value;
+  }
+  unsetenv("BGQHF_OVERLAP");
+  EXPECT_FALSE(RuntimeEnv::from_process_env().overlap);
+}
+
+TEST(RuntimeEnvFlags, MisspelledFlagThrowsInsteadOfEnabling) {
+  // "flase" used to read as on: anything but the listed spellings was true.
+  ASSERT_EQ(setenv("BGQHF_OVERLAP", "flase", 1), 0);
+  RuntimeEnv::reset_for_tests();  // next get() re-reads the environment
+  try {
+    RuntimeEnv::get();
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.knob(), "BGQHF_OVERLAP");
+    EXPECT_EQ(e.value(), "flase");
+  }
+  unsetenv("BGQHF_OVERLAP");
+  ASSERT_EQ(setenv("BGQHF_TRACE", "enabled", 1), 0);
+  EXPECT_THROW(RuntimeEnv::from_process_env(), ConfigError);
+  unsetenv("BGQHF_TRACE");
+
+  // An injected snapshot bypasses parsing entirely, as before.
+  RuntimeEnv env;
+  env.overlap = true;
+  RuntimeEnv::set_for_tests(env);
+  EXPECT_TRUE(RuntimeEnv::get().overlap);
+  RuntimeEnv::reset_for_tests();
+  EXPECT_FALSE(RuntimeEnv::get().overlap);
+}
+
 }  // namespace
 }  // namespace bgqhf::util
