@@ -59,7 +59,8 @@ AsyncSgdOutcome train_sgd_async(const TrainerConfig& config,
         // Serve whatever arrives, in arrival order.
         simmpi::Status status;
         const std::vector<float> msg =
-            comm.recv<float>(simmpi::kAnySource, simmpi::kAnyTag, &status);
+            comm.recv<float>(simmpi::kAnySource, simmpi::kAnyTag,
+                             simmpi::Deadline::never(), &status);
         switch (status.tag) {
           case kTagPush: {
             // Payload: [grad..., frame_count]. Apply with momentum.

@@ -127,12 +127,15 @@ std::vector<std::byte> read_validated(const std::string& path) {
   if (f == nullptr) {
     throw CheckpointError(CheckpointFault::kIo, "cannot open " + path);
   }
+  // Sized from the file once: one allocation instead of a growth chain,
+  // whose realloc/mmap cost swings with the allocator's state.
   std::vector<std::byte> bytes;
-  std::byte buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    if (size > 0) bytes.resize(static_cast<std::size_t>(size));
+    std::rewind(f);
   }
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
   std::fclose(f);
 
   if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) * 2) {

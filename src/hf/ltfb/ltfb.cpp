@@ -186,8 +186,9 @@ void run_population_master(simmpi::Comm& world_comm, simmpi::Comm& pop,
       obs::global_add(exchange_bytes_counter(), payload.size());
       std::vector<std::byte> reply;
       try {
-        reply = world_comm.recv_for<std::byte>(partner_master, tag,
-                                               opts.exchange_timeout);
+        reply = world_comm.recv<std::byte>(
+            partner_master, tag,
+            simmpi::Deadline::in(opts.exchange_timeout));
       } catch (const simmpi::TimeoutError&) {
         // Partner master never produced its exchange: its population is
         // gone. Win by walkover and never wait on it again.

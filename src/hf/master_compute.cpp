@@ -1,6 +1,7 @@
 #include "hf/master_compute.h"
 
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/registry.h"
@@ -26,13 +27,8 @@ class PhaseTimer {
   util::Timer timer_;
 };
 
-// FT bookkeeping the fig-4/faults benches report: how often the master
-// waited out a reply, retried, or gave a worker up.
-obs::CounterId ft_retries_metric() {
-  static const obs::CounterId id =
-      obs::Schema::global().counter("hf.ft.retries");
-  return id;
-}
+// FT bookkeeping the fig-4/faults benches report: how many workers the
+// master gave up.
 obs::CounterId ft_excluded_metric() {
   static const obs::CounterId id =
       obs::Schema::global().counter("hf.ft.excluded_workers");
@@ -45,7 +41,7 @@ MasterCompute::MasterCompute(simmpi::Comm& comm, std::size_t num_params,
                              PhaseStats* stats, FtOptions ft,
                              AggregationOptions agg,
                              std::vector<std::size_t> segment_bounds)
-    : comm_(&comm),
+    : comm_(comm),
       num_params_(num_params),
       train_frames_(total_train_frames),
       stats_(stats),
@@ -55,7 +51,8 @@ MasterCompute::MasterCompute(simmpi::Comm& comm, std::size_t num_params,
   if (comm.rank() != 0) {
     throw std::logic_error("MasterCompute must run on rank 0");
   }
-  if (ft_.enabled) agg_ = {};  // FT keeps the exact CRC-framed protocol
+  comm_.set_checksums(ft_.enabled);
+  if (ft_.enabled) agg_ = {};  // re-run primitives need exact sums
   if (agg_.active()) {
     if (bounds_.empty()) bounds_ = {0, num_params_};
     if (bounds_.front() != 0 || bounds_.back() != num_params_) {
@@ -68,93 +65,83 @@ MasterCompute::MasterCompute(simmpi::Comm& comm, std::size_t num_params,
       sq_states_.resize(bounds_.size() - 1);
     }
   }
-  alive_.assign(static_cast<std::size_t>(comm.size()), 1);
-  curvature_counts_.assign(static_cast<std::size_t>(comm.size()), 0);
+  ranks_.resize(static_cast<std::size_t>(comm.size()));
+  std::iota(ranks_.begin(), ranks_.end(), 0);
+  curvature_counts_.assign(ranks_.size(), 0);
 }
 
-int MasterCompute::live_workers() const {
-  int live = 0;
-  for (int r = 1; r < comm_->size(); ++r) {
-    if (alive_[static_cast<std::size_t>(r)]) ++live;
-  }
-  return live;
-}
-
-void MasterCompute::exclude(int rank, const char* reason) {
-  if (!alive_[static_cast<std::size_t>(rank)]) return;
-  alive_[static_cast<std::size_t>(rank)] = 0;
-  excluded_.push_back(rank);
-  obs::global_add(ft_excluded_metric());
-  // A worker that saw a corrupt payload withdraws and leaves a note; the
-  // note turns an anonymous timeout into an attributed corruption report.
-  if (comm_->probe(rank, kTagFtFailure)) {
-    const FtFrame<std::byte> note =
-        ft_recv_for<std::byte>(*comm_, rank, kTagFtFailure, /*timeout=*/0.05);
-    if (note.ok && note.status == FtStatus::kCorruptPayload) {
-      reason = "worker reported corrupt payload";
+template <typename Fn>
+auto MasterCompute::run(Fn&& body) {
+  for (int fruitless = 0;;) {
+    try {
+      if (resync_) {
+        // Replay the state every survivor must hold, in its original
+        // order; a worker that already holds it recomputes the same.
+        resync_ = false;
+        if (curvature_fraction_) {
+          broadcast_command(Command::kSetCurvature,
+                            std::bit_cast<std::uint64_t>(*curvature_fraction_));
+        }
+        if (!theta_.empty()) send_params(theta_);
+        if (prepared_seed_) send_prepare(*prepared_seed_);
+      }
+      return body();
+    } catch (const simmpi::CommError& e) {
+      if (!ft_.enabled) throw;
+      if (ft_.verbose) {
+        BGQHF_WARN << "master: " << e.what() << "; shrinking to survivors";
+      }
+      const auto* revoked = dynamic_cast<const simmpi::Revoked*>(&e);
+      const std::size_t lost =
+          revoked != nullptr ? recover(revoked->revoker(), revoked->reason())
+                             : recover(-1, {});
+      // A transient fault costs one re-run; a second failure that
+      // excludes nobody would recur forever.
+      if (lost == 0 && ++fruitless > 1) throw;
     }
   }
-  if (ft_.verbose) {
-    BGQHF_WARN << "master: excluding worker rank " << rank << " (" << reason
-               << "); " << live_workers() << " worker(s) remain";
+}
+
+std::size_t MasterCompute::recover(int revoker, const std::string& reason) {
+  BGQHF_SPAN("fault", "shrink");
+  simmpi::Comm next = comm_.shrink(ft_.reply_deadline());
+  std::vector<int> ranks;
+  std::vector<std::size_t> counts;
+  std::size_t lost = 0;
+  for (int r = 0, j = 0; r < comm_.size(); ++r) {
+    const auto slot = static_cast<std::size_t>(r);
+    const int world = comm_.world_rank_of(r);
+    if (j < next.size() && next.world_rank_of(j) == world) {
+      ranks.push_back(ranks_[slot]);
+      counts.push_back(curvature_counts_[slot]);
+      ++j;
+      continue;
+    }
+    ++lost;
+    excluded_.push_back(ranks_[slot]);
+    obs::global_add(ft_excluded_metric());
+    if (ft_.verbose) {
+      BGQHF_WARN << "master: excluding worker rank " << ranks_[slot] << " ("
+                 << (world == revoker && !reason.empty() ? reason
+                                                         : "reply timeout")
+                 << "); " << next.size() - 1 << " worker(s) remain";
+    }
   }
+  comm_ = next;
+  ranks_ = std::move(ranks);
+  curvature_counts_ = std::move(counts);
+  // A worker lost mid-CG leaves the product denominator with it, keeping
+  // the product the exact sample mean over the surviving shards.
+  curvature_frames_ = std::accumulate(curvature_counts_.begin(),
+                                      curvature_counts_.end(),
+                                      std::size_t{0});
+  resync_ = true;
+  return lost;
 }
 
 void MasterCompute::broadcast_command(Command cmd, std::uint64_t aux) {
   std::vector<std::uint64_t> header{static_cast<std::uint64_t>(cmd), aux};
-  if (!ft_.enabled) {
-    comm_->bcast(header, 0);
-    return;
-  }
-  ft_send_all(std::as_bytes(std::span<const std::uint64_t>(header)),
-              kTagFtCommand);
-}
-
-void MasterCompute::ft_send_all(std::span<const std::byte> payload,
-                                int tag) {
-  // One frame, checksummed once, shared by every live worker's mailbox.
-  const simmpi::Payload frame = ft_frame({payload});
-  for (int r = 1; r < comm_->size(); ++r) {
-    if (!alive_[static_cast<std::size_t>(r)]) continue;
-    comm_->send_shared(frame, r, tag);
-  }
-}
-
-std::vector<FtFrame<std::byte>> MasterCompute::ft_collect_replies() {
-  BGQHF_SPAN("fault", "ft_collect_replies");
-  std::vector<FtFrame<std::byte>> replies(
-      static_cast<std::size_t>(comm_->size()));
-  for (int r = 1; r < comm_->size(); ++r) {
-    if (!alive_[static_cast<std::size_t>(r)]) continue;
-    double timeout = ft_.reply_timeout;
-    bool answered = false;
-    for (int attempt = 0; attempt <= ft_.max_retries; ++attempt) {
-      try {
-        FtFrame<std::byte> frame =
-            ft_recv_for<std::byte>(*comm_, r, kTagFtReply, timeout);
-        answered = true;
-        if (!frame.ok) {
-          exclude(r, "corrupt reply");
-        } else if (frame.status != FtStatus::kOk) {
-          exclude(r, "worker withdrew");
-        } else {
-          replies[static_cast<std::size_t>(r)] = std::move(frame);
-        }
-        break;
-      } catch (const simmpi::TimeoutError&) {
-        if (attempt < ft_.max_retries) {
-          obs::global_add(ft_retries_metric());
-          if (ft_.verbose) {
-            BGQHF_WARN << "master: no reply from rank " << r << " within "
-                       << timeout << " s, retrying";
-          }
-        }
-        timeout *= ft_.backoff;
-      }
-    }
-    if (!answered) exclude(r, "reply timeout");
-  }
-  return replies;
+  comm_.bcast(header, 0, ft_.reply_deadline());
 }
 
 void MasterCompute::reduce_sum(std::span<float> out) {
@@ -162,7 +149,7 @@ void MasterCompute::reduce_sum(std::span<float> out) {
   // partials in log depth and only O(N) bytes ever reach rank 0, versus
   // the P*N the gather-then-sum it replaced buffered at the root.
   std::vector<float> buf(out.size(), 0.0f);
-  comm_->reduce_sum(buf, 0);
+  comm_.reduce_sum(buf, 0, ft_.reply_deadline());
   std::copy(buf.begin(), buf.end(), out.begin());
 }
 
@@ -180,7 +167,7 @@ void MasterCompute::reduce_sum_segmented(
     const std::size_t off = bounds_[s];
     const std::size_t len = bounds_[s + 1] - off;
     handles.push_back(simmpi::start_reduce_sum(
-        *comm_, std::span<float>(zeros_).subspan(off, len),
+        comm_, std::span<float>(zeros_).subspan(off, len),
         out.subspan(off, len), 0, stream_base + static_cast<int>(s), copts,
         states == nullptr ? nullptr : &(*states)[s]));
   }
@@ -189,7 +176,7 @@ void MasterCompute::reduce_sum_segmented(
 
 nn::BatchLoss MasterCompute::reduce_loss_stats() {
   std::vector<double> flat(kLossStatsLen, 0.0);
-  comm_->reduce_sum(flat, 0);
+  comm_.reduce_sum(flat, 0, ft_.reply_deadline());
   nn::BatchLoss total;
   total.loss_sum = flat[0];
   total.frames = static_cast<std::size_t>(flat[1]);
@@ -197,65 +184,71 @@ nn::BatchLoss MasterCompute::reduce_loss_stats() {
   return total;
 }
 
+void MasterCompute::send_params(std::span<const float> theta) {
+  broadcast_command(Command::kSetParams);
+  std::vector<float> buf(theta.begin(), theta.end());
+  comm_.bcast(buf, 0, ft_.reply_deadline());  // the paper's sync_weights
+}
+
+void MasterCompute::send_prepare(std::uint64_t seed) {
+  broadcast_command(Command::kPrepareCurvature, seed);
+  // Per-worker counts (integers carried in double), kept so a worker lost
+  // mid-CG can be subtracted from the product denominator.
+  const double none = 0.0;
+  const std::vector<double> counts = comm_.gather(
+      std::span<const double>(&none, 1), 0, ft_.reply_deadline());
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    curvature_counts_[r] = static_cast<std::size_t>(counts[r]);
+  }
+  curvature_frames_ = std::accumulate(curvature_counts_.begin(),
+                                      curvature_counts_.end(), std::size_t{0});
+}
+
 void MasterCompute::set_params(std::span<const float> theta) {
   PhaseTimer timer(stats_, Phase::kSyncWeights);
-  broadcast_command(Command::kSetParams);
-  if (ft_.enabled) {
-    ft_send_all(std::as_bytes(theta), kTagFtPayload);
-    return;
-  }
-  std::vector<float> buf(theta.begin(), theta.end());
-  comm_->bcast(buf, 0);  // the paper's sync_weights MPI_Bcast
+  if (ft_.enabled) theta_.assign(theta.begin(), theta.end());
+  prepared_seed_.reset();  // new θ invalidates the workers' curvature cache
+  run([&] { send_params(theta); });
 }
 
 nn::BatchLoss MasterCompute::gradient(std::span<float> grad_out) {
   if (grad_out.size() != num_params_) {
     throw std::invalid_argument("MasterCompute::gradient: size mismatch");
   }
+  return gradient_impl(grad_out, {});
+}
+
+nn::BatchLoss MasterCompute::gradient_with_squares(
+    std::span<float> grad_out, std::span<float> grad_sq_out) {
+  if (grad_out.size() != num_params_ || grad_sq_out.size() != num_params_) {
+    throw std::invalid_argument(
+        "MasterCompute::gradient_with_squares: size mismatch");
+  }
+  return gradient_impl(grad_out, grad_sq_out);
+}
+
+nn::BatchLoss MasterCompute::gradient_impl(std::span<float> grad_out,
+                                           std::span<float> grad_sq_out) {
   PhaseTimer timer(stats_, Phase::kGradient);
-  broadcast_command(Command::kGradient, /*aux=*/0);
-  nn::BatchLoss total;
-  if (!ft_.enabled) {
+  const bool squares = grad_sq_out.data() != nullptr;
+  const nn::BatchLoss total = run([&] {
+    broadcast_command(Command::kGradient, /*aux=*/squares ? 1 : 0);
     if (agg_.active()) {
+      const bool comp = agg_.compress.active();
       reduce_sum_segmented(grad_out, /*stream_base=*/0,
-                           agg_.compress.active() ? &grad_states_ : nullptr);
+                           comp ? &grad_states_ : nullptr);
+      if (squares) {
+        reduce_sum_segmented(grad_sq_out,
+                             /*stream_base=*/static_cast<int>(
+                                 bounds_.size() - 1),
+                             comp ? &sq_states_ : nullptr);
+      }
     } else {
       reduce_sum(grad_out);
+      if (squares) reduce_sum(grad_sq_out);
     }
-    total = reduce_loss_stats();
-  } else {
-    // Fold replies with the reduce tree's association: one slot per rank
-    // (slot 0 = the master's zero contribution; lost or malformed workers
-    // contribute the identity), so fault-free this is bitwise identical to
-    // the collective path.
-    const auto replies = ft_collect_replies();
-    simmpi::PairwiseFold<float> fold;
-    simmpi::PairwiseFold<double> loss_fold;
-    fold.push(std::vector<float>(num_params_, 0.0f));
-    loss_fold.push(std::vector<double>(kLossStatsLen, 0.0));
-    for (int r = 1; r < comm_->size(); ++r) {
-      const auto& reply = replies[static_cast<std::size_t>(r)];
-      std::vector<float> slice(num_params_, 0.0f);
-      std::vector<double> stats_flat(kLossStatsLen, 0.0);
-      if (reply.ok) {
-        std::span<const std::byte> in = reply.data;
-        if (!consume_pod_span<float>(in, slice) ||
-            !consume_pod_span<double>(in, stats_flat) || !in.empty()) {
-          exclude(r, "malformed gradient reply");
-          slice.assign(num_params_, 0.0f);
-          stats_flat.assign(kLossStatsLen, 0.0);
-        }
-      }
-      fold.push(std::move(slice));
-      loss_fold.push(std::move(stats_flat));
-    }
-    const std::vector<float> sum = fold.finish();
-    std::copy(sum.begin(), sum.end(), grad_out.begin());
-    const std::vector<double> lf = loss_fold.finish();
-    total.loss_sum = lf[0];
-    total.frames = static_cast<std::size_t>(lf[1]);
-    total.correct = static_cast<std::size_t>(lf[2]);
-  }
+    return reduce_loss_stats();
+  });
   if (total.frames == 0) {
     throw std::runtime_error(
         "MasterCompute::gradient: no frames reported (all workers lost?)");
@@ -268,101 +261,10 @@ nn::BatchLoss MasterCompute::gradient(std::span<float> grad_out) {
   return total;
 }
 
-nn::BatchLoss MasterCompute::gradient_with_squares(
-    std::span<float> grad_out, std::span<float> grad_sq_out) {
-  if (grad_out.size() != num_params_ || grad_sq_out.size() != num_params_) {
-    throw std::invalid_argument(
-        "MasterCompute::gradient_with_squares: size mismatch");
-  }
-  PhaseTimer timer(stats_, Phase::kGradient);
-  broadcast_command(Command::kGradient, /*aux=*/1);
-  nn::BatchLoss total;
-  if (!ft_.enabled) {
-    if (agg_.active()) {
-      const bool comp = agg_.compress.active();
-      const int nseg = static_cast<int>(bounds_.size() - 1);
-      reduce_sum_segmented(grad_out, /*stream_base=*/0,
-                           comp ? &grad_states_ : nullptr);
-      reduce_sum_segmented(grad_sq_out, /*stream_base=*/nseg,
-                           comp ? &sq_states_ : nullptr);
-    } else {
-      reduce_sum(grad_out);
-      reduce_sum(grad_sq_out);
-    }
-    total = reduce_loss_stats();
-  } else {
-    const auto replies = ft_collect_replies();
-    simmpi::PairwiseFold<float> fold;
-    simmpi::PairwiseFold<float> sq_fold;
-    simmpi::PairwiseFold<double> loss_fold;
-    fold.push(std::vector<float>(num_params_, 0.0f));
-    sq_fold.push(std::vector<float>(num_params_, 0.0f));
-    loss_fold.push(std::vector<double>(kLossStatsLen, 0.0));
-    for (int r = 1; r < comm_->size(); ++r) {
-      const auto& reply = replies[static_cast<std::size_t>(r)];
-      std::vector<float> slice(num_params_, 0.0f);
-      std::vector<float> sq_slice(num_params_, 0.0f);
-      std::vector<double> stats_flat(kLossStatsLen, 0.0);
-      if (reply.ok) {
-        std::span<const std::byte> in = reply.data;
-        if (!consume_pod_span<float>(in, slice) ||
-            !consume_pod_span<float>(in, sq_slice) ||
-            !consume_pod_span<double>(in, stats_flat) || !in.empty()) {
-          exclude(r, "malformed gradient reply");
-          slice.assign(num_params_, 0.0f);
-          sq_slice.assign(num_params_, 0.0f);
-          stats_flat.assign(kLossStatsLen, 0.0);
-        }
-      }
-      fold.push(std::move(slice));
-      sq_fold.push(std::move(sq_slice));
-      loss_fold.push(std::move(stats_flat));
-    }
-    const std::vector<float> sum = fold.finish();
-    std::copy(sum.begin(), sum.end(), grad_out.begin());
-    const std::vector<float> sq_sum = sq_fold.finish();
-    std::copy(sq_sum.begin(), sq_sum.end(), grad_sq_out.begin());
-    const std::vector<double> lf = loss_fold.finish();
-    total.loss_sum = lf[0];
-    total.frames = static_cast<std::size_t>(lf[1]);
-    total.correct = static_cast<std::size_t>(lf[2]);
-  }
-  if (total.frames == 0) {
-    throw std::runtime_error(
-        "MasterCompute::gradient: no frames reported (all workers lost?)");
-  }
-  const float inv = 1.0f / static_cast<float>(total.frames);
-  for (auto& g : grad_out) g *= inv;
-  return total;
-}
-
 void MasterCompute::prepare_curvature(std::uint64_t seed) {
   PhaseTimer timer(stats_, Phase::kCurvaturePrepare);
-  broadcast_command(Command::kPrepareCurvature, seed);
-  curvature_frames_ = 0;
-  if (!ft_.enabled) {
-    // Frame counts are integers carried in double; any sum order is exact.
-    std::vector<double> count(1, 0.0);
-    comm_->reduce_sum(count, 0);
-    curvature_frames_ = static_cast<std::size_t>(count[0]);
-    return;
-  }
-  std::fill(curvature_counts_.begin(), curvature_counts_.end(), 0);
-  const auto replies = ft_collect_replies();
-  for (int r = 1; r < comm_->size(); ++r) {
-    const auto& reply = replies[static_cast<std::size_t>(r)];
-    if (!reply.ok) continue;
-    std::span<const std::byte> in = reply.data;
-    double count = 0.0;
-    if (!consume_pod_span<double>(in, std::span<double>(&count, 1)) ||
-        !in.empty()) {
-      exclude(r, "malformed curvature-count reply");
-      continue;
-    }
-    curvature_counts_[static_cast<std::size_t>(r)] =
-        static_cast<std::size_t>(count);
-    curvature_frames_ += static_cast<std::size_t>(count);
-  }
+  prepared_seed_ = seed;
+  run([&] { send_prepare(seed); });
 }
 
 void MasterCompute::curvature_product(std::span<const float> v,
@@ -371,71 +273,26 @@ void MasterCompute::curvature_product(std::span<const float> v,
     throw std::logic_error("curvature_product before prepare_curvature");
   }
   PhaseTimer timer(stats_, Phase::kCurvatureProduct);
-  broadcast_command(Command::kCurvatureProduct);
-  if (!ft_.enabled) {
-    std::vector<float> buf(v.begin(), v.end());
-    comm_->bcast(buf, 0);
+  std::vector<float> buf(v.begin(), v.end());
+  run([&] {
+    broadcast_command(Command::kCurvatureProduct);
+    comm_.bcast(buf, 0, ft_.reply_deadline());
     reduce_sum(out);
-    const float inv = 1.0f / static_cast<float>(curvature_frames_);
-    for (auto& g : out) g *= inv;
-    return;
-  }
-  ft_send_all(std::as_bytes(v), kTagFtPayload);
-  const auto replies = ft_collect_replies();
-  simmpi::PairwiseFold<float> fold;
-  fold.push(std::vector<float>(num_params_, 0.0f));
-  std::size_t responding_frames = 0;
-  for (int r = 1; r < comm_->size(); ++r) {
-    const auto& reply = replies[static_cast<std::size_t>(r)];
-    std::vector<float> slice(num_params_, 0.0f);
-    if (reply.ok) {
-      std::span<const std::byte> in = reply.data;
-      if (!consume_pod_span<float>(in, slice) || !in.empty()) {
-        exclude(r, "malformed curvature-product reply");
-        slice.assign(num_params_, 0.0f);
-      } else {
-        responding_frames += curvature_counts_[static_cast<std::size_t>(r)];
-      }
-    }
-    fold.push(std::move(slice));
-  }
-  const std::vector<float> sum = fold.finish();
-  std::copy(sum.begin(), sum.end(), out.begin());
-  if (responding_frames == 0) {
+  });
+  if (curvature_frames_ == 0) {
     throw std::runtime_error(
         "MasterCompute::curvature_product: all workers lost");
   }
-  // A worker lost mid-CG is subtracted from the denominator too, keeping
-  // the product the exact sample mean over surviving shards.
-  curvature_frames_ = responding_frames;
-  const float inv = 1.0f / static_cast<float>(responding_frames);
+  const float inv = 1.0f / static_cast<float>(curvature_frames_);
   for (auto& g : out) g *= inv;
 }
 
 nn::BatchLoss MasterCompute::heldout_loss() {
   PhaseTimer timer(stats_, Phase::kHeldoutLoss);
-  broadcast_command(Command::kHeldoutLoss);
-  if (!ft_.enabled) return reduce_loss_stats();
-  nn::BatchLoss total;
-  const auto replies = ft_collect_replies();
-  simmpi::PairwiseFold<double> loss_fold;
-  loss_fold.push(std::vector<double>(kLossStatsLen, 0.0));
-  for (int r = 1; r < comm_->size(); ++r) {
-    const auto& reply = replies[static_cast<std::size_t>(r)];
-    std::vector<double> stats_flat(kLossStatsLen, 0.0);
-    if (reply.ok) {
-      std::span<const std::byte> in = reply.data;
-      if (!consume_pod_span<double>(in, stats_flat) || !in.empty()) {
-        exclude(r, "malformed held-out reply");
-        stats_flat.assign(kLossStatsLen, 0.0);
-      }
-    }
-    loss_fold.push(std::move(stats_flat));
-  }
-  const std::vector<double> lf = loss_fold.finish();
-  total.loss_sum = lf[0];
-  total.frames = static_cast<std::size_t>(lf[1]);
-  total.correct = static_cast<std::size_t>(lf[2]);
+  const nn::BatchLoss total = run([&] {
+    broadcast_command(Command::kHeldoutLoss);
+    return reduce_loss_stats();
+  });
   if (total.frames == 0) {
     throw std::runtime_error(
         "MasterCompute::heldout_loss: no frames reported (all workers "
@@ -445,10 +302,15 @@ nn::BatchLoss MasterCompute::heldout_loss() {
 }
 
 void MasterCompute::set_curvature_fraction(double fraction) {
-  broadcast_command(Command::kSetCurvature,
-                    std::bit_cast<std::uint64_t>(fraction));
+  curvature_fraction_ = fraction;
+  run([&] {
+    broadcast_command(Command::kSetCurvature,
+                      std::bit_cast<std::uint64_t>(fraction));
+  });
 }
 
-void MasterCompute::shutdown() { broadcast_command(Command::kShutdown); }
+void MasterCompute::shutdown() {
+  run([&] { broadcast_command(Command::kShutdown); });
+}
 
 }  // namespace bgqhf::hf

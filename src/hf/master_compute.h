@@ -7,18 +7,20 @@
 // the same slots through simmpi::PairwiseFold, making the aggregate
 // arithmetic identical over the same shards.
 //
-// With FtOptions::enabled the same primitives run over the flat,
-// CRC-framed, timeout-aware protocol (fault_tolerance.h): the master
-// tracks worker liveness, retries timed-out replies with backoff, then
-// excludes dead workers and reweights gradient/curvature sums by the
-// surviving data fraction — every sum stays a *mean over the data that
-// actually responded*, so the Gauss-Newton estimate remains unbiased
-// under worker loss. Replies fold through PairwiseFold over the same rank
-// slots the reduce tree pairs (lost workers contribute the identity), so
-// fault-free the arithmetic matches the collective path bitwise.
+// With FtOptions::enabled the primitives and their data movement are the
+// same; each op gets a reply_timeout deadline and each message a CRC, and
+// a TimeoutError, Revoked or CorruptMessage makes the master revoke the
+// communicator, shrink it to the survivors, record the excluded ranks,
+// re-send θ and the curvature fraction, and re-run the interrupted
+// primitive (fault_tolerance.h). Sums then cover exactly the responding
+// workers and are divided by the frames those workers hold, so every
+// result stays a *mean over the data still in the job* and the
+// Gauss-Newton estimate remains unbiased under worker loss.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "hf/aggregate.h"
@@ -41,9 +43,8 @@ class MasterCompute : public HfCompute {
   /// must match every worker's (the trainer derives both from one config).
   /// When `agg` is active the gradient collectives run per segment over
   /// async-reduce streams, compressed when BGQHF_COMPRESS is on; bounds
-  /// default to one whole-vector segment. Ignored under FT — the CRC
-  /// protocol stays exact, lossy blobs from a worker that later dies would
-  /// leave its residual permanently dropped.
+  /// default to one whole-vector segment. Ignored under FT: a re-run
+  /// primitive must recompute the same exact sums.
   MasterCompute(simmpi::Comm& comm, std::size_t num_params,
                 std::size_t total_train_frames,
                 PhaseStats* stats = nullptr, FtOptions ft = {},
@@ -71,13 +72,25 @@ class MasterCompute : public HfCompute {
   /// the optimizer finishes.
   void shutdown();
 
-  /// Workers excluded so far (FT mode), in exclusion order.
+  /// Workers excluded so far (FT mode), in exclusion order, as ranks of
+  /// the communicator this master was built on.
   const std::vector<int>& excluded_workers() const { return excluded_; }
   /// Number of workers still participating.
-  int live_workers() const;
+  int live_workers() const { return comm_.size() - 1; }
 
  private:
+  /// Run one primitive. Under FT a failure revokes, shrinks and records
+  /// the excluded workers (recover), then re-runs `body` on the survivors;
+  /// a second failure that excludes nobody is rethrown.
+  template <typename Fn>
+  auto run(Fn&& body);
+  /// Shrink to the survivors after a failure revoked by world rank
+  /// `revoker` for `reason`; returns how many workers were excluded.
+  std::size_t recover(int revoker, const std::string& reason);
   void broadcast_command(Command cmd, std::uint64_t aux = 0);
+  /// Primitive bodies that resync also replays.
+  void send_params(std::span<const float> theta);
+  void send_prepare(std::uint64_t seed);
   /// Tree-reduce the workers' equal-length vectors into `out`; the
   /// master's own contribution (slot 0 of the tree) is zero.
   void reduce_sum(std::span<float> out);
@@ -87,17 +100,12 @@ class MasterCompute : public HfCompute {
   void reduce_sum_segmented(std::span<float> out, int stream_base,
                             std::vector<simmpi::CompressState>* states);
   nn::BatchLoss reduce_loss_stats();
+  nn::BatchLoss gradient_impl(std::span<float> grad_out,
+                              std::span<float> grad_sq_out);
 
-  // ---- fault-tolerant path ----
-  /// Frame the payload once and send that frame to every live worker.
-  void ft_send_all(std::span<const std::byte> payload, int tag);
-  /// Collect one framed reply per live worker in rank order. Returns the
-  /// reply frame per worker rank (ok == false: excluded this round);
-  /// timed-out / corrupt-reply workers are excluded and logged.
-  std::vector<FtFrame<std::byte>> ft_collect_replies();
-  void exclude(int rank, const char* reason);
-
-  simmpi::Comm* comm_;
+  /// The communicator the primitives run on: a copy of the caller's,
+  /// replaced by the survivors' after each shrink.
+  simmpi::Comm comm_;
   std::size_t num_params_;
   std::size_t train_frames_;
   std::size_t curvature_frames_ = 0;
@@ -110,11 +118,21 @@ class MasterCompute : public HfCompute {
   std::vector<simmpi::CompressState> sq_states_;
 
   FtOptions ft_;
-  std::vector<char> alive_;  // by rank; [0] unused
+  /// Original rank of each member of comm_ (index = current rank).
+  std::vector<int> ranks_;
   std::vector<int> excluded_;
-  /// Per-rank curvature sample sizes from the last prepare_curvature, so a
-  /// worker lost mid-CG can be subtracted from the product denominator.
+  /// Per-member curvature sample sizes from the last prepare_curvature,
+  /// so a worker lost mid-CG can be subtracted from the denominator.
   std::vector<std::size_t> curvature_counts_;
+  /// Replayed to the survivors before a primitive re-runs: a worker
+  /// starved by a failed broadcast may have missed a reply-less command
+  /// (θ, the curvature fraction), and re-sent θ invalidates the curvature
+  /// sample, so the prepare since θ is replayed too. θ is kept under FT
+  /// only.
+  std::vector<float> theta_;
+  std::optional<double> curvature_fraction_;
+  std::optional<std::uint64_t> prepared_seed_;  // prepared since theta_
+  bool resync_ = false;
 };
 
 }  // namespace bgqhf::hf

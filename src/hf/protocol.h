@@ -20,7 +20,7 @@ enum class Command : std::uint64_t {
   kSetParams = 1,         // followed by bcast of theta (sync_weights)
   kGradient = 2,          // workers reduce grad sums + loss stats;
                           // aux=1 additionally reduces squared-grad sums
-  kPrepareCurvature = 3,  // aux = sample seed; workers reduce sample frames
+  kPrepareCurvature = 3,  // aux = sample seed; workers gather sample frames
   kCurvatureProduct = 4,  // followed by bcast of v; workers reduce products
   kHeldoutLoss = 5,       // workers reduce held-out loss stats
   kShutdown = 6,          // workers exit their loop
@@ -46,16 +46,6 @@ inline constexpr int kTagShardX = 102;
 inline constexpr int kTagShardHeldMeta = 103;
 inline constexpr int kTagShardHeldLabels = 104;
 inline constexpr int kTagShardHeldX = 105;
-/// Network/criterion config blob (flat p2p in fault-tolerant mode, where
-/// a dead rank must not be able to starve a broadcast tree).
-inline constexpr int kTagConfigBlob = 106;
-
-/// Tags for the fault-tolerant flat protocol (fault_tolerance.h). Every
-/// message on these tags is CRC-framed.
-inline constexpr int kTagFtCommand = 110;  // {command, aux} per worker
-inline constexpr int kTagFtPayload = 111;  // theta / CG vector per worker
-inline constexpr int kTagFtReply = 112;    // one framed reply per command
-inline constexpr int kTagFtFailure = 113;  // worker self-reported failure
 
 /// LTFB tournament exchange between population masters. These messages
 /// ride the WORLD communicator while the populations train inside split

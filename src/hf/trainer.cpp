@@ -24,16 +24,6 @@ namespace {
 
 // ---- dataset wire format (load_data phase, p2p) ----
 
-// FT mode replaces indefinitely-blocking receives with deadlines so a
-// dropped shard message strands one worker (which withdraws) instead of
-// deadlocking the whole run; timeout <= 0 keeps the blocking path.
-template <typename T>
-std::vector<T> recv_maybe_for(simmpi::Comm& comm, int src, int tag,
-                              double timeout) {
-  if (timeout > 0.0) return comm.recv_for<T>(src, tag, timeout);
-  return comm.recv<T>(src, tag);
-}
-
 void send_dataset(simmpi::Comm& comm, int dest, const speech::Dataset& ds,
                   int meta_tag, int labels_tag, int x_tag) {
   std::vector<std::uint64_t> meta;
@@ -48,10 +38,9 @@ void send_dataset(simmpi::Comm& comm, int dest, const speech::Dataset& ds,
 }
 
 speech::Dataset recv_dataset(simmpi::Comm& comm, int src, int meta_tag,
-                             int labels_tag, int x_tag,
-                             double timeout = 0.0) {
+                             int labels_tag, int x_tag, const FtOptions& ft) {
   const std::vector<std::uint64_t> meta =
-      recv_maybe_for<std::uint64_t>(comm, src, meta_tag, timeout);
+      comm.recv<std::uint64_t>(src, meta_tag, ft.command_deadline());
   if (meta.size() < 3) throw std::logic_error("recv_dataset: bad meta");
   speech::Dataset ds;
   const std::size_t rows = meta[0];
@@ -59,9 +48,9 @@ speech::Dataset recv_dataset(simmpi::Comm& comm, int src, int meta_tag,
   const std::size_t num_offsets = meta[2];
   ds.offsets.assign(meta.begin() + 3,
                     meta.begin() + 3 + static_cast<std::ptrdiff_t>(num_offsets));
-  ds.labels = recv_maybe_for<int>(comm, src, labels_tag, timeout);
+  ds.labels = comm.recv<int>(src, labels_tag, ft.command_deadline());
   const std::vector<float> x =
-      recv_maybe_for<float>(comm, src, x_tag, timeout);
+      comm.recv<float>(src, x_tag, ft.command_deadline());
   if (x.size() != rows * cols || ds.labels.size() != rows) {
     throw std::logic_error("recv_dataset: size mismatch");
   }
@@ -268,18 +257,8 @@ TrainOutcome train_serial(const TrainerConfig& config) {
 void distribute_shards(simmpi::Comm& comm, const TrainerConfig& config,
                        const Shards& shards, PhaseStats* master_phases) {
   const int workers = comm.size() - 1;
-  // Under FT, startup distribution avoids tree collectives: a collective
-  // cannot attribute a stall to a peer, and a rank dead mid-tree starves
-  // its whole subtree. Point-to-point sends with receive deadlines keep
-  // failures local to the failed worker.
   std::vector<std::uint64_t> blob = encode_config(config, shards);
-  if (config.ft.enabled) {
-    for (int w = 0; w < workers; ++w) {
-      comm.send<std::uint64_t>(blob, w + 1, kTagConfigBlob);
-    }
-  } else {
-    comm.bcast(blob, 0);
-  }
+  comm.bcast(blob, 0);
   // load_data: ship each worker its shard over point-to-point sends
   // (the phase Figures 2/4 chart as load_data).
   BGQHF_SPAN(phase_label(Phase::kLoadData), "master");
@@ -298,26 +277,18 @@ void distribute_shards(simmpi::Comm& comm, const TrainerConfig& config,
 
 void run_worker_rank(simmpi::Comm& comm, const TrainerConfig& config,
                      PhaseStats* phases) {
-  const double startup_timeout =
-      config.ft.enabled ? config.ft.command_timeout : 0.0;
   try {
     std::vector<std::uint64_t> blob;
-    if (config.ft.enabled) {
-      blob = comm.recv_for<std::uint64_t>(0, kTagConfigBlob,
-                                          startup_timeout);
-    } else {
-      comm.bcast(blob, 0);
-    }
+    comm.bcast(blob, 0, config.ft.command_deadline());
     const DecodedConfig dc = decode_config(blob);
     util::Timer load_timer;
     speech::Dataset train, heldout;
     {
       BGQHF_SPAN(phase_label(Phase::kLoadData), "worker");
       train = recv_dataset(comm, 0, kTagShardMeta, kTagShardLabels,
-                           kTagShardX, startup_timeout);
+                           kTagShardX, config.ft);
       heldout = recv_dataset(comm, 0, kTagShardHeldMeta,
-                             kTagShardHeldLabels, kTagShardHeldX,
-                             startup_timeout);
+                             kTagShardHeldLabels, kTagShardHeldX, config.ft);
     }
     if (phases != nullptr) {
       phases->add(Phase::kLoadData, load_timer.seconds());
@@ -340,16 +311,15 @@ void run_worker_rank(simmpi::Comm& comm, const TrainerConfig& config,
     worker_loop(comm, workload, phases, config.ft, config.aggregation);
   } catch (const simmpi::RankKilledError&) {
     // Injected kill: exit the rank cleanly so run_ranks completes; the
-    // master observes the silence and excludes this worker at its next
-    // reply deadline.
+    // master observes the silence at its next reply deadline.
     BGQHF_WARN << "worker rank " << comm.rank()
                << ": killed by fault injection; exiting";
-  } catch (const simmpi::TimeoutError& e) {
-    // A startup message never arrived (dropped in transit): withdraw
-    // instead of stalling the whole run.
-    BGQHF_WARN << "worker rank " << comm.rank()
-               << ": startup receive timed out (" << e.what()
-               << "); withdrawing";
+  } catch (const simmpi::CommError& e) {
+    // A startup message never arrived (or the master revoked the job
+    // before it did): withdraw instead of stalling the whole run.
+    if (!config.ft.enabled) throw;
+    BGQHF_WARN << "worker rank " << comm.rank() << ": startup failed ("
+               << e.what() << "); withdrawing";
   }
 }
 

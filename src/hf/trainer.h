@@ -65,13 +65,15 @@ struct TrainerConfig {
   /// Compute pool for GEMMs (shared across shards in serial mode; ignored
   /// in distributed mode where each worker rank is already a thread).
   util::ThreadPool* pool = nullptr;
-  /// Fault-tolerant master/worker protocol (checksummed point-to-point
-  /// frames, reply deadlines, survivor reweighting). Fault-free, the FT
-  /// trajectory is bitwise identical to the collective one.
+  /// Fault tolerance (fault_tolerance.h): per-op deadlines, per-message
+  /// CRCs, and revoke-and-shrink recovery with survivor reweighting, on
+  /// the same collective path. Fault-free, the FT trajectory is bitwise
+  /// identical to the plain one.
   FtOptions ft;
   /// Fault injection installed into the simmpi World (distributed runs
-  /// only). With faults active, ft.enabled should be set too — the plain
-  /// collective protocol has no recovery path and may deadlock.
+  /// only). Without ft.enabled nothing recovers: an injected fault either
+  /// surfaces as an error or, with no deadline to notice a lost message,
+  /// blocks.
   simmpi::FaultConfig faults;
   /// When non-empty, load this checkpoint (written via hf.checkpoint_path)
   /// and resume training from its completed iteration.
@@ -79,7 +81,7 @@ struct TrainerConfig {
   /// Gradient aggregation: compression codec + per-layer overlap. Defaults
   /// pick up BGQHF_COMPRESS* / BGQHF_OVERLAP so every driver honours the
   /// knobs; serial and distributed runs mirror the same arithmetic.
-  /// Ignored when ft.enabled (the CRC protocol stays exact).
+  /// Ignored when ft.enabled (a re-run primitive needs exact sums).
   AggregationOptions aggregation = AggregationOptions::from_env();
 };
 
@@ -122,15 +124,15 @@ TrainOutcome train_distributed(const TrainerConfig& config);
 
 /// Master-side startup over an arbitrary communicator (rank 0 = master,
 /// comm.size()-1 workers): broadcast the config blob and ship each worker
-/// its shard. Factored out of train_distributed so the same startup runs
+/// its shard (buffered sends; the master never blocks here). Factored out of train_distributed so the same startup runs
 /// inside an LTFB population's split sub-communicator.
 void distribute_shards(simmpi::Comm& comm, const TrainerConfig& config,
                        const Shards& shards, PhaseStats* master_phases);
 
 /// Worker-side body over an arbitrary communicator: receive config and
-/// shards from rank 0, build the speech workload, and serve worker_loop
-/// until shutdown. Injected kills and startup timeouts return normally
-/// (after logging), so run_ranks can always join the rank.
+/// shards from rank 0 (each op under ft.command_deadline()), build the
+/// speech workload, and serve worker_loop until shutdown. An injected kill,
+/// and under FT a failed startup op, return normally (after logging).
 void run_worker_rank(simmpi::Comm& comm, const TrainerConfig& config,
                      PhaseStats* phases);
 

@@ -1,8 +1,8 @@
 #include "hf/worker.h"
 
-#include <array>
 #include <bit>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hf/aggregate.h"
@@ -37,9 +37,19 @@ Phase command_phase(Command cmd) {
   throw std::logic_error("worker_loop: unknown command");
 }
 
-void worker_loop_collective(simmpi::Comm& comm, Workload& workload,
-                            PhaseStats* stats,
-                            const AggregationOptions& agg) {
+}  // namespace
+
+void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
+                 const FtOptions& ft, const AggregationOptions& options) {
+  if (parent.rank() == 0) {
+    throw std::logic_error("worker_loop must not run on the master rank");
+  }
+  // The handle this loop talks through; replaced by the survivors' comm
+  // after a shrink.
+  simmpi::Comm comm = parent;
+  comm.set_checksums(ft.enabled);
+  const int master = comm.world_rank_of(0);
+  const AggregationOptions agg = ft.enabled ? AggregationOptions{} : options;
   const std::size_t n = workload.num_params();
   std::vector<float> scratch(n);
 
@@ -69,261 +79,166 @@ void worker_loop_collective(simmpi::Comm& comm, Workload& workload,
     std::vector<double> flat{loss.loss_sum,
                              static_cast<double>(loss.frames),
                              static_cast<double>(loss.correct)};
-    comm.reduce_sum(flat, 0);
+    comm.reduce_sum(flat, 0, ft.command_deadline());
   };
   auto stamp = [&](Phase phase, const util::Timer& timer) {
     if (stats != nullptr) stats->add(phase, timer.seconds());
   };
+  auto note = [&](const std::string& what) {
+    if (ft.verbose) {
+      BGQHF_WARN << "worker rank " << parent.rank() << ": " << what;
+    }
+  };
+  // Join the survivors' communicator; false when this worker was left out
+  // of it, or the master was.
+  auto rejoin = [&] {
+    try {
+      comm = comm.shrink(ft.command_deadline());
+    } catch (const simmpi::Revoked&) {
+      note("left out of the survivors; exiting");
+      return false;
+    }
+    if (comm.world_rank_of(0) != master) {
+      note("master left the job; exiting");
+      return false;
+    }
+    return true;
+  };
 
   for (;;) {
-    std::vector<std::uint64_t> header;
-    comm.bcast(header, 0);
-    if (header.size() != 2) {
-      throw std::logic_error("worker_loop: malformed command header");
-    }
-    const auto cmd = static_cast<Command>(header[0]);
-    obs::Span span(phase_label(command_phase(cmd)), "worker");
-    util::Timer timer;
-    switch (cmd) {
-      case Command::kSetParams: {
-        std::vector<float> theta;
-        comm.bcast(theta, 0);
-        workload.set_params(theta);
-        stamp(Phase::kSyncWeights, timer);
-        break;
+    bool awaiting_command = true;
+    const char* incoming = "command header";  // named in a corruption note
+    try {
+      std::vector<std::uint64_t> header;
+      comm.bcast(header, 0, ft.command_deadline());
+      if (header.size() != 2) {
+        throw std::logic_error("worker_loop: malformed command header");
       }
-      case Command::kGradient: {
-        if (agg.active()) {
-          // Segmented path: per-layer nonblocking reduces (compressed when
-          // BGQHF_COMPRESS is on). Under compression the carriers are NOT
-          // zeroed — they hold the error-feedback residual, and the
-          // workload accumulates the fresh gradient on top of it.
-          const std::size_t nseg = bounds.size() - 1;
-          if (!comp) {
-            std::fill(grad_carrier.begin(), grad_carrier.end(), 0.0f);
+      awaiting_command = false;
+      incoming = "child's partial";
+      const auto cmd = static_cast<Command>(header[0]);
+      obs::Span span(phase_label(command_phase(cmd)), "worker");
+      util::Timer timer;
+      switch (cmd) {
+        case Command::kSetParams: {
+          std::vector<float> theta;
+          incoming = "theta payload";
+          comm.bcast(theta, 0, ft.command_deadline());
+          workload.set_params(theta);
+          stamp(Phase::kSyncWeights, timer);
+          break;
+        }
+        case Command::kGradient: {
+          if (agg.active()) {
+            // Segmented path: per-layer nonblocking reduces (compressed
+            // when BGQHF_COMPRESS is on). Under compression the carriers
+            // are NOT zeroed — they hold the error-feedback residual, and
+            // the workload accumulates the fresh gradient on top of it.
+            const std::size_t nseg = bounds.size() - 1;
+            if (!comp) {
+              std::fill(grad_carrier.begin(), grad_carrier.end(), 0.0f);
+            }
+            if (header[1] == 0) {
+              SegmentSender sink(comm, grad_carrier, bounds, 0, 0, copts,
+                                 comp ? &grad_states : nullptr);
+              const nn::BatchLoss loss = workload.gradient(
+                  grad_carrier,
+                  agg.overlap ? static_cast<GradientSink*>(&sink) : nullptr);
+              const std::size_t overlapped = sink.flush();
+              if (stats != nullptr) stats->add_segments(nseg, overlapped);
+              reply_loss_stats(loss);
+            } else {
+              if (!comp) {
+                std::fill(sq_carrier.begin(), sq_carrier.end(), 0.0f);
+              }
+              const nn::BatchLoss loss =
+                  workload.gradient_with_squares(grad_carrier, sq_carrier);
+              SegmentSender grad_sink(comm, grad_carrier, bounds, 0, 0,
+                                      copts, comp ? &grad_states : nullptr);
+              SegmentSender sq_sink(comm, sq_carrier, bounds, 0,
+                                    static_cast<int>(nseg), copts,
+                                    comp ? &sq_states : nullptr);
+              grad_sink.flush();
+              sq_sink.flush();
+              if (stats != nullptr) stats->add_segments(2 * nseg, 0);
+              reply_loss_stats(loss);
+            }
+            stamp(Phase::kGradient, timer);
+            break;
           }
+          scratch.assign(n, 0.0f);  // a failed reduce may have consumed it
           if (header[1] == 0) {
-            SegmentSender sink(comm, grad_carrier, bounds, 0, 0, copts,
-                               comp ? &grad_states : nullptr);
-            const nn::BatchLoss loss = workload.gradient(
-                grad_carrier,
-                agg.overlap ? static_cast<GradientSink*>(&sink) : nullptr);
-            const std::size_t overlapped = sink.flush();
-            if (stats != nullptr) stats->add_segments(nseg, overlapped);
+            const nn::BatchLoss loss = workload.gradient(scratch);
+            comm.reduce_sum(scratch, 0, ft.command_deadline());
             reply_loss_stats(loss);
           } else {
-            if (!comp) {
-              std::fill(sq_carrier.begin(), sq_carrier.end(), 0.0f);
-            }
+            // aux == 1: the master also wants squared-gradient sums for
+            // the Jacobi preconditioner.
+            std::vector<float> squares(n, 0.0f);
             const nn::BatchLoss loss =
-                workload.gradient_with_squares(grad_carrier, sq_carrier);
-            SegmentSender grad_sink(comm, grad_carrier, bounds, 0, 0, copts,
-                                    comp ? &grad_states : nullptr);
-            SegmentSender sq_sink(comm, sq_carrier, bounds, 0,
-                                  static_cast<int>(nseg), copts,
-                                  comp ? &sq_states : nullptr);
-            grad_sink.flush();
-            sq_sink.flush();
-            if (stats != nullptr) stats->add_segments(2 * nseg, 0);
+                workload.gradient_with_squares(scratch, squares);
+            comm.reduce_sum(scratch, 0, ft.command_deadline());
+            comm.reduce_sum(squares, 0, ft.command_deadline());
             reply_loss_stats(loss);
           }
           stamp(Phase::kGradient, timer);
           break;
         }
-        std::fill(scratch.begin(), scratch.end(), 0.0f);
-        if (header[1] == 0) {
-          const nn::BatchLoss loss = workload.gradient(scratch);
-          comm.reduce_sum(scratch, 0);
-          reply_loss_stats(loss);
-        } else {
-          // aux == 1: the master also wants squared-gradient sums for the
-          // Jacobi preconditioner.
-          std::vector<float> squares(n, 0.0f);
-          const nn::BatchLoss loss =
-              workload.gradient_with_squares(scratch, squares);
-          comm.reduce_sum(scratch, 0);
-          comm.reduce_sum(squares, 0);
-          reply_loss_stats(loss);
+        case Command::kPrepareCurvature: {
+          workload.prepare_curvature(header[1]);
+          // Gathered, not summed: the master keeps per-worker counts so a
+          // worker lost mid-CG leaves the product denominator exact.
+          const double count =
+              static_cast<double>(workload.curvature_frames());
+          comm.gather(std::span<const double>(&count, 1), 0,
+                      ft.command_deadline());
+          stamp(Phase::kCurvaturePrepare, timer);
+          break;
         }
-        stamp(Phase::kGradient, timer);
-        break;
+        case Command::kCurvatureProduct: {
+          std::vector<float> v;
+          incoming = "CG vector payload";
+          comm.bcast(v, 0, ft.command_deadline());
+          incoming = "child's partial";
+          scratch.assign(n, 0.0f);  // a failed reduce may have consumed it
+          workload.curvature_product(v, scratch);
+          comm.reduce_sum(scratch, 0, ft.command_deadline());
+          stamp(Phase::kCurvatureProduct, timer);
+          break;
+        }
+        case Command::kHeldoutLoss: {
+          reply_loss_stats(workload.heldout_loss());
+          stamp(Phase::kHeldoutLoss, timer);
+          break;
+        }
+        case Command::kSetCurvature:
+          workload.set_curvature_fraction(std::bit_cast<double>(header[1]));
+          stamp(Phase::kCurvaturePrepare, timer);
+          break;
+        case Command::kShutdown:
+          stamp(Phase::kShutdown, timer);
+          return;
       }
-      case Command::kPrepareCurvature: {
-        workload.prepare_curvature(header[1]);
-        std::vector<double> count{
-            static_cast<double>(workload.curvature_frames())};
-        comm.reduce_sum(count, 0);
-        stamp(Phase::kCurvaturePrepare, timer);
-        break;
-      }
-      case Command::kCurvatureProduct: {
-        std::vector<float> v;
-        comm.bcast(v, 0);
-        std::fill(scratch.begin(), scratch.end(), 0.0f);
-        workload.curvature_product(v, scratch);
-        comm.reduce_sum(scratch, 0);
-        stamp(Phase::kCurvatureProduct, timer);
-        break;
-      }
-      case Command::kHeldoutLoss: {
-        reply_loss_stats(workload.heldout_loss());
-        stamp(Phase::kHeldoutLoss, timer);
-        break;
-      }
-      case Command::kSetCurvature:
-        workload.set_curvature_fraction(std::bit_cast<double>(header[1]));
-        stamp(Phase::kCurvaturePrepare, timer);
-        break;
-      case Command::kShutdown:
-        stamp(Phase::kShutdown, timer);
-        return;
-    }
-  }
-}
-
-void worker_loop_ft(simmpi::Comm& comm, Workload& workload, PhaseStats* stats,
-                    const FtOptions& ft) {
-  const std::size_t n = workload.num_params();
-  std::vector<float> scratch(n);
-
-  auto stamp = [&](Phase phase, const util::Timer& timer) {
-    if (stats != nullptr) stats->add(phase, timer.seconds());
-  };
-  using Bytes = std::span<const std::byte>;
-  using LossStats = std::array<double, kLossStatsLen>;
-  auto loss_stats = [](const nn::BatchLoss& loss) {
-    return LossStats{loss.loss_sum, static_cast<double>(loss.frames),
-                     static_cast<double>(loss.correct)};
-  };
-  // Each reply is framed straight from its parts: one copy, one checksum.
-  auto reply = [&](std::initializer_list<Bytes> parts) {
-    comm.send_shared(ft_frame(parts), 0, kTagFtReply);
-  };
-  // Checksum failed on an incoming payload: the worker's state can no
-  // longer be trusted to match the master's, so report and withdraw — the
-  // alternative is silently training on garbage.
-  auto withdraw_corrupt = [&](const char* what) {
-    if (ft.verbose) {
-      BGQHF_WARN << "worker rank " << comm.rank() << ": corrupt " << what
-                 << ", reporting and withdrawing";
-    }
-    ft_send<std::byte>(comm, {}, 0, kTagFtFailure,
-                       FtStatus::kCorruptPayload);
-  };
-
-  for (;;) {
-    FtFrame<std::uint64_t> header;
-    try {
-      header = ft_recv_for<std::uint64_t>(comm, 0, kTagFtCommand,
-                                          ft.command_timeout);
+    } catch (const simmpi::CorruptMessage&) {
+      if (!ft.enabled) throw;
+      // This worker's state can no longer be trusted to match the
+      // master's: report and withdraw rather than train on garbage.
+      note(std::string("corrupt ") + incoming +
+           ", reporting and withdrawing");
+      comm.revoke(kCorruptPayloadReason);
+      return;
     } catch (const simmpi::TimeoutError&) {
-      if (ft.verbose) {
-        BGQHF_WARN << "worker rank " << comm.rank()
-                   << ": no command within " << ft.command_timeout
-                   << " s, presuming master gone; exiting";
-      }
-      return;
-    }
-    if (!header.ok || header.data.size() != 2) {
-      withdraw_corrupt("command header");
-      return;
-    }
-    const auto cmd = static_cast<Command>(header.data[0]);
-    obs::Span span(phase_label(command_phase(cmd)), "worker");
-    util::Timer timer;
-    try {
-      switch (cmd) {
-      case Command::kSetParams: {
-        const FtFrame<float> theta =
-            ft_recv_for<float>(comm, 0, kTagFtPayload, ft.command_timeout);
-        if (!theta.ok) {
-          withdraw_corrupt("theta payload");
-          return;
-        }
-        workload.set_params(theta.data);
-        stamp(Phase::kSyncWeights, timer);
-        break;
-      }
-      case Command::kGradient: {
-        std::fill(scratch.begin(), scratch.end(), 0.0f);
-        if (header.data[1] == 0) {
-          const LossStats loss = loss_stats(workload.gradient(scratch));
-          reply({std::as_bytes(std::span<const float>(scratch)),
-                 std::as_bytes(std::span<const double>(loss))});
-        } else {
-          std::vector<float> squares(n, 0.0f);
-          const LossStats loss =
-              loss_stats(workload.gradient_with_squares(scratch, squares));
-          reply({std::as_bytes(std::span<const float>(scratch)),
-                 std::as_bytes(std::span<const float>(squares)),
-                 std::as_bytes(std::span<const double>(loss))});
-        }
-        stamp(Phase::kGradient, timer);
-        break;
-      }
-      case Command::kPrepareCurvature: {
-        workload.prepare_curvature(header.data[1]);
-        const double count =
-            static_cast<double>(workload.curvature_frames());
-        reply({std::as_bytes(std::span<const double>(&count, 1))});
-        stamp(Phase::kCurvaturePrepare, timer);
-        break;
-      }
-      case Command::kCurvatureProduct: {
-        const FtFrame<float> v =
-            ft_recv_for<float>(comm, 0, kTagFtPayload, ft.command_timeout);
-        if (!v.ok) {
-          withdraw_corrupt("CG vector payload");
-          return;
-        }
-        std::fill(scratch.begin(), scratch.end(), 0.0f);
-        workload.curvature_product(v.data, scratch);
-        reply({std::as_bytes(std::span<const float>(scratch))});
-        stamp(Phase::kCurvatureProduct, timer);
-        break;
-      }
-      case Command::kHeldoutLoss: {
-        const LossStats loss = loss_stats(workload.heldout_loss());
-        reply({std::as_bytes(std::span<const double>(loss))});
-        stamp(Phase::kHeldoutLoss, timer);
-        break;
-      }
-      case Command::kSetCurvature:
-        workload.set_curvature_fraction(
-            std::bit_cast<double>(header.data[1]));
-        stamp(Phase::kCurvaturePrepare, timer);
-        break;
-      case Command::kShutdown:
-        stamp(Phase::kShutdown, timer);
+      if (!ft.enabled) throw;
+      if (awaiting_command) {
+        note("no command within " + std::to_string(ft.command_timeout) +
+             " s, presuming master gone; exiting");
         return;
       }
-    } catch (const simmpi::TimeoutError&) {
-      // A command arrived but its payload never did (dropped in transit):
-      // this worker is out of sync with the master; withdraw cleanly and
-      // let the master's reply deadline exclude it.
-      if (ft.verbose) {
-        BGQHF_WARN << "worker rank " << comm.rank()
-                   << ": command payload never arrived; exiting";
-      }
-      return;
+      if (!rejoin()) return;  // the shrink revokes for everyone
+    } catch (const simmpi::Revoked&) {
+      if (!ft.enabled) throw;
+      if (!rejoin()) return;
     }
-  }
-}
-
-}  // namespace
-
-void worker_loop(simmpi::Comm& comm, Workload& workload, PhaseStats* stats,
-                 const FtOptions& ft, const AggregationOptions& agg) {
-  if (comm.rank() == 0) {
-    throw std::logic_error("worker_loop must not run on the master rank");
-  }
-  if (ft.enabled) {
-    // The FT protocol keeps exact CRC-framed payloads: lossy blobs from a
-    // rank that later dies would leave its residual permanently dropped,
-    // breaking the survivor-reweighting equivalence.
-    worker_loop_ft(comm, workload, stats, ft);
-  } else {
-    worker_loop_collective(comm, workload, stats, agg);
   }
 }
 

@@ -16,18 +16,21 @@ namespace bgqhf::hf {
 /// accumulates per-phase wall time (compute + the reductions that conclude
 /// each phase).
 ///
-/// With `ft.enabled` the loop speaks the flat CRC-framed protocol instead:
-/// commands and payloads arrive as framed point-to-point messages whose
-/// checksums are validated before use — a corrupt payload makes the worker
-/// report the failure to the master and withdraw rather than silently
-/// train on garbage — and a missing command past ft.command_timeout makes
-/// it conclude the master is gone and exit instead of hanging.
+/// With `ft.enabled` the loop is the same; only failures are handled
+/// differently (fault_tolerance.h). Every op waits at most
+/// ft.command_timeout — with no command in that time the worker concludes
+/// the master is gone and exits — and checks every payload's CRC. A
+/// corrupt payload makes the worker log it, revoke the communicator with
+/// that reason, and withdraw rather than train on garbage; a timeout or a
+/// revoke by another rank makes it join the shrink and serve on among the
+/// survivors.
 ///
 /// `agg` selects the gradient-aggregation path: when active (compressed
 /// and/or overlapped) the gradient replies become per-layer-segment
 /// nonblocking reduces matching MasterCompute's, with one error-feedback
 /// CompressState per segment persisted across calls. Must match the
-/// master's options. Ignored under FT (the CRC protocol stays exact).
+/// master's options. Ignored under FT: a re-run primitive must recompute
+/// the same exact sums, which error-feedback residuals would not.
 void worker_loop(simmpi::Comm& comm, Workload& workload,
                  PhaseStats* stats = nullptr, const FtOptions& ft = {},
                  const AggregationOptions& agg = {});

@@ -21,6 +21,7 @@
 // Both policies are visible and testable; DESIGN.md carries the table.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <optional>
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "blas/dispatch.h"
-#include "util/timer.h"
 
 namespace bgqhf::simmpi {
 
@@ -39,7 +39,7 @@ enum class BcastAlgo {
   kAuto = 0,
   kBinomial,   // binomial tree, one shared payload (seed algorithm)
   kPipelined,  // binomial tree over fixed-size chunks (pipelined)
-  kFlat,       // root sends to every rank (star; the _for attribution shape)
+  kFlat,       // root sends to every rank (star)
 };
 
 enum class ReduceAlgo {
@@ -131,31 +131,27 @@ ReduceScatterAlgo select_reduce_scatter(const CollectiveTuning& t, int ranks,
 
 // ---- deadlines ----
 
-/// A wall-clock budget threaded through every step of a collective: each
-/// internal receive waits at most the *remaining* budget, so one stalled
-/// peer cannot stretch an N-step collective to N timeouts.
+/// An absolute point in time by which one operation must finish. Every
+/// blocking simmpi op takes one (default never()); each internal receive
+/// of a collective waits only until the same instant, so one stalled peer
+/// cannot stretch an N-step collective to N timeouts.
 class Deadline {
  public:
-  static Deadline never() { return Deadline(); }
+  using Clock = std::chrono::steady_clock;
+
+  static Deadline never() { return Deadline(Clock::time_point::max()); }
   static Deadline in(double seconds) {
-    Deadline d;
-    d.finite_ = true;
-    d.budget_ = seconds;
-    return d;
+    return Deadline(Clock::now() +
+                    std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(seconds)));
   }
 
-  bool finite() const noexcept { return finite_; }
-  /// Remaining seconds (clamped at 0); meaningless if !finite().
-  double remaining() const {
-    const double left = budget_ - timer_.seconds();
-    return left > 0 ? left : 0;
-  }
+  bool finite() const noexcept { return at_ != Clock::time_point::max(); }
+  Clock::time_point at() const noexcept { return at_; }
 
  private:
-  Deadline() = default;
-  bool finite_ = false;
-  double budget_ = 0;
-  util::Timer timer_;
+  explicit Deadline(Clock::time_point at) : at_(at) {}
+  Clock::time_point at_;
 };
 
 // ---- segment layout ----

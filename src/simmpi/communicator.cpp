@@ -7,16 +7,24 @@
 #include <thread>
 
 #include "obs/span.h"
+#include "util/checksum.h"
 
 namespace bgqhf::simmpi {
 
 World::World(int size)
-    : size_(size), barrier_(static_cast<std::size_t>(size)), stats_(size) {
+    : size_(size),
+      stats_(size > 0 ? static_cast<std::size_t>(size) : 0),
+      departed_(size > 0 ? new std::atomic<bool>[static_cast<std::size_t>(
+                               size)]()
+                         : nullptr) {
   if (size <= 0) throw std::invalid_argument("simmpi: world size must be > 0");
   mailboxes_.reserve(static_cast<std::size_t>(size));
+  std::vector<int> all(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
+    all[static_cast<std::size_t>(r)] = r;
   }
+  world_group_ = std::make_shared<CommGroup>(std::move(all), /*ctx=*/0);
 }
 
 CommStats World::total_stats() const {
@@ -35,8 +43,39 @@ std::shared_ptr<CommGroup> World::intern_group(
     const std::vector<int>& members) {
   std::lock_guard<std::mutex> lock(group_mu_);
   auto& slot = groups_[members];
-  if (slot == nullptr) slot = std::make_shared<CommGroup>(members);
+  if (slot == nullptr || slot->revoked) {
+    slot = std::make_shared<CommGroup>(members, next_context_++);
+  }
   return slot;
+}
+
+void World::revoke(CommGroup& g, int revoker, const std::string& reason) {
+  {
+    std::lock_guard<std::mutex> lock(g.mu);
+    if (g.revoked) return;
+    g.revoker = revoker;
+    g.reason = reason;
+    // Set before any mailbox is woken: waiters re-read it under their
+    // mailbox lock, which the wakeup below takes after this store.
+    g.revoked = true;
+  }
+  for (const int m : g.members) mailbox(m).revoke(g.context);
+  g.barrier.wake();
+}
+
+void World::fail(int world_rank, const std::string& reason) {
+  std::vector<std::shared_ptr<CommGroup>> hit{world_group_};
+  {
+    std::lock_guard<std::mutex> lock(group_mu_);
+    for (const auto& [members, g] : groups_) {
+      if (std::find(members.begin(), members.end(), world_rank) !=
+          members.end()) {
+        hit.push_back(g);
+      }
+    }
+  }
+  for (const auto& g : hit) revoke(*g, world_rank, reason);
+  depart(world_rank);
 }
 
 void Comm::deliver(Message m, int dest) {
@@ -59,14 +98,34 @@ void Comm::deliver(Message m, int dest) {
   world_->mailbox(dest).push(std::move(m));
 }
 
+void Comm::check_live() const {
+  if (!group_->revoked) return;
+  std::lock_guard<std::mutex> lock(group_->mu);
+  throw Revoked(rank_, group_->revoker, group_->reason);
+}
+
+void Comm::seal(Payload& p) const {
+  if (checksums_ && !p.crc()) p.set_crc(util::crc32(p.data(), p.size()));
+}
+
+void Comm::verify(const Message& m) const {
+  const std::optional<std::uint32_t> crc = m.payload.crc();
+  if (crc && *crc != util::crc32(m.payload.data(), m.payload.size())) {
+    throw CorruptMessage(rank_, to_group(m.source), m.tag);
+  }
+}
+
 void Comm::send_payload(Payload p, int dest, int tag) {
+  check_live();
   fault_op();
+  seal(p);
   Message m;
   // World-space stamp: receivers on any communicator over this World can
   // tell who really sent the message, and split-comm receives translate
   // their expected source the same way (translate_source).
   m.source = world_rank_;
   m.tag = tag;
+  m.context = group_->context;
   m.payload = std::move(p);
   deliver(std::move(m), global(dest));
 }
@@ -79,55 +138,88 @@ void Comm::send_bytes(std::vector<std::byte> bytes, int dest, int tag,
   if (!collective) stats().add_p2p(n, t.seconds());
 }
 
-void Comm::send_shared(const Payload& p, int dest, int tag) {
-  check_rank(dest);
-  if (tag < 0) throw std::invalid_argument("simmpi: user tag must be >= 0");
-  util::Timer t;
-  send_payload(p, dest, tag);
-  stats().add_p2p(p.size(), t.seconds());
-}
-
-Payload Comm::recv_payload_for(int source, int tag, double timeout_seconds) {
-  return recv_message_for(source, tag, timeout_seconds, /*collective=*/false)
-      .payload;
-}
-
-Message Comm::recv_message(int source, int tag, bool collective) {
+Message Comm::receive(int source, int tag, const Deadline& dl, bool p2p) {
+  check_live();
   fault_op();
   util::Timer t;
-  Message m = world_->mailbox(world_rank_).pop(translate_source(source), tag);
-  if (!collective) stats().add_p2p(m.size_bytes(), t.seconds());
-  return m;
-}
-
-Message Comm::recv_message_for(int source, int tag, double timeout_seconds,
-                               bool collective) {
-  fault_op();
-  util::Timer t;
-  std::optional<Message> m = world_->mailbox(world_rank_).pop_for(
-      translate_source(source), tag,
-      std::chrono::duration<double>(timeout_seconds));
-  // The error carries this communicator's rank space — that is what FT
-  // callers compare against their worker ids.
-  if (!m.has_value()) throw TimeoutError(rank_, source, tag);
-  if (!collective) stats().add_p2p(m->size_bytes(), t.seconds());
+  std::optional<Message> m = world_->mailbox(world_rank_).pop(
+      translate_source(source), tag, group_->context, dl.at(),
+      group_->revoked);
+  if (!m.has_value()) {
+    check_live();
+    // The error carries this communicator's rank space — that is what FT
+    // callers compare against their worker ids.
+    throw TimeoutError(rank_, source, tag);
+  }
+  verify(*m);
+  if (p2p) stats().add_p2p(m->size_bytes(), t.seconds());
   return std::move(*m);
 }
 
-Message Comm::recv_coll(int source, int tag, const Deadline& dl) {
-  if (!dl.finite()) return recv_message(source, tag, /*collective=*/true);
-  return recv_message_for(source, tag, dl.remaining(), /*collective=*/true);
+std::optional<Message> Comm::try_receive(int source, int tag) {
+  check_live();
+  std::optional<Message> m = world_->mailbox(world_rank_).try_pop(
+      translate_source(source), tag, group_->context);
+  if (m.has_value()) verify(*m);
+  return m;
 }
 
-void Comm::barrier() {
+void Comm::barrier(const Deadline& dl) {
   BGQHF_SPAN("collective", "barrier");
+  check_live();
   util::Timer t;
-  if (group_ != nullptr) {
-    group_->barrier.arrive_and_wait();
-  } else {
-    world_->barrier().arrive_and_wait();
+  if (!group_->barrier.arrive_and_wait(dl.at(), group_->revoked)) {
+    check_live();
+    throw TimeoutError(rank_, kAnySource, kTagBarrier);
   }
   stats().add_op(CollOp::kBarrier, 0, t.seconds());
+}
+
+void Comm::revoke(const std::string& reason) {
+  world_->revoke(*group_, world_rank_, reason);
+}
+
+Comm Comm::shrink(const Deadline& dl) {
+  BGQHF_SPAN("collective", "shrink");
+  revoke();
+  CommGroup& g = *group_;
+  std::unique_lock<std::mutex> lock(g.mu);
+  if (g.successor == nullptr) {
+    g.arrived.push_back(world_rank_);
+    g.cv.notify_all();
+    const auto accounted = [&] {
+      return std::all_of(g.members.begin(), g.members.end(), [&](int m) {
+        return world_->departed(m) ||
+               std::find(g.arrived.begin(), g.arrived.end(), m) !=
+                   g.arrived.end();
+      });
+    };
+    // Departures are not signalled on g.cv, so poll them.
+    constexpr auto kPoll = std::chrono::milliseconds(2);
+    while (g.successor == nullptr && !accounted() &&
+           Deadline::Clock::now() < dl.at()) {
+      g.cv.wait_until(lock, std::min(dl.at(), Deadline::Clock::now() + kPoll));
+    }
+    if (g.successor == nullptr) {
+      // This rank decides for everyone: the arrivals, in old rank order.
+      std::vector<int> survivors;
+      for (const int m : g.members) {
+        if (std::find(g.arrived.begin(), g.arrived.end(), m) !=
+            g.arrived.end()) {
+          survivors.push_back(m);
+        }
+      }
+      g.successor = world_->intern_group(survivors);
+      g.cv.notify_all();
+    }
+  }
+  const std::vector<int>& next = g.successor->members;
+  const auto me = std::find(next.begin(), next.end(), world_rank_);
+  if (me == next.end()) {
+    throw Revoked(rank_, g.revoker, "excluded from the shrink");
+  }
+  return Comm(*world_, g.successor, static_cast<int>(me - next.begin()),
+              checksums_);
 }
 
 Comm Comm::split(int color, int key) {
@@ -155,7 +247,8 @@ Comm Comm::split(int color, int key) {
   if (my_group_rank < 0) {
     throw std::logic_error("simmpi: split lost its own rank");
   }
-  return Comm(*world_, world_->intern_group(members), my_group_rank);
+  return Comm(*world_, world_->intern_group(members), my_group_rank,
+              checksums_);
 }
 
 void run_ranks(World& world, const std::function<void(Comm&)>& fn) {
@@ -171,18 +264,41 @@ void run_ranks(World& world, const std::function<void(Comm&)>& fn) {
       Comm comm(world, r);
       try {
         fn(comm);
+      } catch (const RankKilledError&) {
+        // A killed rank dies silently; survivors find out by deadline.
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+      } catch (const std::exception& e) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        world.fail(r, e.what());
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
+        world.fail(r, "(non-std exception)");
       }
+      world.depart(r);
     });
   }
   for (auto& t : threads) t.join();
 
+  // A Revoked failure is the echo of another rank's failure; report the
+  // originals when there are any.
+  const auto is_revoked = [](const std::exception_ptr& err) {
+    try {
+      std::rethrow_exception(err);
+    } catch (const Revoked&) {
+      return true;
+    } catch (...) {
+      return false;
+    }
+  };
+  const bool any_original =
+      std::any_of(errors.begin(), errors.end(), [&](const auto& err) {
+        return err != nullptr && !is_revoked(err);
+      });
   std::vector<RankErrors::Failure> failures;
   std::exception_ptr sole;
   for (int r = 0; r < n; ++r) {
     const auto& err = errors[static_cast<std::size_t>(r)];
-    if (err == nullptr) continue;
+    if (err == nullptr || (any_original && is_revoked(err))) continue;
     sole = err;
     try {
       std::rethrow_exception(err);

@@ -13,6 +13,8 @@
 // implementation.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -22,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -36,35 +39,61 @@
 
 namespace bgqhf::simmpi {
 
-/// Rank group backing a split sub-communicator: the members (group rank ->
-/// world rank, sorted by the split's (key, rank) order) plus the group's
-/// own barrier. Interned in the World by member list, so every member's
-/// Comm shares one barrier object.
+/// One communicator's shared state: its members (group rank -> world
+/// rank), its context id (stamped on every message, 0 = the world
+/// communicator), its barrier, and its revoke/shrink agreement. Split and
+/// shrink groups are interned in the World by member list, so every member
+/// of one split shares one object.
 struct CommGroup {
-  std::vector<int> members;
+  CommGroup(std::vector<int> m, int ctx)
+      : members(std::move(m)), context(ctx), barrier(members.size()) {}
+
+  const std::vector<int> members;
+  const int context;
   util::Barrier barrier;
-  explicit CommGroup(std::vector<int> m)
-      : members(std::move(m)), barrier(members.size()) {}
+  std::atomic<bool> revoked{false};
+
+  // Guarded by mu: who revoked and why, and the shrink agreement.
+  std::mutex mu;
+  std::condition_variable cv;
+  int revoker = -1;
+  std::string reason;
+  std::vector<int> arrived;              // world ranks inside shrink()
+  std::shared_ptr<CommGroup> successor;  // set once the shrink decides
 };
 
-/// Shared state of one job: mailboxes, barrier, per-rank statistics, the
-/// collective tuning policy, and (optionally) a fault injector consulted on
-/// every communication op.
+/// Shared state of one job: mailboxes, communicator groups, per-rank
+/// statistics, the collective tuning policy, and (optionally) a fault
+/// injector consulted on every communication op.
 class World {
  public:
   explicit World(int size);
 
   int size() const noexcept { return size_; }
   Mailbox& mailbox(int rank) { return *mailboxes_.at(rank); }
-  util::Barrier& barrier() { return barrier_; }
   CommStats& stats(int rank) { return stats_.at(rank); }
+  const std::shared_ptr<CommGroup>& world_group() const {
+    return world_group_;
+  }
 
   /// Intern the group with exactly these members (world ranks, group-rank
   /// order). Every member of a split calls this with the identical list
   /// and receives the same CommGroup, so the group barrier counts the
   /// right parties. Identical member lists from independent splits share
-  /// one group — barrier semantics depend only on membership.
+  /// one group — barrier semantics depend only on membership — unless the
+  /// interned one was revoked: a revoked context is never handed out again.
   std::shared_ptr<CommGroup> intern_group(const std::vector<int>& members);
+
+  /// Mark `g` revoked by `revoker` (first caller's reason wins), drop its
+  /// queued messages and wake every member's mailbox and barrier wait.
+  void revoke(CommGroup& g, int revoker, const std::string& reason);
+  /// A rank body threw: revoke every communicator `world_rank` belongs to
+  /// and mark it departed, so peers blocked on it wake instead of hanging.
+  void fail(int world_rank, const std::string& reason);
+  /// The rank's body has returned or thrown (set by run_ranks). A shrink
+  /// stops waiting for departed members.
+  void depart(int world_rank) { departed_[world_rank] = true; }
+  bool departed(int world_rank) const { return departed_[world_rank]; }
 
   /// Sum of all ranks' stats (call after the job joins).
   CommStats total_stats() const;
@@ -83,11 +112,13 @@ class World {
  private:
   int size_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  util::Barrier barrier_;
   std::vector<CommStats> stats_;
+  std::unique_ptr<std::atomic<bool>[]> departed_;
   std::unique_ptr<FaultInjector> faults_;
   CollectiveTuning tuning_ = CollectiveTuning::from_env();
+  std::shared_ptr<CommGroup> world_group_;
   std::mutex group_mu_;
+  int next_context_ = 1;  // guarded by group_mu_
   std::map<std::vector<int>, std::shared_ptr<CommGroup>> groups_;
 };
 
@@ -99,7 +130,7 @@ inline constexpr int kTagScatter = kCollectiveTagBase - 2;
 inline constexpr int kTagReduce = kCollectiveTagBase - 3;
 inline constexpr int kTagBcastTree = kCollectiveTagBase - 4;
 inline constexpr int kTagBcastFlat = kCollectiveTagBase - 5;
-inline constexpr int kTagGatherFor = kCollectiveTagBase - 6;
+inline constexpr int kTagBarrier = kCollectiveTagBase - 6;  // timeouts only
 inline constexpr int kTagBcastChunk = kCollectiveTagBase - 7;
 inline constexpr int kTagReduceScatter = kCollectiveTagBase - 8;
 inline constexpr int kTagAllgather = kCollectiveTagBase - 9;
@@ -129,17 +160,24 @@ inline TreeShape binomial_shape(int rank, int root, int n) {
 class Comm {
  public:
   Comm(World& world, int rank)
-      : world_(&world), rank_(rank), world_rank_(rank) {}
+      : world_(&world),
+        rank_(rank),
+        world_rank_(rank),
+        group_(world.world_group()) {}
 
   int rank() const noexcept { return rank_; }
   int size() const noexcept {
-    return group_ ? static_cast<int>(group_->members.size())
-                  : world_->size();
+    return static_cast<int>(group_->members.size());
   }
   /// This rank's identity in the underlying World. Equal to rank() on the
-  /// world communicator; on a split communicator it is what stats, fault
-  /// schedules, and trace attribution key on.
+  /// world communicator; on a split or shrunk communicator it is what
+  /// stats, fault schedules, and trace attribution key on.
   int world_rank() const noexcept { return world_rank_; }
+  /// World rank of member `r` of this communicator.
+  int world_rank_of(int r) const {
+    check_rank(r);
+    return global(r);
+  }
   CommStats& stats() { return world_->stats(world_rank_); }
   const CollectiveTuning& tuning() const { return world_->tuning(); }
 
@@ -149,13 +187,35 @@ class Comm {
   /// and FT path runs unchanged inside the result. World-rank identities
   /// (per-rank stats, fault kill schedules, obs attribution) are
   /// preserved — only the rank numbering seen through the returned Comm
-  /// changes. Splitting a split communicator composes. Messages are
-  /// stamped with world source ranks, so traffic on a sub-communicator
-  /// and on its parent share mailboxes safely as long as (source, tag)
-  /// pairs stay distinct — the same rule concurrent tags already obey.
+  /// changes. Splitting a split communicator composes. Each group has its
+  /// own context id, so its traffic never matches its parent's.
   Comm split(int color, int key);
 
+  // ---- failure handling (ULFM-style) ----
+
+  /// MPI_Comm_revoke: mark this communicator failed for every member.
+  /// Every pending and later op on it, on any member, throws Revoked
+  /// carrying this rank and `reason`; queued messages are dropped.
+  /// Idempotent; the first revoker's reason is kept.
+  void revoke(const std::string& reason = {});
+
+  /// MPI_Comm_shrink: revoke this communicator, then agree on the members
+  /// that reach this call by `dl` (or until every member has either
+  /// arrived or departed) and return them, in their old order, as a new
+  /// communicator with a fresh context. A rank that arrives after the
+  /// agreement was decided is not in it and gets Revoked.
+  Comm shrink(const Deadline& dl);
+
+  /// Attach a CRC32 to every payload this handle sends (once per shared
+  /// payload, however many destinations it fans out to). Receivers check
+  /// any CRC they find before using or forwarding the payload and throw
+  /// CorruptMessage on a mismatch. Inherited by split/shrink results.
+  void set_checksums(bool on) noexcept { checksums_ = on; }
+
   // ---- point to point ----
+  //
+  // Every blocking op takes one optional Deadline (default never): when it
+  // passes first, the op throws TimeoutError carrying (rank, source, tag).
 
   /// Buffered send of a span of trivially copyable elements.
   template <typename T>
@@ -169,9 +229,11 @@ class Comm {
   /// Blocking receive; returns the payload as a vector<T>. Throws if the
   /// payload size is not a multiple of sizeof(T).
   template <typename T>
-  std::vector<T> recv(int source, int tag, Status* status = nullptr) {
+  std::vector<T> recv(int source, int tag,
+                      const Deadline& dl = Deadline::never(),
+                      Status* status = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const Message m = recv_message(source, tag, /*collective=*/false);
+    const Message m = receive(source, tag, dl, /*p2p=*/true);
     if (status != nullptr) {
       *status = Status{to_group(m.source), m.tag, m.size_bytes()};
     }
@@ -181,9 +243,10 @@ class Comm {
   /// Blocking receive into a preallocated span; returns element count.
   template <typename T>
   std::size_t recv_into(std::span<T> out, int source, int tag,
+                        const Deadline& dl = Deadline::never(),
                         Status* status = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const Message m = recv_message(source, tag, /*collective=*/false);
+    const Message m = receive(source, tag, dl, /*p2p=*/true);
     if (status != nullptr) {
       *status = Status{to_group(m.source), m.tag, m.size_bytes()};
     }
@@ -195,32 +258,10 @@ class Comm {
     return n;
   }
 
-  /// Bounded-wait receive: like recv(), but throws TimeoutError carrying
-  /// (rank, source, tag) after `timeout_seconds` instead of blocking
-  /// forever on a lost message.
-  template <typename T>
-  std::vector<T> recv_for(int source, int tag, double timeout_seconds,
-                          Status* status = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const Message m =
-        recv_message_for(source, tag, timeout_seconds, /*collective=*/false);
-    if (status != nullptr) {
-      *status = Status{to_group(m.source), m.tag, m.size_bytes()};
-    }
-    return from_bytes<T>(m);
-  }
-
-  /// Buffered send of an already-built payload. The buffer is shared, not
-  /// copied, so one payload can go to many destinations; an injected
-  /// corruption still flips a bit in that delivery's private copy only.
-  void send_shared(const Payload& p, int dest, int tag);
-
-  /// recv_for() without the typed copy: the payload exactly as sent.
-  Payload recv_payload_for(int source, int tag, double timeout_seconds);
-
   /// Non-destructive probe.
   bool probe(int source, int tag) const {
-    return world_->mailbox(world_rank_).probe(translate_source(source), tag);
+    return world_->mailbox(world_rank_)
+        .probe(translate_source(source), tag, group_->context);
   }
 
   // ---- nonblocking point-to-point ----
@@ -243,8 +284,7 @@ class Comm {
     /// Non-blocking completion test; once true, data() is valid.
     bool test() {
       if (done_) return true;
-      auto msg =
-          comm_->world_->mailbox(comm_->world_rank_).try_pop(source_, tag_);
+      auto msg = comm_->try_receive(source_, tag_);
       if (!msg.has_value()) return false;
       data_ = Comm::from_bytes<T>(*msg);
       // Charge the elapsed time since the request was posted: a poll that
@@ -255,13 +295,10 @@ class Comm {
       return true;
     }
     /// Block until completion and return the payload.
-    std::vector<T>& wait() {
+    std::vector<T>& wait(const Deadline& dl = Deadline::never()) {
       if (!done_) {
-        util::Timer t;
-        const Message msg = comm_->world_->mailbox(comm_->world_rank_)
-                                .pop(source_, tag_);
-        data_ = Comm::from_bytes<T>(msg);
-        comm_->stats().add_p2p(msg.size_bytes(), t.seconds());
+        data_ = Comm::from_bytes<T>(
+            comm_->receive(source_, tag_, dl, /*p2p=*/true));
         done_ = true;
       }
       return data_;
@@ -284,43 +321,25 @@ class Comm {
   /// Post a nonblocking receive matching (source, tag).
   template <typename T>
   RecvRequest<T> irecv(int source, int tag) {
-    // Translated here, once: the stored source is already world-space, so
-    // the request's mailbox matching never consults the group again.
-    return RecvRequest<T>(this, translate_source(source), tag);
+    translate_source(source);  // reject a wildcard on a split comm now
+    return RecvRequest<T>(this, source, tag);
   }
 
   // ---- collectives (all ranks must call, same arguments shape) ----
 
-  void barrier();
+  void barrier(const Deadline& dl = Deadline::never());
 
   /// Broadcast `data` (resized on non-roots). The root picks binomial or
   /// chunked-pipelined from the payload size (tuning thresholds) and
   /// announces the choice in a small header that flows down the same tree,
-  /// so non-roots never need to know the size in advance.
+  /// so non-roots never need to know the size in advance. A timeout names
+  /// the tree parent that went silent.
   template <typename T>
-  void bcast(std::vector<T>& data, int root) {
+  void bcast(std::vector<T>& data, int root,
+             const Deadline& dl = Deadline::never()) {
     BGQHF_SPAN("collective", "bcast");
     util::Timer t;
-    bcast_impl(data, root, Deadline::never(), tuning().bcast);
-    stats().add_op(CollOp::kBcast, data.size() * sizeof(T), t.seconds());
-  }
-
-  /// bcast() with a deadline: receivers throw TimeoutError if their
-  /// upstream payload does not arrive within `timeout_seconds`. Defaults
-  /// to the flat star topology: a dead rank in the middle of a tree
-  /// silently starves its whole subtree, whereas a star attributes every
-  /// stall to exactly one peer — which is what the TimeoutError
-  /// (rank, source, tag) contract requires. Forcing a tree algorithm in
-  /// the tuning keeps the deadline but attributes a timeout to the tree
-  /// parent instead.
-  template <typename T>
-  void bcast_for(std::vector<T>& data, int root, double timeout_seconds) {
-    BGQHF_SPAN("collective", "bcast");
-    util::Timer t;
-    const BcastAlgo algo = tuning().bcast == BcastAlgo::kAuto
-                               ? BcastAlgo::kFlat
-                               : tuning().bcast;
-    bcast_impl(data, root, Deadline::in(timeout_seconds), algo);
+    bcast_impl(data, root, dl, tuning().bcast);
     stats().add_op(CollOp::kBcast, data.size() * sizeof(T), t.seconds());
   }
 
@@ -329,80 +348,60 @@ class Comm {
   /// zero-filled so accidental reads are loud in tests). Every algorithm
   /// uses a fixed combine order, so the result is independent of thread
   /// timing; the tree algorithms share one association, mirrored serially
-  /// by PairwiseFold.
+  /// by PairwiseFold. If the op throws, `inout` is left unspecified (a
+  /// tree reduce may already have moved it into a send).
   template <typename T>
-  void reduce_sum(std::vector<T>& inout, int root) {
-    reduce_op<SumOp>(inout, root, Deadline::never(), tuning().reduce);
-  }
-  /// reduce_sum() with a deadline on every internal receive.
-  template <typename T>
-  void reduce_sum_for(std::vector<T>& inout, int root,
-                      double timeout_seconds) {
-    reduce_op<SumOp>(inout, root, Deadline::in(timeout_seconds),
-                     tuning().reduce);
+  void reduce_sum(std::vector<T>& inout, int root,
+                  const Deadline& dl = Deadline::never()) {
+    reduce_op<SumOp>(inout, root, dl);
   }
 
   /// Element-wise max/min reductions (same deterministic trees).
   template <typename T>
-  void reduce_max(std::vector<T>& inout, int root) {
-    reduce_op<MaxOp>(inout, root, Deadline::never(), tuning().reduce);
+  void reduce_max(std::vector<T>& inout, int root,
+                  const Deadline& dl = Deadline::never()) {
+    reduce_op<MaxOp>(inout, root, dl);
   }
   template <typename T>
-  void reduce_min(std::vector<T>& inout, int root) {
-    reduce_op<MinOp>(inout, root, Deadline::never(), tuning().reduce);
+  void reduce_min(std::vector<T>& inout, int root,
+                  const Deadline& dl = Deadline::never()) {
+    reduce_op<MinOp>(inout, root, dl);
   }
 
   /// Allreduce: every rank ends with the identical elementwise sum.
   template <typename T>
-  void allreduce_sum(std::vector<T>& inout) {
-    allreduce_op<SumOp>(inout, Deadline::never(), tuning().allreduce);
-  }
-  /// allreduce_sum() with a deadline on every internal receive.
-  template <typename T>
-  void allreduce_sum_for(std::vector<T>& inout, double timeout_seconds) {
-    allreduce_op<SumOp>(inout, Deadline::in(timeout_seconds),
-                        tuning().allreduce);
+  void allreduce_sum(std::vector<T>& inout,
+                     const Deadline& dl = Deadline::never()) {
+    allreduce_op<SumOp>(inout, dl);
   }
 
   /// Reduce-scatter: element-wise sum of every rank's `contrib`, with rank
   /// i receiving segment i of the result (SegmentLayout{n, size()}).
   template <typename T>
-  std::vector<T> reduce_scatter_sum(const std::vector<T>& contrib) {
-    return reduce_scatter_op<SumOp>(contrib, Deadline::never(),
-                                    tuning().reduce_scatter);
-  }
-  /// reduce_scatter_sum() with a deadline on every internal receive.
-  template <typename T>
-  std::vector<T> reduce_scatter_sum_for(const std::vector<T>& contrib,
-                                        double timeout_seconds) {
-    return reduce_scatter_op<SumOp>(contrib, Deadline::in(timeout_seconds),
-                                    tuning().reduce_scatter);
+  std::vector<T> reduce_scatter_sum(const std::vector<T>& contrib,
+                                    const Deadline& dl = Deadline::never()) {
+    return reduce_scatter_op<SumOp>(contrib, dl);
   }
 
   /// Allgather: every rank contributes `mine` (equal sizes) and receives
   /// the rank-ordered concatenation.
   template <typename T>
-  std::vector<T> allgather(std::span<const T> mine) {
-    return allgather_op(mine, Deadline::never(), tuning().allgather);
-  }
-  /// allgather() with a deadline on every internal receive.
-  template <typename T>
-  std::vector<T> allgather_for(std::span<const T> mine,
-                               double timeout_seconds) {
-    return allgather_op(mine, Deadline::in(timeout_seconds),
-                        tuning().allgather);
+  std::vector<T> allgather(std::span<const T> mine,
+                           const Deadline& dl = Deadline::never()) {
+    return allgather_op(mine, dl);
   }
 
   /// Gather equal-size contributions to root; root receives them
-  /// concatenated in rank order (deterministic), others get {}.
+  /// concatenated in rank order (deterministic), others get {}. A flat
+  /// star, so a timeout names the first rank whose contribution is late.
   template <typename T>
-  std::vector<T> gather(std::span<const T> mine, int root) {
+  std::vector<T> gather(std::span<const T> mine, int root,
+                        const Deadline& dl = Deadline::never()) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_rank(root);
     BGQHF_SPAN("collective", "gather");
     util::Timer t;
-    std::vector<T> all =
-        gather_core(mine, root, Deadline::never(), kTagGather);
+    std::vector<T> all = gather_core(mine, root, dl, kTagGather);
     const std::size_t bytes =
         (rank_ == root ? all.size() : mine.size()) * sizeof(T);
     stats().add_op(CollOp::kGather, bytes, t.seconds());
@@ -412,7 +411,7 @@ class Comm {
   /// Scatter: root holds size()*per elements; each rank gets its slice.
   template <typename T>
   std::vector<T> scatter(const std::vector<T>& all, std::size_t per,
-                         int root) {
+                         int root, const Deadline& dl = Deadline::never()) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_rank(root);
     BGQHF_SPAN("collective", "scatter");
@@ -438,28 +437,9 @@ class Comm {
       stats().add_op(CollOp::kScatter, all.size() * sizeof(T), t.seconds());
       return mine;
     }
-    const Message m = recv_message(root, kTagScatter, /*collective=*/true);
+    const Message m = recv_coll(root, kTagScatter, dl);
     stats().add_op(CollOp::kScatter, m.size_bytes(), t.seconds());
     return from_bytes<T>(m);
-  }
-
-  /// gather() with a deadline: the root throws TimeoutError naming the
-  /// first rank whose contribution fails to arrive in time. Flat star so
-  /// the stall attributes to exactly one peer (see bcast_for).
-  template <typename T>
-  std::vector<T> gather_for(std::span<const T> mine, int root,
-                            double timeout_seconds) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    check_rank(root);
-    BGQHF_SPAN("collective", "gather");
-    util::Timer t;
-    std::vector<T> all = gather_core(mine, root,
-                                     Deadline::in(timeout_seconds),
-                                     kTagGatherFor);
-    const std::size_t bytes =
-        (rank_ == root ? all.size() : mine.size()) * sizeof(T);
-    stats().add_op(CollOp::kGather, bytes, t.seconds());
-    return all;
   }
 
   // ---- collective-engine internals exposed to the compression layer ----
@@ -477,18 +457,20 @@ class Comm {
     check_rank(dest);
     send_payload(std::move(p), dest, tag);
   }
-  /// Blocking collective-internal receive (no deadline).
-  Message coll_recv(int source, int tag) {
-    return recv_coll(source, tag, Deadline::never());
+  /// Blocking collective-internal receive.
+  Message coll_recv(int source, int tag,
+                    const Deadline& dl = Deadline::never()) {
+    return recv_coll(source, tag, dl);
   }
 
  private:
-  /// Split-communicator handle: `group_rank` indexes `group->members`.
-  Comm(World& world, std::shared_ptr<CommGroup> group, int group_rank)
+  Comm(World& world, std::shared_ptr<CommGroup> group, int group_rank,
+       bool checksums)
       : world_(&world),
         rank_(group_rank),
         world_rank_(group->members.at(static_cast<std::size_t>(group_rank))),
-        group_(std::move(group)) {}
+        group_(std::move(group)),
+        checksums_(checksums) {}
 
   void check_rank(int r) const {
     if (r < 0 || r >= size()) {
@@ -503,25 +485,27 @@ class Comm {
   // exactly these boundaries (send destination, expected receive source,
   // message source stamp, barrier, stats, fault schedule).
 
-  /// This communicator's rank -> world rank (identity when not split).
+  /// True on the world communicator, whose ranks are world ranks.
+  bool identity() const noexcept { return group_->context == 0; }
+  /// This communicator's rank -> world rank.
   int global(int r) const {
-    return group_ ? group_->members[static_cast<std::size_t>(r)] : r;
+    return identity() ? r : group_->members[static_cast<std::size_t>(r)];
   }
-  /// World rank -> this communicator's rank (identity when not split).
-  /// Only ever called on sources that were translated through global(),
-  /// so the member search cannot miss.
+  /// World rank -> this communicator's rank. Only ever called on sources
+  /// that were translated through global(), so the member search cannot
+  /// miss.
   int to_group(int world_rank) const {
-    if (group_ == nullptr) return world_rank;
+    if (identity()) return world_rank;
     for (std::size_t i = 0; i < group_->members.size(); ++i) {
       if (group_->members[i] == world_rank) return static_cast<int>(i);
     }
     throw std::logic_error("simmpi: message source outside split group");
   }
   /// Expected-source translation for receives. Wildcard sources cannot be
-  /// translated on a split communicator — the mailbox would match
-  /// world-level traffic from outside the group.
+  /// translated on a split communicator: a wildcard receive could not name
+  /// the rank its status reports.
   int translate_source(int source) const {
-    if (group_ == nullptr) return source;
+    if (identity()) return source;
     if (source == kAnySource) {
       throw std::invalid_argument(
           "simmpi: kAnySource is not supported on split communicators");
@@ -553,12 +537,22 @@ class Comm {
                   bool collective);
   /// Enqueue a payload (no per-message stats; collective internals).
   void send_payload(Payload p, int dest, int tag);
-  Message recv_message(int source, int tag, bool collective);
-  /// recv_message with a deadline; throws TimeoutError on expiry.
-  Message recv_message_for(int source, int tag, double timeout_seconds,
-                           bool collective);
-  /// Collective-internal receive honouring a (possibly infinite) deadline.
-  Message recv_coll(int source, int tag, const Deadline& dl);
+  /// The one receive funnel: waits on this communicator's context until a
+  /// match arrives, `dl` passes (TimeoutError) or the communicator is
+  /// revoked (Revoked); checks any CRC (CorruptMessage). `p2p` charges the
+  /// per-message stats.
+  Message receive(int source, int tag, const Deadline& dl, bool p2p);
+  /// Non-blocking receive (RecvRequest::test); same checks.
+  std::optional<Message> try_receive(int source, int tag);
+  Message recv_coll(int source, int tag, const Deadline& dl) {
+    return receive(source, tag, dl, /*p2p=*/false);
+  }
+  /// Attach the CRC once, before a payload fans out (checksums on only).
+  void seal(Payload& p) const;
+  /// Throw CorruptMessage if `m` carries a CRC its bytes do not match.
+  void verify(const Message& m) const;
+  /// Throw Revoked if this communicator has been revoked.
+  void check_live() const;
   /// Route one message through the fault injector (if armed) into the
   /// destination mailbox. All delivery paths funnel through here.
   void deliver(Message m, int dest);
@@ -582,6 +576,7 @@ class Comm {
     if (forced == BcastAlgo::kFlat) {
       if (rank_ == root) {
         Payload p(as_bytes_copy(std::span<const T>(data)));
+        seal(p);
         for (int r = 0; r < n; ++r) {
           if (r != rank_) send_payload(p, r, kTagBcastFlat);
         }
@@ -616,6 +611,7 @@ class Comm {
       std::vector<std::byte> hb(sizeof(hdr));
       std::memcpy(hb.data(), hdr, sizeof(hdr));
       hdr_payload = Payload(std::move(hb));
+      seal(hdr_payload);
     } else {
       const Message m = recv_coll(shape.parent, kTagBcastTree, dl);
       if (m.size_bytes() != sizeof(hdr)) {
@@ -643,6 +639,7 @@ class Comm {
       Payload piece;
       if (rank_ == root) {
         piece = whole.view(off, len);
+        seal(piece);
       } else {
         const Message m = recv_coll(shape.parent, kTagBcastChunk, dl);
         if (m.size_bytes() != len) {
@@ -955,17 +952,14 @@ class Comm {
   }
 
   template <typename Op, typename T>
-  void reduce_op(std::vector<T>& inout, int root, const Deadline& dl,
-                 ReduceAlgo forced) {
+  void reduce_op(std::vector<T>& inout, int root, const Deadline& dl) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_rank(root);
     BGQHF_SPAN("collective", "reduce");
     util::Timer t;
     const std::size_t bytes = inout.size() * sizeof(T);
     if (size() > 1) {
-      const ReduceAlgo algo =
-          select_reduce(with_reduce(forced), size(), bytes);
-      switch (algo) {
+      switch (select_reduce(tuning(), size(), bytes)) {
         case ReduceAlgo::kNaive:
           reduce_naive<Op>(inout, root, dl);
           break;
@@ -989,16 +983,13 @@ class Comm {
   }
 
   template <typename Op, typename T>
-  void allreduce_op(std::vector<T>& inout, const Deadline& dl,
-                    AllreduceAlgo forced) {
+  void allreduce_op(std::vector<T>& inout, const Deadline& dl) {
     static_assert(std::is_trivially_copyable_v<T>);
     BGQHF_SPAN("collective", "allreduce");
     util::Timer t;
     const std::size_t bytes = inout.size() * sizeof(T);
     if (size() > 1) {
-      const AllreduceAlgo algo =
-          select_allreduce(with_allreduce(forced), size(), bytes);
-      switch (algo) {
+      switch (select_allreduce(tuning(), size(), bytes)) {
         case AllreduceAlgo::kNaive:
           reduce_naive<Op>(inout, 0, dl);
           bcast_impl(inout, 0, dl, BcastAlgo::kBinomial);
@@ -1025,8 +1016,7 @@ class Comm {
 
   template <typename Op, typename T>
   std::vector<T> reduce_scatter_op(const std::vector<T>& contrib,
-                                   const Deadline& dl,
-                                   ReduceScatterAlgo forced) {
+                                   const Deadline& dl) {
     static_assert(std::is_trivially_copyable_v<T>);
     BGQHF_SPAN("collective", "reduce_scatter");
     util::Timer t;
@@ -1036,8 +1026,8 @@ class Comm {
     if (p == 1) {
       mine = contrib;
     } else {
-      ReduceScatterAlgo algo = select_reduce_scatter(
-          with_reduce_scatter(forced), p, contrib.size() * sizeof(T));
+      const ReduceScatterAlgo algo =
+          select_reduce_scatter(tuning(), p, contrib.size() * sizeof(T));
       if (algo == ReduceScatterAlgo::kHalving && !is_pow2(p)) {
         throw std::invalid_argument(
             "simmpi: halving reduce_scatter needs power-of-two ranks");
@@ -1124,8 +1114,8 @@ class Comm {
   }
 
   template <typename T>
-  std::vector<T> allgather_op(std::span<const T> mine, const Deadline& dl,
-                              AllgatherAlgo forced) {
+  std::vector<T> allgather_op(std::span<const T> mine,
+                              const Deadline& dl) {
     static_assert(std::is_trivially_copyable_v<T>);
     BGQHF_SPAN("collective", "allgather");
     util::Timer t;
@@ -1135,8 +1125,7 @@ class Comm {
     if (p == 1) {
       all.assign(mine.begin(), mine.end());
     } else {
-      AllgatherAlgo algo =
-          select_allgather(with_allgather(forced), p, m * sizeof(T));
+      const AllgatherAlgo algo = select_allgather(tuning(), p, m * sizeof(T));
       if (algo == AllgatherAlgo::kRecursiveDoubling && !is_pow2(p)) {
         throw std::invalid_argument(
             "simmpi: recursive-doubling allgather needs power-of-two ranks");
@@ -1189,7 +1178,7 @@ class Comm {
     return all;
   }
 
-  /// Star gather used by gather()/gather_for() and the naive allgather.
+  /// Star gather used by gather() and the naive allgather.
   template <typename T>
   std::vector<T> gather_core(std::span<const T> mine, int root,
                              const Deadline& dl, int tag) {
@@ -1214,38 +1203,20 @@ class Comm {
     return {};
   }
 
-  // Merge a per-call forced algorithm into this world's tuning so the
-  // select_* helpers see exactly one source of truth.
-  CollectiveTuning with_reduce(ReduceAlgo a) const {
-    CollectiveTuning t = tuning();
-    if (a != ReduceAlgo::kAuto) t.reduce = a;
-    return t;
-  }
-  CollectiveTuning with_allreduce(AllreduceAlgo a) const {
-    CollectiveTuning t = tuning();
-    if (a != AllreduceAlgo::kAuto) t.allreduce = a;
-    return t;
-  }
-  CollectiveTuning with_allgather(AllgatherAlgo a) const {
-    CollectiveTuning t = tuning();
-    if (a != AllgatherAlgo::kAuto) t.allgather = a;
-    return t;
-  }
-  CollectiveTuning with_reduce_scatter(ReduceScatterAlgo a) const {
-    CollectiveTuning t = tuning();
-    if (a != ReduceScatterAlgo::kAuto) t.reduce_scatter = a;
-    return t;
-  }
-
   World* world_;
   int rank_;        // rank within this communicator (== world when unsplit)
   int world_rank_;  // identity in the World (mailbox slot, stats, faults)
-  std::shared_ptr<CommGroup> group_;  // null on the world communicator
+  std::shared_ptr<CommGroup> group_;
+  bool checksums_ = false;
 };
 
-/// Spawn `size` rank threads, each running fn(comm). After all ranks join,
-/// a single rank failure is rethrown with its original type; multiple
-/// failures are aggregated into one RankErrors tagged with rank ids.
+/// Spawn `size` rank threads, each running fn(comm). A rank whose body
+/// throws revokes every communicator it belongs to, so peers blocked on it
+/// (timed or not) wake with Revoked instead of hanging; an injected kill
+/// (RankKilledError) stays silent, like a crashed process. After all ranks
+/// join, the failures that are not mere Revoked consequences are reported:
+/// a single one is rethrown with its original type, several are
+/// aggregated into one RankErrors tagged with rank ids.
 void run_ranks(World& world, const std::function<void(Comm&)>& fn);
 
 /// Convenience: build a World of `size` and run fn on every rank.

@@ -26,13 +26,19 @@ FaultInjector::FaultInjector(FaultConfig config, int world_size)
     state.kill_scheduled = true;
     state.kill_after = kill.after_ops;
   }
-  for (const auto& flip : config_.corrupt_sends) {
-    if (flip.rank < 0 || flip.rank >= world_size) {
-      throw std::out_of_range("FaultInjector: corrupt rank out of range");
+  const auto schedule = [&](const std::vector<SendSchedule>& sends,
+                            std::vector<std::size_t> RankState::*slot) {
+    for (const auto& s : sends) {
+      if (s.rank < 0 || s.rank >= world_size) {
+        throw std::out_of_range("FaultInjector: scheduled rank out of range");
+      }
+      (ranks_[static_cast<std::size_t>(s.rank)].*slot).push_back(
+          s.send_index);
     }
-    ranks_[static_cast<std::size_t>(flip.rank)].corrupt_at.push_back(
-        flip.send_index);
-  }
+  };
+  schedule(config_.drop_sends, &RankState::drop_at);
+  schedule(config_.corrupt_sends, &RankState::corrupt_at);
+  schedule(config_.delay_sends, &RankState::delay_at);
 }
 
 void FaultInjector::on_op(int rank) {
@@ -48,9 +54,9 @@ void FaultInjector::on_op(int rank) {
 FaultAction FaultInjector::on_send(int source, Message& m) {
   auto& state = ranks_.at(static_cast<std::size_t>(source));
   const std::size_t index = state.log.sends++;
-  const bool scheduled_flip =
-      std::find(state.corrupt_at.begin(), state.corrupt_at.end(), index) !=
-      state.corrupt_at.end();
+  const auto scheduled = [index](const std::vector<std::size_t>& at) {
+    return std::find(at.begin(), at.end(), index) != at.end();
+  };
   FaultAction action = FaultAction::kDeliver;
   // One draw per fault class keeps the decision sequence stable when a
   // probability is toggled off between runs.
@@ -58,10 +64,11 @@ FaultAction FaultInjector::on_send(int source, Message& m) {
   const double corrupt_draw = state.rng.next_double();
   const double delay_draw = state.rng.next_double();
   const double offset_draw = state.rng.next_double();
-  if (drop_draw < config_.drop_probability) {
+  if (scheduled(state.drop_at) || drop_draw < config_.drop_probability) {
     action = FaultAction::kDrop;
     ++state.log.drops;
-  } else if ((scheduled_flip || corrupt_draw < config_.corrupt_probability) &&
+  } else if ((scheduled(state.corrupt_at) ||
+              corrupt_draw < config_.corrupt_probability) &&
              m.size_bytes() > 0) {
     action = FaultAction::kCorrupt;
     ++state.log.corruptions;
@@ -75,8 +82,11 @@ FaultAction FaultInjector::on_send(int source, Message& m) {
         static_cast<std::size_t>(offset_draw *
                                  static_cast<double>(m.size_bytes() * 8));
     corrupted[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    const std::optional<std::uint32_t> crc = m.payload.crc();
     m.payload = Payload(std::move(corrupted));
-  } else if (delay_draw < config_.delay_probability) {
+    if (crc) m.payload.set_crc(*crc);
+  } else if (scheduled(state.delay_at) ||
+             delay_draw < config_.delay_probability) {
     action = FaultAction::kDelay;
     ++state.log.delays;
   }

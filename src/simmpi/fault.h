@@ -24,16 +24,24 @@
 
 namespace bgqhf::simmpi {
 
-/// Thrown by timeout-aware receives instead of blocking forever. Carries
-/// the waiting rank, the awaited source, and the tag, so the recovery
-/// layer can attribute the stall to a specific peer.
-class TimeoutError : public std::runtime_error {
+/// Base of the failures a fault-tolerant layer recovers from by revoking
+/// the communicator and shrinking it to the survivors: a missed deadline,
+/// a revoked communicator, a corrupt payload. (An injected kill is not
+/// one: the killed rank itself is gone.)
+class CommError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Thrown by an op whose deadline passes first instead of blocking
+/// forever. Carries the waiting rank, the awaited source, and the tag, so
+/// the recovery layer can attribute the stall to a specific peer.
+class TimeoutError : public CommError {
  public:
   TimeoutError(int rank, int source, int tag)
-      : std::runtime_error("simmpi: rank " + std::to_string(rank) +
-                           " timed out waiting for source " +
-                           std::to_string(source) + " tag " +
-                           std::to_string(tag)),
+      : CommError("simmpi: rank " + std::to_string(rank) +
+                  " timed out waiting for source " + std::to_string(source) +
+                  " tag " + std::to_string(tag)),
         rank_(rank),
         source_(source),
         tag_(tag) {}
@@ -44,6 +52,46 @@ class TimeoutError : public std::runtime_error {
 
  private:
   int rank_;
+  int source_;
+  int tag_;
+};
+
+/// Thrown by every pending and later op on a revoked communicator (see
+/// Comm::revoke). Carries the world rank that revoked it and that rank's
+/// reason, so survivors can attribute the failure without a message.
+class Revoked : public CommError {
+ public:
+  Revoked(int rank, int revoker, const std::string& reason)
+      : CommError("simmpi: rank " + std::to_string(rank) +
+                  ": communicator revoked by world rank " +
+                  std::to_string(revoker) +
+                  (reason.empty() ? "" : " (" + reason + ")")),
+        revoker_(revoker),
+        reason_(reason) {}
+
+  int revoker() const noexcept { return revoker_; }
+  const std::string& reason() const noexcept { return reason_; }
+
+ private:
+  int revoker_;
+  std::string reason_;
+};
+
+/// Thrown by a receive whose payload fails its CRC32 check, before the
+/// payload is used or forwarded.
+class CorruptMessage : public CommError {
+ public:
+  CorruptMessage(int rank, int source, int tag)
+      : CommError("simmpi: rank " + std::to_string(rank) +
+                  " received a corrupt payload from source " +
+                  std::to_string(source) + " tag " + std::to_string(tag)),
+        source_(source),
+        tag_(tag) {}
+
+  int source() const noexcept { return source_; }
+  int tag() const noexcept { return tag_; }
+
+ private:
   int source_;
   int tag_;
 };
@@ -97,11 +145,10 @@ struct KillSchedule {
   std::size_t after_ops = 0;
 };
 
-/// One scheduled bit flip: the `send_index`-th message (0-based, over
-/// every send) that `rank` makes is corrupted unless the drop draw claims
-/// it first.
-/// Lets a test aim one corruption at one destination of a fan-out.
-struct CorruptSchedule {
+/// One scheduled fault on one message: the `send_index`-th send (0-based,
+/// over every send) that `rank` makes. Lets a test aim one drop, bit flip
+/// or delay at one destination of a fan-out.
+struct SendSchedule {
   int rank = -1;
   std::size_t send_index = 0;
 };
@@ -117,12 +164,16 @@ struct FaultConfig {
   double delay_probability = 0.0;
   double delay_seconds = 0.0;
   std::vector<KillSchedule> kills;
-  std::vector<CorruptSchedule> corrupt_sends;
+  /// Scheduled sends to drop, to flip one bit in (unless dropped), and to
+  /// delay by delay_seconds.
+  std::vector<SendSchedule> drop_sends;
+  std::vector<SendSchedule> corrupt_sends;
+  std::vector<SendSchedule> delay_sends;
 
   bool any_active() const {
     return drop_probability > 0.0 || corrupt_probability > 0.0 ||
-           delay_probability > 0.0 || !kills.empty() ||
-           !corrupt_sends.empty();
+           delay_probability > 0.0 || !kills.empty() || !drop_sends.empty() ||
+           !corrupt_sends.empty() || !delay_sends.empty();
   }
 };
 
@@ -149,8 +200,9 @@ class FaultInjector {
   /// rank's scheduled kill has fired (and on every op thereafter).
   void on_op(int rank);
 
-  /// Decide the fate of one message leaving `source`. kCorrupt mutates the
-  /// message payload in place (one bit flipped at a seeded offset); kDelay
+  /// Decide the fate of one message leaving `source`. kCorrupt replaces the
+  /// payload with a copy with one bit flipped at a seeded offset (its CRC,
+  /// if any, still describes the original bytes); kDelay
   /// means the caller should stall delay_seconds before delivering.
   FaultAction on_send(int source, Message& m);
 
@@ -165,7 +217,10 @@ class FaultInjector {
     std::size_t kill_after = 0;
     bool kill_scheduled = false;
     bool killed = false;
-    std::vector<std::size_t> corrupt_at;  // scheduled send indices
+    // Scheduled send indices per fault class.
+    std::vector<std::size_t> drop_at;
+    std::vector<std::size_t> corrupt_at;
+    std::vector<std::size_t> delay_at;
     FaultLog log;
   };
 

@@ -1,5 +1,7 @@
 #include "simmpi/mailbox.h"
 
+#include <algorithm>
+
 namespace bgqhf::simmpi {
 
 void Mailbox::push(Message m) {
@@ -10,24 +12,9 @@ void Mailbox::push(Message m) {
   cv_.notify_all();
 }
 
-Message Mailbox::pop(int source, int tag) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (matches(*it, source, tag)) {
-        Message m = std::move(*it);
-        queue_.erase(it);
-        return m;
-      }
-    }
-    cv_.wait(lock);
-  }
-}
-
-std::optional<Message> Mailbox::try_pop(int source, int tag) {
-  std::lock_guard<std::mutex> lock(mu_);
+std::optional<Message> Mailbox::take(int source, int tag, int context) {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (matches(*it, source, tag)) {
+    if (matches(*it, source, tag, context)) {
       Message m = std::move(*it);
       queue_.erase(it);
       return m;
@@ -36,40 +23,43 @@ std::optional<Message> Mailbox::try_pop(int source, int tag) {
   return std::nullopt;
 }
 
-std::optional<Message> Mailbox::pop_for(int source, int tag,
-                                        std::chrono::duration<double> timeout) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(timeout);
+std::optional<Message> Mailbox::pop(int source, int tag, int context,
+                                    Clock::time_point deadline,
+                                    const std::atomic<bool>& revoked) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (matches(*it, source, tag)) {
-        Message m = std::move(*it);
-        queue_.erase(it);
-        return m;
-      }
-    }
-    if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (auto m = take(source, tag, context)) return m;
+    // Checked under mu_: revoke() sets the flag before taking mu_ to
+    // notify, so the wakeup cannot slip between this test and the wait.
+    if (revoked.load()) return std::nullopt;
+    if (deadline == Clock::time_point::max()) {
+      cv_.wait(lock);
+    } else if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
       // One final scan: a push may have slipped in right at the deadline.
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (matches(*it, source, tag)) {
-          Message m = std::move(*it);
-          queue_.erase(it);
-          return m;
-        }
-      }
-      return std::nullopt;
+      return take(source, tag, context);
     }
   }
 }
 
-bool Mailbox::probe(int source, int tag) const {
+std::optional<Message> Mailbox::try_pop(int source, int tag, int context) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& m : queue_) {
-    if (matches(m, source, tag)) return true;
+  return take(source, tag, context);
+}
+
+bool Mailbox::probe(int source, int tag, int context) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::any_of(queue_.begin(), queue_.end(), [&](const Message& m) {
+    return matches(m, source, tag, context);
+  });
+}
+
+void Mailbox::revoke(int context) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(queue_,
+                  [context](const Message& m) { return m.context == context; });
   }
-  return false;
+  cv_.notify_all();
 }
 
 std::size_t Mailbox::pending() const {

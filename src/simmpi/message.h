@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -74,18 +76,29 @@ class Payload {
     return reinterpret_cast<const T*>(data_);
   }
 
+  /// CRC32 of the bytes, attached once by a sender with checksums on and
+  /// carried along when a receiver forwards the payload (tree broadcast
+  /// hops, ring relays); a view() starts without one.
+  std::optional<std::uint32_t> crc() const noexcept { return crc_; }
+  void set_crc(std::uint32_t crc) noexcept { crc_ = crc; }
+
  private:
   std::shared_ptr<const void> owner_;
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
+  std::optional<std::uint32_t> crc_;
 };
 
 /// A buffered message: payload bytes plus the envelope used for matching.
 /// Payloads are shared so a broadcast can enqueue one buffer to many
-/// mailboxes without copying per destination.
+/// mailboxes without copying per destination. `context` names the
+/// communicator the message was sent on (0 = the world communicator), so
+/// traffic on a shrunk communicator never matches leftovers of the revoked
+/// one it replaced.
 struct Message {
   int source = 0;
   int tag = 0;
+  int context = 0;
   Payload payload;
 
   std::size_t size_bytes() const { return payload.size(); }

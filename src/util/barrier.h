@@ -6,6 +6,8 @@
 // a small fixed-API alternative.)
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -22,15 +24,37 @@ class Barrier {
   /// Block until `parties` threads have arrived; then all are released and
   /// the barrier resets for the next phase.
   void arrive_and_wait() {
+    static const std::atomic<bool> never{false};
+    arrive_and_wait(std::chrono::steady_clock::time_point::max(), never);
+  }
+
+  /// arrive_and_wait() that gives up once `deadline` passes or `revoked`
+  /// becomes true, withdrawing this arrival; returns false in that case.
+  bool arrive_and_wait(std::chrono::steady_clock::time_point deadline,
+                       const std::atomic<bool>& revoked) {
     std::unique_lock<std::mutex> lock(mu_);
     const std::size_t phase = phase_;
     if (++arrived_ == parties_) {
       arrived_ = 0;
       ++phase_;
       cv_.notify_all();
-    } else {
-      cv_.wait(lock, [&] { return phase_ != phase; });
+      return true;
     }
+    const auto released = [&] { return phase_ != phase || revoked.load(); };
+    if (deadline == std::chrono::steady_clock::time_point::max()) {
+      cv_.wait(lock, released);
+    } else {
+      cv_.wait_until(lock, deadline, released);
+    }
+    if (phase_ != phase) return true;
+    --arrived_;
+    return false;
+  }
+
+  /// Wake every waiter so it re-reads its revoked flag.
+  void wake() {
+    { std::lock_guard<std::mutex> lock(mu_); }
+    cv_.notify_all();
   }
 
   std::size_t parties() const noexcept { return parties_; }

@@ -1,9 +1,12 @@
 #include "util/config.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 namespace bgqhf::util {
 
@@ -104,40 +107,21 @@ bool env_flag(const char* name) {
   throw ConfigError(name, s, "0|1|false|true|no|yes|off|on");
 }
 
-double env_double(const char* name) {
+/// Unset or empty reads as 0; anything else must parse in full as a T
+/// (an unsigned integer or a number), or ConfigError names the knob.
+template <typename T>
+T env_number(const char* name) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == nullptr || *end != '\0') {
-    throw std::invalid_argument(std::string(name) + ": not a number: " + v);
+  const char* end = v + std::strlen(v);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(v, end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    throw ConfigError(name, v,
+                      std::is_floating_point_v<T> ? "a number"
+                                                  : "an unsigned integer");
   }
   return parsed;
-}
-
-std::uint64_t env_u64(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == nullptr || *end != '\0') {
-    throw std::invalid_argument(std::string(name) +
-                                ": not an unsigned integer: " + v);
-  }
-  return static_cast<std::uint64_t>(parsed);
-}
-
-/// env_u64 with the typed knob error: tests assert on knob()/value()
-/// instead of string-matching the message.
-std::uint64_t env_u64_knob(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == nullptr || *end != '\0') {
-    throw ConfigError(name, v, "an unsigned integer");
-  }
-  return static_cast<std::uint64_t>(parsed);
 }
 
 std::mutex& runtime_env_mutex() {
@@ -159,25 +143,25 @@ RuntimeEnv RuntimeEnv::from_process_env() {
   env.force_kernel = env_string("BGQHF_FORCE_KERNEL");
   env.precision = env_string("BGQHF_PRECISION");
   env.compress = env_string("BGQHF_COMPRESS");
-  env.compress_topk = env_double("BGQHF_COMPRESS_TOPK");
-  env.compress_chunk = env_u64("BGQHF_COMPRESS_CHUNK");
+  env.compress_topk = env_number<double>("BGQHF_COMPRESS_TOPK");
+  env.compress_chunk = env_number<std::uint64_t>("BGQHF_COMPRESS_CHUNK");
   env.overlap = env_flag("BGQHF_OVERLAP");
   env.trace = env_flag("BGQHF_TRACE");
   env.trace_file = env_string("BGQHF_TRACE_FILE");
-  env.serve_batch = env_u64("BGQHF_SERVE_BATCH");
-  env.serve_timeout_us = env_u64("BGQHF_SERVE_TIMEOUT_US");
-  env.serve_replicas = env_u64("BGQHF_SERVE_REPLICAS");
-  env.serve_slo_us = env_u64("BGQHF_SERVE_SLO_US");
-  env.serve_tenant_rate = env_u64("BGQHF_SERVE_TENANT_RATE");
-  env.serve_fault_seed = env_u64("BGQHF_SERVE_FAULT_SEED");
+  env.serve_batch = env_number<std::uint64_t>("BGQHF_SERVE_BATCH");
+  env.serve_timeout_us = env_number<std::uint64_t>("BGQHF_SERVE_TIMEOUT_US");
+  env.serve_replicas = env_number<std::uint64_t>("BGQHF_SERVE_REPLICAS");
+  env.serve_slo_us = env_number<std::uint64_t>("BGQHF_SERVE_SLO_US");
+  env.serve_tenant_rate = env_number<std::uint64_t>("BGQHF_SERVE_TENANT_RATE");
+  env.serve_fault_seed = env_number<std::uint64_t>("BGQHF_SERVE_FAULT_SEED");
   env.data_dir = env_string("BGQHF_DATA_DIR");
-  env.prefetch_depth = env_u64_knob("BGQHF_PREFETCH_DEPTH");
-  env.hf_lambda0 = env_double("BGQHF_HF_LAMBDA0");
-  env.hf_cg_iters = env_u64_knob("BGQHF_HF_CG_ITERS");
-  env.hf_resample = env_double("BGQHF_HF_RESAMPLE");
-  env.ltfb_populations = env_u64_knob("BGQHF_LTFB_POPULATIONS");
-  env.ltfb_round_iters = env_u64_knob("BGQHF_LTFB_ROUND_ITERS");
-  env.ltfb_seed = env_u64("BGQHF_LTFB_SEED");
+  env.prefetch_depth = env_number<std::uint64_t>("BGQHF_PREFETCH_DEPTH");
+  env.hf_lambda0 = env_number<double>("BGQHF_HF_LAMBDA0");
+  env.hf_cg_iters = env_number<std::uint64_t>("BGQHF_HF_CG_ITERS");
+  env.hf_resample = env_number<double>("BGQHF_HF_RESAMPLE");
+  env.ltfb_populations = env_number<std::uint64_t>("BGQHF_LTFB_POPULATIONS");
+  env.ltfb_round_iters = env_number<std::uint64_t>("BGQHF_LTFB_ROUND_ITERS");
+  env.ltfb_seed = env_number<std::uint64_t>("BGQHF_LTFB_SEED");
   return env;
 }
 

@@ -1,7 +1,8 @@
-// The fault-tolerant master/worker protocol: fault-free it is bitwise
-// identical to the collective path (and hence to serial training); under
-// injected failures it excludes the dead worker, reweights sums over the
-// survivors, and still converges — the degraded-mode contract.
+// Fault tolerance on the collective master/worker path: fault-free it is
+// bitwise identical to the plain path (and hence to serial training); under
+// injected failures the survivors revoke and shrink, the master excludes the
+// dead worker, reweights sums over the survivors, and training still
+// converges — the degraded-mode contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "hf/worker.h"
 #include "simmpi/communicator.h"
 #include "simmpi/fault.h"
+#include "util/timer.h"
 
 namespace bgqhf::hf {
 namespace {
@@ -24,9 +26,7 @@ namespace {
 FtOptions fast_ft() {
   FtOptions ft;
   ft.enabled = true;
-  ft.reply_timeout = 0.5;
-  ft.max_retries = 2;
-  ft.backoff = 1.5;
+  ft.reply_timeout = 1.875;  // 0.5 s waited out three times, x1.5 backoff
   ft.command_timeout = 10.0;
   ft.verbose = false;
   return ft;
@@ -134,8 +134,7 @@ TEST(FaultTolerance, SurvivorReweightingIsExactMeanOverSurvivors) {
   for (const bool kill_worker2 : {false, true}) {
     simmpi::World world(3);
     FtOptions ft = fast_ft();
-    ft.reply_timeout = 0.1;
-    ft.max_retries = 1;
+    ft.reply_timeout = 0.25;  // 0.1 s waited out twice, x1.5 backoff
     std::vector<float> grad(n, 0.0f);
     std::atomic<std::size_t> frames{0};
     std::vector<int> excluded;
@@ -181,19 +180,19 @@ class RecordingWorkload : public StubWorkload {
 };
 
 TEST(FaultTolerance, CorruptSharedBroadcastFrameHitsOnlyOneWorker) {
-  // set_params frames θ once and sends that frame to workers 1..3. The
-  // master's sends are the three command headers (0..2), then θ to
-  // workers 1, 2, 3 (3..5): flipping a bit in send 4 corrupts worker 2's
-  // delivery alone.
+  // set_params broadcasts the command header, then θ, each down the
+  // binomial tree 0 -> {2, 1}, 2 -> 3 as a size header then one chunk.
+  // The master's sends are header-bcast (0..3), then θ's size header to
+  // workers 2, 1 (4, 5) and θ's bytes to workers 2, 1 (6, 7): flipping a
+  // bit in send 6 corrupts worker 2's copy of θ alone.
   const std::size_t n = 4;
   simmpi::World world(4);
   simmpi::FaultConfig fc;
   fc.seed = 17;
-  fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/4});
+  fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/6});
   world.install_faults(fc);
   FtOptions ft = fast_ft();
-  ft.reply_timeout = 0.1;
-  ft.max_retries = 1;
+  ft.reply_timeout = 0.25;  // 0.1 s waited out twice, x1.5 backoff
   ft.verbose = true;  // exclusion reasons are asserted from the log
 
   const std::vector<float> theta{0.25f, -1.0f, 3.5f, 8.0f};
@@ -252,39 +251,152 @@ TEST(FaultTolerance, ChecksumCatchesInjectedBitFlip) {
   fc.seed = 9;
   fc.corrupt_probability = 1.0;
   world.install_faults(fc);
-  std::atomic<bool> frame_ok{true};
+  std::atomic<bool> caught{false};
   simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
+    comm.set_checksums(true);
     if (comm.rank() == 0) {
       const std::vector<float> payload{1.0f, 2.0f, 3.0f, 4.0f};
-      ft_send<float>(comm, payload, 1, /*tag=*/50);
+      comm.send<float>(payload, 1, /*tag=*/50);
     } else {
-      frame_ok = ft_recv_for<float>(comm, 0, 50, 2.0).ok;
+      try {
+        (void)comm.recv<float>(0, 50, simmpi::Deadline::in(2.0));
+      } catch (const simmpi::CorruptMessage& e) {
+        caught = e.source() == 0 && e.tag() == 50;
+      }
     }
   });
-  EXPECT_FALSE(frame_ok.load());
+  EXPECT_TRUE(caught.load());
 }
 
 TEST(FaultTolerance, WorkerReportsCorruptCommandAndWithdraws) {
   const FtOptions ft = fast_ft();
+  simmpi::World world(2);
+  simmpi::FaultConfig fc;
+  fc.seed = 5;
+  // The master's first send: the size header of its command broadcast.
+  fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/0});
+  world.install_faults(fc);
   std::atomic<bool> note_ok{false};
   std::atomic<bool> note_is_corruption_report{false};
-  simmpi::run_world(2, [&](simmpi::Comm& comm) {
+  std::atomic<bool> worker_returned{false};
+  simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
     if (comm.rank() == 0) {
-      // A frame whose leading CRC does not match its contents.
-      std::vector<std::byte> bad(kFtFrameHeaderBytes + 8, std::byte{0x5A});
-      comm.send<std::byte>(bad, 1, kTagFtCommand);
-      const FtFrame<std::byte> note =
-          ft_recv_for<std::byte>(comm, 1, kTagFtFailure, 2.0);
-      note_ok = note.ok;
-      note_is_corruption_report =
-          note.status == FtStatus::kCorruptPayload;
+      comm.set_checksums(true);
+      std::vector<std::uint64_t> header{
+          static_cast<std::uint64_t>(Command::kHeldoutLoss), 0};
+      comm.bcast(header, 0);
+      std::vector<double> loss(kLossStatsLen, 0.0);
+      try {
+        comm.reduce_sum(loss, 0, simmpi::Deadline::in(2.0));
+      } catch (const simmpi::Revoked& e) {
+        note_ok = e.revoker() == 1;
+        note_is_corruption_report = e.reason() == kCorruptPayloadReason;
+      }
     } else {
       StubWorkload workload(4, 10, 1.0f);
       worker_loop(comm, workload, nullptr, ft);  // returns after withdrawing
+      worker_returned = true;
     }
   });
   EXPECT_TRUE(note_ok.load());
   EXPECT_TRUE(note_is_corruption_report.load());
+  EXPECT_TRUE(worker_returned.load());
+}
+
+// ---- fault-scenario sweep ----
+//
+// Every injected fault either completes on the survivors — with exactly
+// the expected workers excluded and held-out CE within 5% of the clean
+// run — or throws a typed error, and in either case returns within 20x
+// the reply deadline. Topology: 3 workers, binomial trees 0 -> {2, 1},
+// 2 -> 3, so worker 2 relays to worker 3.
+
+constexpr double kSweepReply = 0.5;
+
+TrainerConfig sweep_config() {
+  TrainerConfig cfg = base_config(3);
+  cfg.ft = fast_ft();
+  cfg.ft.reply_timeout = kSweepReply;
+  cfg.ft.command_timeout = 4.0;
+  return cfg;
+}
+
+void expect_recovers(const TrainerConfig& cfg, const TrainOutcome& clean,
+                     const std::vector<int>& excluded) {
+  util::Timer timer;
+  TrainOutcome out;
+  try {
+    out = train_distributed(cfg);
+  } catch (const simmpi::CommError& e) {
+    ADD_FAILURE() << "typed failure instead of recovery: " << e.what();
+    EXPECT_LT(timer.seconds(), 20 * kSweepReply);
+    return;
+  }
+  EXPECT_LT(timer.seconds(), 20 * kSweepReply);
+  EXPECT_EQ(out.excluded_workers, excluded);
+  EXPECT_EQ(out.hf.iterations.size(), clean.hf.iterations.size());
+  EXPECT_NEAR(out.hf.final_heldout_loss, clean.hf.final_heldout_loss,
+              0.05 * clean.hf.final_heldout_loss);
+  if (excluded.empty()) {
+    // A re-run over the same workers reproduces the clean trajectory.
+    EXPECT_EQ(out.hf.final_heldout_loss, clean.hf.final_heldout_loss);
+  }
+}
+
+TEST(FaultSweep, KillEachWorkerAtThreeOpCounts) {
+  const TrainerConfig cfg = sweep_config();
+  const TrainOutcome clean = train_distributed(cfg);
+  for (const int worker : {1, 2, 3}) {
+    for (const std::size_t ops : {30u, 90u, 200u}) {
+      SCOPED_TRACE(testing::Message() << "worker " << worker << " after "
+                                      << ops << " ops");
+      TrainerConfig faulty = cfg;
+      faulty.faults.kills.push_back({worker, ops});
+      expect_recovers(faulty, clean, {worker});
+    }
+  }
+}
+
+TEST(FaultSweep, DroppedBroadcastIsReplayedWithoutExclusion) {
+  // The master's sends after startup (4 config-bcast sends, 18 shard
+  // sends) are broadcasts of 4 sends each; drop one mid-run. The starved
+  // workers rejoin the shrink, so nobody is excluded and the re-run
+  // reproduces the clean trajectory.
+  const TrainerConfig cfg = sweep_config();
+  const TrainOutcome clean = train_distributed(cfg);
+  for (const std::size_t index : {62u, 63u}) {
+    SCOPED_TRACE(testing::Message() << "master send " << index);
+    TrainerConfig faulty = cfg;
+    faulty.faults.drop_sends.push_back({0, index});
+    expect_recovers(faulty, clean, {});
+  }
+}
+
+TEST(FaultSweep, CorruptPayloads) {
+  const TrainerConfig cfg = sweep_config();
+  const TrainOutcome clean = train_distributed(cfg);
+  {
+    // Even master send indices past startup go to worker 2, which
+    // withdraws rather than use (or relay) the corrupt payload.
+    TrainerConfig faulty = cfg;
+    faulty.faults.corrupt_sends.push_back({0, 64});
+    expect_recovers(faulty, clean, {2});
+  }
+  {
+    // Worker 1 replies straight to the master, which detects the flip,
+    // revokes, and re-runs the primitive with everyone.
+    TrainerConfig faulty = cfg;
+    faulty.faults.corrupt_sends.push_back({1, 5});
+    expect_recovers(faulty, clean, {});
+  }
+}
+
+TEST(FaultSweep, ReplyDelayedPastTheDeadlineIsExcluded) {
+  TrainerConfig cfg = sweep_config();
+  const TrainOutcome clean = train_distributed(cfg);
+  cfg.faults.delay_sends.push_back({3, 5});
+  cfg.faults.delay_seconds = 4 * kSweepReply;
+  expect_recovers(cfg, clean, {3});
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Parity suite for the collective algorithm catalogue: every algorithm is
 // checked against the naive seed composition across rank counts (including
 // non-powers-of-two) and message sizes (including zero-length vectors),
-// plus determinism, deadline (_for) timeout, and fault-injection coverage.
+// plus determinism, deadline timeout, and fault-injection coverage.
 //
 // Cross-algorithm value parity uses small integer-valued floats so the
 // sums are exact regardless of combine association; bitwise tests (tree vs
@@ -391,7 +391,7 @@ TEST(CollectiveAlgorithms, ForcedDoublingAllgatherNonPowerOfTwoThrows) {
                std::exception);
 }
 
-// ---- deadlines: every _for variant times out on a dead peer ----
+// ---- deadlines: every collective times out on a dead peer ----
 
 // Runs `fn` on every live rank of a world where `dead` never participates,
 // and asserts at least one surviving rank threw TimeoutError (a lone
@@ -420,7 +420,7 @@ void expect_timeout(int p, int dead, const CollectiveTuning& tuning,
 TEST(CollectiveDeadlines, BcastForTimesOutOnDeadRoot) {
   expect_timeout(3, 0, CollectiveTuning{}, [](Comm& comm) {
     std::vector<float> v;
-    comm.bcast_for(v, 0, 0.05);
+    comm.bcast(v, 0, Deadline::in(0.05));
   });
 }
 
@@ -429,7 +429,7 @@ TEST(CollectiveDeadlines, ReduceForTimesOutOnDeadChild) {
        {ReduceAlgo::kNaive, ReduceAlgo::kTree, ReduceAlgo::kRabenseifner}) {
     expect_timeout(4, 3, forced(algo), [](Comm& comm) {
       std::vector<float> v(8, 1.0f);
-      comm.reduce_sum_for(v, 0, 0.05);
+      comm.reduce_sum(v, 0, Deadline::in(0.05));
     });
   }
 }
@@ -440,7 +440,7 @@ TEST(CollectiveDeadlines, AllreduceForTimesOutOnDeadPeer) {
         AllreduceAlgo::kRecursiveDoubling, AllreduceAlgo::kRabenseifner}) {
     expect_timeout(4, 2, forced(algo), [](Comm& comm) {
       std::vector<float> v(8, 1.0f);
-      comm.allreduce_sum_for(v, 0.05);
+      comm.allreduce_sum(v, Deadline::in(0.05));
     });
   }
 }
@@ -451,7 +451,7 @@ TEST(CollectiveDeadlines, ReduceScatterForTimesOutOnDeadPeer) {
         ReduceScatterAlgo::kPairwise}) {
     expect_timeout(4, 1, forced(algo), [](Comm& comm) {
       std::vector<float> v(8, 1.0f);
-      comm.reduce_scatter_sum_for(v, 0.05);
+      comm.reduce_scatter_sum(v, Deadline::in(0.05));
     });
   }
 }
@@ -462,7 +462,7 @@ TEST(CollectiveDeadlines, AllgatherForTimesOutOnDeadPeer) {
         AllgatherAlgo::kRing}) {
     expect_timeout(4, 3, forced(algo), [](Comm& comm) {
       std::vector<float> v(4, 1.0f);
-      comm.allgather_for<float>(v, 0.05);
+      comm.allgather<float>(v, Deadline::in(0.05));
     });
   }
 }
@@ -472,22 +472,23 @@ TEST(CollectiveDeadlines, ForVariantsCompleteWhenAllRanksLive) {
   const std::vector<float> expect = exact_sum(5, 33);
   run_ranks(world, [&](Comm& comm) {
     std::vector<float> v = exact_pattern(comm.rank(), 33);
-    comm.allreduce_sum_for(v, 5.0);
+    comm.allreduce_sum(v, Deadline::in(5.0));
     EXPECT_EQ(v, expect);
     std::vector<float> r = exact_pattern(comm.rank(), 33);
-    comm.reduce_sum_for(r, 0, 5.0);
+    comm.reduce_sum(r, 0, Deadline::in(5.0));
     if (comm.rank() == 0) {
       EXPECT_EQ(r, expect);
     }
     std::vector<float> b(comm.rank() == 0 ? expect : std::vector<float>{});
-    comm.bcast_for(b, 0, 5.0);
+    comm.bcast(b, 0, Deadline::in(5.0));
     EXPECT_EQ(b, expect);
   });
 }
 
 TEST(CollectiveDeadlines, DroppedMessagesSurfaceAsTimeoutsNotHangs) {
   // Fault injection composes with the deadline machinery: with every
-  // message dropped, the _for collectives must fail fast, not deadlock.
+  // message dropped, collectives with a deadline must fail fast, not
+  // deadlock.
   World world(3);
   FaultConfig fc;
   fc.drop_probability = 1.0;
@@ -495,7 +496,7 @@ TEST(CollectiveDeadlines, DroppedMessagesSurfaceAsTimeoutsNotHangs) {
   try {
     run_ranks(world, [](Comm& comm) {
       std::vector<float> v(16, static_cast<float>(comm.rank()));
-      comm.allreduce_sum_for(v, 0.05);
+      comm.allreduce_sum(v, Deadline::in(0.05));
     });
     FAIL() << "expected timeouts";
   } catch (const TimeoutError&) {

@@ -21,8 +21,9 @@ namespace {
 TEST(Fault, PopForTimesOutInsteadOfDeadlocking) {
   World world(1);
   util::Timer timer;
-  const auto m =
-      world.mailbox(0).pop_for(0, 7, std::chrono::duration<double>(0.05));
+  const std::atomic<bool> revoked{false};
+  const auto m = world.mailbox(0).pop(0, 7, /*context=*/0,
+                                      Deadline::in(0.05).at(), revoked);
   EXPECT_FALSE(m.has_value());
   EXPECT_GE(timer.seconds(), 0.04);
 }
@@ -34,8 +35,9 @@ TEST(Fault, PopForReturnsQueuedMessage) {
   m.tag = 3;
   m.payload = Payload(std::vector<std::byte>(4, std::byte{1}));
   world.mailbox(0).push(std::move(m));
-  const auto got =
-      world.mailbox(0).pop_for(0, 3, std::chrono::duration<double>(1.0));
+  const std::atomic<bool> revoked{false};
+  const auto got = world.mailbox(0).pop(0, 3, /*context=*/0,
+                                        Deadline::in(1.0).at(), revoked);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->tag, 3);
   EXPECT_EQ(got->size_bytes(), 4u);
@@ -46,8 +48,8 @@ TEST(Fault, RecvForThrowsTypedTimeoutError) {
   run_world(2, [&](Comm& comm) {
     if (comm.rank() != 0) return;  // rank 1 never sends
     try {
-      comm.recv_for<int>(1, 3, 0.05);
-      ADD_FAILURE() << "recv_for should have timed out";
+      comm.recv<int>(1, 3, Deadline::in(0.05));
+      ADD_FAILURE() << "recv should have timed out";
     } catch (const TimeoutError& e) {
       rank = e.rank();
       source = e.source();
@@ -73,7 +75,7 @@ TEST(Fault, DroppedMessageTimesOutNotDeadlocks) {
       return;
     }
     try {
-      comm.recv_for<int>(1, 5, 0.1);
+      comm.recv<int>(1, 5, Deadline::in(0.1));
     } catch (const TimeoutError&) {
       timed_out = true;
     }
@@ -219,7 +221,7 @@ TEST(Fault, BcastForTimesOutWhenRootIsSilent) {
     if (comm.rank() == 0) return;  // the root never broadcasts
     std::vector<float> data;
     try {
-      comm.bcast_for(data, 0, 0.05);
+      comm.bcast(data, 0, Deadline::in(0.05));
     } catch (const TimeoutError& e) {
       source = e.source();
     }
@@ -233,7 +235,7 @@ TEST(Fault, GatherForNamesTheSilentRank) {
     const std::vector<float> mine{static_cast<float>(comm.rank())};
     if (comm.rank() == 2) return;  // never contributes
     try {
-      comm.gather_for<float>(mine, 0, 0.1);
+      comm.gather<float>(mine, 0, Deadline::in(0.1));
     } catch (const TimeoutError& e) {
       source = e.source();
     }

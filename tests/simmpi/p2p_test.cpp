@@ -39,8 +39,8 @@ TEST(P2P, AnySourceMatchesEitherSender) {
       comm.send<int>(std::vector<int>{comm.rank()}, 0, 5);
     } else {
       Status s1, s2;
-      const auto a = comm.recv<int>(kAnySource, 5, &s1);
-      const auto b = comm.recv<int>(kAnySource, 5, &s2);
+      const auto a = comm.recv<int>(kAnySource, 5, Deadline::never(), &s1);
+      const auto b = comm.recv<int>(kAnySource, 5, Deadline::never(), &s2);
       EXPECT_EQ(a.at(0), s1.source);
       EXPECT_EQ(b.at(0), s2.source);
       EXPECT_NE(s1.source, s2.source);

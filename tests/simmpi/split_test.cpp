@@ -66,7 +66,7 @@ TEST(SplitTest, PointToPointAndStatusUseGroupRanks) {
       sub.send<int>(std::vector<int>{comm.rank()}, 1, 7);
     } else {
       Status st;
-      const auto got = sub.recv<int>(0, 7, &st);
+      const auto got = sub.recv<int>(0, 7, Deadline::never(), &st);
       ASSERT_EQ(got.size(), 1u);
       // Payload carries the world rank; the Status reports group space.
       EXPECT_EQ(got[0], comm.rank() - 1);
@@ -107,7 +107,7 @@ TEST(SplitTest, NestedSplitComposes) {
 TEST(SplitTest, AnySourceRejectedOnSplitComm) {
   run_world(2, [](Comm& comm) {
     Comm sub = comm.split(0, comm.rank());
-    EXPECT_THROW((void)sub.recv_for<int>(kAnySource, 0, 0.01),
+    EXPECT_THROW((void)sub.recv<int>(kAnySource, 0, Deadline::in(0.01)),
                  std::invalid_argument);
   });
 }
@@ -157,8 +157,9 @@ TEST(SplitTest, KillInOneGroupLeavesSiblingGroupRunning) {
                     // Group {2,3}: rank 3 dies mid-spin; its partner's
                     // deadline receive sees the silence.
                     if (comm.rank() == 2) {
-                      EXPECT_THROW((void)sub.recv_for<int>(1, 9, 0.05),
-                                   TimeoutError);
+                      EXPECT_THROW(
+                          (void)sub.recv<int>(1, 9, Deadline::in(0.05)),
+                          TimeoutError);
                       survivors.fetch_add(1);
                     } else {
                       for (int i = 0; i < 100; ++i) {

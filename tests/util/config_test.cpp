@@ -184,6 +184,31 @@ TEST(RuntimeEnvDataKnobs, MalformedPrefetchDepthNamesTheKnob) {
   unsetenv("BGQHF_PREFETCH_DEPTH");
 }
 
+TEST(RuntimeEnvServeKnobs, MalformedServeBatchNamesTheKnob) {
+  // A sign is malformed too: strtoull would have wrapped it to 2^64 - 3.
+  ASSERT_EQ(setenv("BGQHF_SERVE_BATCH", "-3", 1), 0);
+  try {
+    RuntimeEnv::from_process_env();
+    ADD_FAILURE() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.knob(), "BGQHF_SERVE_BATCH");
+    EXPECT_EQ(e.value(), "-3");
+  }
+  unsetenv("BGQHF_SERVE_BATCH");
+}
+
+TEST(RuntimeEnvCompressKnobs, MalformedTopkFractionNamesTheKnob) {
+  ASSERT_EQ(setenv("BGQHF_COMPRESS_TOPK", "5%", 1), 0);
+  try {
+    RuntimeEnv::from_process_env();
+    ADD_FAILURE() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.knob(), "BGQHF_COMPRESS_TOPK");
+    EXPECT_EQ(e.value(), "5%");
+  }
+  unsetenv("BGQHF_COMPRESS_TOPK");
+}
+
 TEST(RuntimeEnvFlags, AcceptsOnlyTheBooleanSpellings) {
   const std::pair<const char*, bool> cases[] = {
       {"", false},     {"0", false},   {"false", false}, {"no", false},
