@@ -185,26 +185,24 @@ double measure_fused_forward_gflops(std::size_t batch, std::size_t in,
   return 2.0 * batch * in * out * reps / timer.seconds() / 1e9;
 }
 
-// Name of the microkernel a given precision tier actually dispatches to.
-// The avx512 table aliases the avx2 fp32 kernels (only the reduced-precision
-// entries are new code), so fp32 reports "avx2" even when kind==kAvx512.
+// Name of the microkernel a given precision tier actually dispatches to:
+// fp32 runs the active table's own SGEMM kernel, while int8 falls back to
+// the scalar reference below the avx512 tier.
 const char* tier_kernel_name(bgqhf::blas::Precision p) {
   const bgqhf::blas::KernelKind kind = bgqhf::blas::active_kernels().kind;
   const bool avx512 = kind == bgqhf::blas::KernelKind::kAvx512;
   switch (p) {
-    case bgqhf::blas::Precision::kBf16:
-      return avx512 ? "bf16(avx512)" : "bf16(scalar)";
     case bgqhf::blas::Precision::kInt8:
       return avx512 ? "int8(avx512)" : "int8(scalar)";
     case bgqhf::blas::Precision::kFp32:
     default:
-      return avx512 ? "avx2" : to_string(kind);
+      return to_string(kind);
   }
 }
 
 // Emits one reduced-precision section. Measurements run with the precision
-// override pinned for the section, so gemm<float> routes through the bf16 /
-// int8 engines; fp32 is restored before returning. `fp32_serial` is the
+// override pinned for the section, so gemm<float> routes through the int8
+// engine; fp32 is restored before returning. `fp32_serial` is the
 // matched-shape fp32 number the trajectory gate divides by.
 void emit_precision_section(std::FILE* out, const char* name,
                             bgqhf::blas::Precision p,
@@ -238,7 +236,7 @@ int run_json_reporter(const char* path) {
     return 1;
   }
   // Pin fp32 for the baseline sections regardless of ambient
-  // BGQHF_PRECISION; the bf16/int8 sections below set their own override.
+  // BGQHF_PRECISION; the int8 section below sets its own override.
   bgqhf::blas::set_precision_override(bgqhf::blas::Precision::kFp32);
   const double fp32_serial = measure_gemm_gflops(512, 2048, 2048, nullptr);
   std::fprintf(out, "{\n");
@@ -260,8 +258,6 @@ int run_json_reporter(const char* path) {
                measure_fused_forward_gflops(512, 2048, 2048, true));
   std::fprintf(out, "  \"unfused_forward_512x2048x2048\": %.3f,\n",
                measure_fused_forward_gflops(512, 2048, 2048, false));
-  emit_precision_section(out, "bf16", bgqhf::blas::Precision::kBf16, &pool,
-                         fp32_serial, /*trailing_comma=*/true);
   emit_precision_section(out, "int8", bgqhf::blas::Precision::kInt8, &pool,
                          fp32_serial, /*trailing_comma=*/false);
   bgqhf::blas::reset_precision();

@@ -53,31 +53,28 @@ std::size_t topk_select_scalar(float* carrier, std::size_t n, float tau,
 constexpr KernelTable kScalarTable{KernelKind::kScalar, &microkernel<float>,
                                    &sdot_scalar, &saxpy_scalar,
                                    &sscal_scalar, &topk_select_scalar,
-                                   &bf16_microkernel_scalar,
                                    &int8_microkernel_scalar};
 
 #if defined(BGQHF_HAVE_SSE2_KERNELS)
 constexpr KernelTable kSse2Table{KernelKind::kSse2, &sgemm_microkernel_sse2,
                                  &sdot_sse2, &saxpy_sse2, &sscal_sse2,
-                                 &topk_select_sse2, &bf16_microkernel_scalar,
-                                 &int8_microkernel_scalar};
+                                 &topk_select_sse2, &int8_microkernel_scalar};
 #endif
 
 #if defined(BGQHF_HAVE_AVX2_TU)
 constexpr KernelTable kAvx2Table{KernelKind::kAvx2, &sgemm_microkernel_avx2,
                                  &sdot_avx2, &saxpy_avx2, &sscal_avx2,
-                                 &topk_select_avx2, &bf16_microkernel_scalar,
-                                 &int8_microkernel_scalar};
+                                 &topk_select_avx2, &int8_microkernel_scalar};
 #endif
 
 #if defined(BGQHF_HAVE_AVX512_TU) && defined(BGQHF_HAVE_AVX2_TU)
-// The avx512 tier exists for the reduced-precision kernels only; its fp32
-// entries alias the avx2 functions so auto-selecting it cannot perturb any
-// fp32 result (the default-mode bitwise guarantee).
+// The avx512 SGEMM kernel is bitwise identical to the avx2 one and the
+// level-1 entries alias the avx2 functions, so auto-selecting this tier
+// cannot perturb any fp32 result (the default-mode bitwise guarantee).
 constexpr KernelTable kAvx512Table{
-    KernelKind::kAvx512,   &sgemm_microkernel_avx2,  &sdot_avx2,
-    &saxpy_avx2,           &sscal_avx2,              &topk_select_avx2,
-    &bf16_microkernel_avx512, &int8_microkernel_avx512};
+    KernelKind::kAvx512, &sgemm_microkernel_avx512, &sdot_avx2,
+    &saxpy_avx2,         &sscal_avx2,               &topk_select_avx2,
+    &int8_microkernel_avx512};
 #endif
 
 const KernelTable* table_for(KernelKind k) {

@@ -6,18 +6,20 @@
 // __builtin_cpu_supports) and select the best available implementation
 // through a function-pointer table:
 //
-//   avx512 - AVX-512 bf16/int8 reduced-precision kernels (VNNI dot,
-//            widen-FMA; kernels_avx512.cpp). Its fp32 entries ARE the avx2
-//            ones, so selecting avx512 never changes fp32 numerics.
-//   avx2   - 8x8 FMA kernel, requires AVX2+FMA (kernels_avx2.cpp, built
-//            with -mavx2 -mfma in its own translation unit)
+//   avx512 - 8x16 zmm SGEMM kernel plus the int8 VNNI dot kernel
+//            (kernels_avx512.cpp). The SGEMM kernel is bitwise identical
+//            to the avx2 one (same per-element FMA chain and write-back
+//            rule, see kernels_avx512.h) and the level-1 entries are the
+//            avx2 ones, so selecting avx512 never changes fp32 numerics.
+//   avx2   - two 8x8 ymm FMA halves per 8x16 tile, requires AVX2+FMA
+//            (kernels_avx2.cpp, built with -mavx2 -mfma in its own
+//            translation unit)
 //   sse2   - 4-wide mul/add kernel, x86-64 baseline (kernels_sse2.cpp)
 //   scalar - portable reference (microkernel.h), always available
 //
-// Every table also carries the reduced-precision micro-kernels
-// (kernels_reduced.h): scalar references below avx512, the VNNI/widen-FMA
-// implementations there — bitwise identical per precision mode, see
-// kernels_reduced.h.
+// Every table also carries the int8 micro-kernel (kernels_reduced.h): the
+// scalar reference below avx512, the VNNI implementation there — bitwise
+// identical, see kernels_reduced.h.
 //
 // The choice is overridable with BGQHF_FORCE_KERNEL=
 // scalar|sse2|avx2|avx512|auto (read once, at first use) so tests and CI
@@ -39,7 +41,7 @@ enum class KernelKind { kScalar, kSse2, kAvx2, kAvx512 };
 const char* to_string(KernelKind k);
 
 /// SGEMM micro-kernel contract (see microkernel.h): C tile (mr x nr, within
-/// an 8x8 register block) = alpha * A_panel x B_panel + beta * C, with
+/// a kMR x kNR = 8x16 register block) = alpha * A_panel x B_panel + beta * C, with
 /// beta == 0 meaning write-only.
 using SgemmMicrokernelFn = void (*)(std::size_t kc, const float* a_panel,
                                     const float* b_panel, float alpha,
@@ -65,9 +67,8 @@ struct KernelTable {
                 std::size_t n) = nullptr;
   void (*sscal)(float alpha, float* x, std::size_t n) = nullptr;
   TopkSelectFn topk_select = nullptr;
-  /// Reduced-precision tile kernels (see kernels_reduced.h for the
-  /// accumulate-only contract; drivers live in gemm_mixed.cpp).
-  Bf16MicrokernelFn bf16_microkernel = nullptr;
+  /// int8 tile kernel (see kernels_reduced.h for the accumulate-only
+  /// contract; the driver lives in gemm_mixed.cpp).
   Int8MicrokernelFn int8_microkernel = nullptr;
 };
 

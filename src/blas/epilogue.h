@@ -6,7 +6,7 @@
 // memory-bound work down; the unfused formulation re-reads and re-writes the
 // whole activation matrix once for the bias add, once for the activation,
 // and once more for the bias-gradient column reduction. The epilogue folds
-// all three into the last rank-kc update of each 8x8 tile, eliminating one
+// all three into the last rank-kc update of each 8x16 tile, eliminating one
 // full sweep over activations per layer in forward and backprop.
 #pragma once
 

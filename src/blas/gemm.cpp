@@ -246,11 +246,11 @@ void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
           util::ThreadPool* pool, const GemmBlocking& blocking) {
   // The precision tier routes float GEMM only: double stays fp64 (it is
   // the reference/tests configuration) and gemv/level-1 stay fp32 in every
-  // mode (the CG double-accumulation contract).
+  // mode (the CG double-accumulation contract). Only int8 has its own
+  // engine; bf16 narrows the collectives' wire, not the GEMM (precision.h).
   if constexpr (std::is_same_v<T, float>) {
-    if (const Precision p = active_precision(); p != Precision::kFp32) {
-      gemm_reduced(p, ta, tb, alpha, a, b, beta, c, GemmEpilogue<float>{},
-                   pool);
+    if (active_precision() == Precision::kInt8) {
+      gemm_int8(ta, tb, alpha, a, b, beta, c, GemmEpilogue<float>{}, pool);
       return;
     }
   }
@@ -264,8 +264,8 @@ void gemm_fused(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
                 const GemmEpilogue<T>& epilogue, util::ThreadPool* pool,
                 const GemmBlocking& blocking) {
   if constexpr (std::is_same_v<T, float>) {
-    if (const Precision p = active_precision(); p != Precision::kFp32) {
-      gemm_reduced(p, ta, tb, alpha, a, b, beta, c, epilogue, pool);
+    if (active_precision() == Precision::kInt8) {
+      gemm_int8(ta, tb, alpha, a, b, beta, c, epilogue, pool);
       return;
     }
   }

@@ -1,9 +1,9 @@
 // Blocked, threaded GEMM: C = alpha * op(A) * op(B) + beta * C.
 //
 // Structure follows the paper's Sec. V-A (and the BLIS work it cites):
-// NC/KC/MC cache blocking, packed stride-one panels, an 8x8 register-block
-// micro-kernel selected by runtime CPU dispatch (dispatch.h: AVX2+FMA,
-// SSE2, or scalar reference), and a persistent thread pool standing in for
+// NC/KC/MC cache blocking, packed stride-one panels, an 8x16 register-block
+// micro-kernel selected by runtime CPU dispatch (dispatch.h: AVX-512,
+// AVX2+FMA, SSE2, or scalar reference), and a persistent thread pool standing in for
 // the BG/Q OpenMP runtime. Per (jc, pc) macro-step the engine:
 //
 //   1. packs the shared B macro-panel and all A row blocks cooperatively

@@ -87,102 +87,6 @@ void degenerate_sweep(float beta, MatrixView<float> c,
   }
 }
 
-/// Write one accumulated fp32 tile into C: C = alpha * acc + beta * C
-/// (beta == 0 never reads C). The single shared implementation for every
-/// reduced kernel — cross-ISA bitwise identity of the write-back is "same
-/// machine code" rather than an FP argument.
-void store_tile(const float* acc, float alpha, float beta,
-                float* __restrict c, std::size_t ldc, std::size_t mr,
-                std::size_t nr) {
-  for (std::size_t i = 0; i < mr; ++i) {
-    const float* arow = acc + i * kNRmx;
-    float* crow = c + i * ldc;
-    if (beta == 0.0f) {
-      for (std::size_t j = 0; j < nr; ++j) crow[j] = alpha * arow[j];
-    } else {
-      for (std::size_t j = 0; j < nr; ++j) {
-        crow[j] = alpha * arow[j] + beta * crow[j];
-      }
-    }
-  }
-}
-
-// ---- bf16 packing (conversion folded into the pack traversal) ----
-
-#if defined(__SSE2__)
-/// 8 fp32 -> 8 bf16, bitwise identical to float_to_bf16: the same
-/// nearest-even integer rounding and the same NaN-quieting blend, just four
-/// lanes at a time. The unsigned 32->16 pack is the usual SSE2 bias trick
-/// (packssdw saturates signed, so shift the range down and back up).
-inline void bf16_convert8(const float* src, std::uint16_t* dst) {
-  const __m128i kAbs = _mm_set1_epi32(0x7FFFFFFF);
-  const __m128i kInf = _mm_set1_epi32(0x7F800000);
-  const __m128i kHalf = _mm_set1_epi32(0x7FFF);
-  const __m128i kOne = _mm_set1_epi32(1);
-  const __m128i kQuiet = _mm_set1_epi32(0x0040);
-  const __m128i kBias32 = _mm_set1_epi32(0x8000);
-  const __m128i kBias16 = _mm_set1_epi16(static_cast<short>(0x8000));
-  __m128i res[2];
-  for (int h = 0; h < 2; ++h) {
-    const __m128i x = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src + 4 * h));
-    const __m128i hi = _mm_srli_epi32(x, 16);
-    const __m128i lsb = _mm_and_si128(hi, kOne);
-    const __m128i rounded = _mm_srli_epi32(
-        _mm_add_epi32(x, _mm_add_epi32(kHalf, lsb)), 16);
-    const __m128i quiet = _mm_or_si128(hi, kQuiet);
-    const __m128i nan = _mm_cmpgt_epi32(_mm_and_si128(x, kAbs), kInf);
-    res[h] = _mm_or_si128(_mm_and_si128(nan, quiet),
-                          _mm_andnot_si128(nan, rounded));
-  }
-  const __m128i packed = _mm_add_epi16(
-      _mm_packs_epi32(_mm_sub_epi32(res[0], kBias32),
-                      _mm_sub_epi32(res[1], kBias32)),
-      kBias16);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), packed);
-}
-#endif
-
-void pack_a_bf16(ConstMatrixView<float> a, bool trans, std::size_t row0,
-                 std::size_t m_rows, std::size_t k, float* buf) {
-  const std::size_t mr = std::min(kMRmx, m_rows - row0);
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    for (std::size_t i = 0; i < mr; ++i) {
-      const std::size_t r = row0 + i;
-      *buf++ = bf16_round(trans ? a(kk, r) : a(r, kk));
-    }
-    for (std::size_t i = mr; i < kMRmx; ++i) *buf++ = 0.0f;
-  }
-}
-
-void pack_b_bf16(ConstMatrixView<float> b, bool trans, std::size_t col0,
-                 std::size_t n_cols, std::size_t k, std::uint16_t* buf) {
-  const std::size_t nr = std::min(kNRmx, n_cols - col0);
-  if (!trans && nr == kNRmx) {
-    // Full-width panel of row-major B: 16 contiguous floats in, 16
-    // contiguous bf16 out per k step. This is the conversion hot loop for
-    // the big shapes (n*k elements per call) and auto-vectorizes.
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* row = &b(kk, col0);
-#if defined(__SSE2__)
-      bf16_convert8(row, buf);
-      bf16_convert8(row + 8, buf + 8);
-#else
-      for (std::size_t j = 0; j < kNRmx; ++j) buf[j] = float_to_bf16(row[j]);
-#endif
-      buf += kNRmx;
-    }
-    return;
-  }
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    for (std::size_t j = 0; j < nr; ++j) {
-      const std::size_t col = col0 + j;
-      *buf++ = float_to_bf16(trans ? b(col, kk) : b(kk, col));
-    }
-    for (std::size_t j = nr; j < kNRmx; ++j) *buf++ = 0;
-  }
-}
-
 // ---- int8 quantization + packing ----
 
 constexpr std::uint8_t kAZero = 128;  // A-side zero point
@@ -441,9 +345,9 @@ void store_tile_int8(const std::int32_t* acc, const float* row_scale,
 /// Tile-grid traversal in 8x8 super-blocks. A tile reads its whole packed
 /// A block and B panel (full k), so flat row-major order re-streams the
 /// entire packed B once per row block — O(row_blocks * n * k) bytes of
-/// L3/DRAM traffic on big shapes, which is what bounds the reduced-
-/// precision engines, not the microkernel. Super-blocking keeps ~8 A
-/// blocks + 8 B panels resident and cuts panel traffic ~8x each way.
+/// L3/DRAM traffic on big shapes, which is what bounds the int8 engine,
+/// not the microkernel. Super-blocking keeps ~8 A blocks + 8 B panels
+/// resident and cuts panel traffic ~8x each way.
 /// Tiles are independent, so this is a pure reordering: results stay
 /// bitwise identical, serial or threaded. The grid is padded up to
 /// super-block multiples; out-of-range slots are skipped.
@@ -471,83 +375,6 @@ struct TileOrder {
 };
 
 }  // namespace
-
-void gemm_bf16(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
-               ConstMatrixView<float> b, float beta, MatrixView<float> c,
-               const GemmEpilogue<float>& ep, util::ThreadPool* pool) {
-  const std::size_t m = op_rows(a, ta);
-  const std::size_t k = op_cols(a, ta);
-  const std::size_t n = op_cols(b, tb);
-  assert(op_rows(b, tb) == k);
-  assert(c.rows == m && c.cols == n);
-  if (m == 0 || n == 0) return;
-
-  BGQHF_SPAN("gemm", "gemm_bf16");
-  GemmMetricsScope metrics(2ull * m * n * k);
-
-  if (k == 0 || alpha == 0.0f) {
-    degenerate_sweep(beta, c, ep);
-    return;
-  }
-
-  const bool trans_a = (ta == Trans::kYes);
-  const bool trans_b = (tb == Trans::kYes);
-  const auto kernel = active_kernels().bf16_microkernel;
-  auto& mempool = util::MemoryPool::global();
-
-  const std::size_t row_blocks = (m + kMRmx - 1) / kMRmx;
-  const std::size_t col_panels = (n + kNRmx - 1) / kNRmx;
-
-  util::PoolBuffer<float> abuf(mempool, row_blocks * kMRmx * k);
-  util::PoolBuffer<std::uint16_t> bbuf(mempool, col_panels * kNRmx * k);
-  util::PoolBuffer<float> colsums(
-      mempool, ep.col_sums != nullptr ? row_blocks * n : 1);
-  if (ep.col_sums != nullptr) {
-    std::fill(colsums.data(), colsums.data() + row_blocks * n, 0.0f);
-  }
-
-  // Conversion happens here, inside the pack traversal — the only pass
-  // over A/B. Both pack task lists drain cooperatively across the pool.
-  run_tasks(pool, row_blocks + col_panels, [&](std::size_t t) {
-    if (t < row_blocks) {
-      pack_a_bf16(a, trans_a, t * kMRmx, m, k,
-                  abuf.data() + t * kMRmx * k);
-    } else {
-      const std::size_t p = t - row_blocks;
-      pack_b_bf16(b, trans_b, p * kNRmx, n, k, bbuf.data() + p * kNRmx * k);
-    }
-  });
-
-  // Full-k register accumulation per 8x16 tile; tiles are independent, so
-  // serial == threaded bitwise. Super-block order keeps the packed panels
-  // a tile touches hot across its neighbours (see TileOrder).
-  const TileOrder order(row_blocks, col_panels);
-  run_tasks(pool, order.task_count(), [&](std::size_t t) {
-    std::size_t blk, p;
-    if (!order.map(t, &blk, &p)) return;
-    const std::size_t i0 = blk * kMRmx;
-    const std::size_t j0 = p * kNRmx;
-    const std::size_t mr = std::min(kMRmx, m - i0);
-    const std::size_t nr = std::min(kNRmx, n - j0);
-    alignas(64) float acc[kMRmx * kNRmx] = {0};
-    kernel(k, abuf.data() + blk * kMRmx * k, bbuf.data() + p * kNRmx * k,
-           acc);
-    float* ctile = c.data + i0 * c.ld + j0;
-    store_tile(acc, alpha, beta, ctile, c.ld, mr, nr);
-    if (!ep.empty()) {
-      float* colsum_row =
-          ep.col_sums != nullptr ? colsums.data() + blk * n : nullptr;
-      apply_epilogue_tile(ep, ctile, c.ld, mr, nr, i0, j0, colsum_row);
-    }
-  });
-
-  if (ep.col_sums != nullptr) {
-    for (std::size_t blk = 0; blk < row_blocks; ++blk) {
-      const float* row = colsums.data() + blk * n;
-      for (std::size_t j = 0; j < n; ++j) ep.col_sums[j] += row[j];
-    }
-  }
-}
 
 void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
                ConstMatrixView<float> b, float beta, MatrixView<float> c,
@@ -629,23 +456,6 @@ void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
       for (std::size_t j = 0; j < n; ++j) ep.col_sums[j] += row[j];
     }
   }
-}
-
-void gemm_reduced(Precision p, Trans ta, Trans tb, float alpha,
-                  ConstMatrixView<float> a, ConstMatrixView<float> b,
-                  float beta, MatrixView<float> c,
-                  const GemmEpilogue<float>& ep, util::ThreadPool* pool) {
-  switch (p) {
-    case Precision::kBf16:
-      gemm_bf16(ta, tb, alpha, a, b, beta, c, ep, pool);
-      return;
-    case Precision::kInt8:
-      gemm_int8(ta, tb, alpha, a, b, beta, c, ep, pool);
-      return;
-    case Precision::kFp32:
-      break;
-  }
-  assert(false && "gemm_reduced called with fp32");
 }
 
 // ---- pre-packed int8 weights (serving) ----

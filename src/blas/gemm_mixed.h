@@ -1,45 +1,30 @@
-// Reduced-precision GEMM engines: bf16 storage / fp32 accumulate, and
-// int8 x int8 -> int32 with max-abs scales.
+// Reduced-precision GEMM engine: int8 x int8 -> int32 with max-abs scales.
 //
-// Both engines share one "flat full-k" structure instead of the fp32
-// engine's NC/KC/MC blocking: operands are converted *inside* the pack
-// step (no extra pass over A or B), panels span the full k extent, and
-// each 8x16 output tile is produced by a single accumulate-only
-// micro-kernel call into a zeroed register tile. All float write-back —
-// alpha/beta, int8 dequantization, the fused epilogue — happens here in
-// the shared driver, compiled once, so scalar and AVX-512 kernel runs of
-// the same precision mode are bitwise identical (kernels_reduced.h has
-// the per-mode exactness argument).
+// The engine uses a "flat full-k" structure instead of the fp32 engine's
+// NC/KC/MC blocking: operands are quantized *inside* the pack step (no
+// extra pass over A or B), panels span the full k extent, and each 8x16
+// output tile is produced by a single accumulate-only micro-kernel call
+// into a zeroed register tile. All float write-back — alpha/beta, the
+// dequantization, the fused epilogue — happens here in the driver,
+// compiled once, so scalar and AVX-512 kernel runs are bitwise identical
+// (kernels_reduced.h has the exactness argument).
 //
-// Where rounding happens:
-//   bf16: once per operand element at pack time (round-to-nearest-even).
-//         Products and accumulation are exact fp32 thereafter.
-//   int8: once per operand element at pack time. A rows quantize unsigned
-//         (zero point 128) against per-row max-abs scales, B columns
-//         signed symmetric against per-column max-abs scales; integer
-//         accumulation is exact and the only further rounding is the one
-//         fp32 dequant multiply at write-back.
+// Where rounding happens: once per operand element at pack time. A rows
+// quantize unsigned (zero point 128) against per-row max-abs scales, B
+// columns signed symmetric against per-column max-abs scales; integer
+// accumulation is exact and the only further rounding is the one fp32
+// dequant multiply at write-back.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "blas/gemm.h"
-#include "blas/precision.h"
 
 namespace bgqhf::blas {
 
 /// Entry point used by gemm<float>/gemm_fused<float> when
-/// active_precision() != kFp32. Same contract as gemm_fused.
-void gemm_reduced(Precision p, Trans ta, Trans tb, float alpha,
-                  ConstMatrixView<float> a, ConstMatrixView<float> b,
-                  float beta, MatrixView<float> c,
-                  const GemmEpilogue<float>& ep, util::ThreadPool* pool);
-
-void gemm_bf16(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
-               ConstMatrixView<float> b, float beta, MatrixView<float> c,
-               const GemmEpilogue<float>& ep, util::ThreadPool* pool);
-
+/// active_precision() == kInt8. Same contract as gemm_fused.
 void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
                ConstMatrixView<float> b, float beta, MatrixView<float> c,
                const GemmEpilogue<float>& ep, util::ThreadPool* pool);

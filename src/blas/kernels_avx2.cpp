@@ -6,18 +6,21 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "blas/pack.h"
 
 namespace bgqhf::blas {
 
-void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
-                            const float* b_panel, float alpha, float beta,
-                            float* c, std::size_t ldc, std::size_t mr,
-                            std::size_t nr) {
-  // Full 8x8 tile in eight ymm accumulators; eight independent FMA chains
-  // hide the FMA latency without software pipelining.
+namespace {
+
+// One 8-column half of a 16-wide packed B panel (row stride kNR). The full
+// 8x8 half-tile lives in eight ymm accumulators; eight independent FMA
+// chains hide the FMA latency without software pipelining.
+void half_tile(std::size_t kc, const float* a_panel, const float* b_panel,
+               float alpha, float beta, float* c, std::size_t ldc,
+               std::size_t mr, std::size_t nr) {
   __m256 r0 = _mm256_setzero_ps(), r1 = _mm256_setzero_ps();
   __m256 r2 = _mm256_setzero_ps(), r3 = _mm256_setzero_ps();
   __m256 r4 = _mm256_setzero_ps(), r5 = _mm256_setzero_ps();
@@ -37,8 +40,9 @@ void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
   }
 
   const __m256 av = _mm256_set1_ps(alpha);
-  if (mr == kMR && nr == kNR) {
-    // Full-tile fast path: vector writeback straight into C.
+  if (mr == kMR && nr == kNRHalf) {
+    // Full half-tile fast path: vector writeback straight into C,
+    // fma(beta, C, alpha * acc).
     __m256 rows[kMR] = {r0, r1, r2, r3, r4, r5, r6, r7};
     if (beta == 0.0f) {
       for (std::size_t i = 0; i < kMR; ++i) {
@@ -55,28 +59,45 @@ void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
     return;
   }
 
-  // Fringe tile: spill the accumulators and write the valid region.
-  alignas(32) float acc[kMR * kNR];
-  _mm256_store_ps(acc + 0 * kNR, r0);
-  _mm256_store_ps(acc + 1 * kNR, r1);
-  _mm256_store_ps(acc + 2 * kNR, r2);
-  _mm256_store_ps(acc + 3 * kNR, r3);
-  _mm256_store_ps(acc + 4 * kNR, r4);
-  _mm256_store_ps(acc + 5 * kNR, r5);
-  _mm256_store_ps(acc + 6 * kNR, r6);
-  _mm256_store_ps(acc + 7 * kNR, r7);
+  // Fringe: spill the accumulators and write the valid region as
+  // fma(alpha, acc, beta * C). The fused form is spelled out so the result
+  // does not depend on the compiler's contraction of alpha*acc + beta*C;
+  // sgemm_microkernel_avx512 applies the same rule.
+  alignas(32) float acc[kMR * kNRHalf];
+  _mm256_store_ps(acc + 0 * kNRHalf, r0);
+  _mm256_store_ps(acc + 1 * kNRHalf, r1);
+  _mm256_store_ps(acc + 2 * kNRHalf, r2);
+  _mm256_store_ps(acc + 3 * kNRHalf, r3);
+  _mm256_store_ps(acc + 4 * kNRHalf, r4);
+  _mm256_store_ps(acc + 5 * kNRHalf, r5);
+  _mm256_store_ps(acc + 6 * kNRHalf, r6);
+  _mm256_store_ps(acc + 7 * kNRHalf, r7);
   if (beta == 0.0f) {
     for (std::size_t i = 0; i < mr; ++i) {
       for (std::size_t j = 0; j < nr; ++j) {
-        c[i * ldc + j] = alpha * acc[i * kNR + j];
+        c[i * ldc + j] = alpha * acc[i * kNRHalf + j];
       }
     }
   } else {
     for (std::size_t i = 0; i < mr; ++i) {
       for (std::size_t j = 0; j < nr; ++j) {
-        c[i * ldc + j] = alpha * acc[i * kNR + j] + beta * c[i * ldc + j];
+        c[i * ldc + j] =
+            std::fma(alpha, acc[i * kNRHalf + j], beta * c[i * ldc + j]);
       }
     }
+  }
+}
+
+}  // namespace
+
+void sgemm_microkernel_avx2(std::size_t kc, const float* a_panel,
+                            const float* b_panel, float alpha, float beta,
+                            float* c, std::size_t ldc, std::size_t mr,
+                            std::size_t nr) {
+  // One pass over k per 8-column half; the second is skipped when nr <= 8.
+  for (std::size_t h = 0; h < nr; h += kNRHalf) {
+    half_tile(kc, a_panel, b_panel + h, alpha, beta, c + h, ldc, mr,
+              std::min(kNRHalf, nr - h));
   }
 }
 

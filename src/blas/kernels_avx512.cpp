@@ -10,31 +10,25 @@
 #include <cstring>
 
 #include "blas/kernels_reduced.h"
+#include "blas/pack.h"
 
 namespace bgqhf::blas {
 
-void bf16_microkernel_avx512(std::size_t kc, const float* a_panel,
-                             const std::uint16_t* b_panel, float* acc) {
-  // Full 8x16 tile in eight zmm accumulators. Per k-step: one 16-wide bf16
-  // B-row widen (u16 << 16 is the exact fp32 with the same sign/exponent/
-  // top-7-mantissa bits) plus eight broadcast-FMAs. The A panel already
-  // holds bf16-rounded values in fp32 containers, so the broadcast is a
-  // plain load-port op.
-  __m512 r0 = _mm512_loadu_ps(acc + 0 * kNRmx);
-  __m512 r1 = _mm512_loadu_ps(acc + 1 * kNRmx);
-  __m512 r2 = _mm512_loadu_ps(acc + 2 * kNRmx);
-  __m512 r3 = _mm512_loadu_ps(acc + 3 * kNRmx);
-  __m512 r4 = _mm512_loadu_ps(acc + 4 * kNRmx);
-  __m512 r5 = _mm512_loadu_ps(acc + 5 * kNRmx);
-  __m512 r6 = _mm512_loadu_ps(acc + 6 * kNRmx);
-  __m512 r7 = _mm512_loadu_ps(acc + 7 * kNRmx);
+void sgemm_microkernel_avx512(std::size_t kc, const float* a_panel,
+                              const float* b_panel, float alpha, float beta,
+                              float* c, std::size_t ldc, std::size_t mr,
+                              std::size_t nr) {
+  // Full 8x16 tile in eight zmm accumulators: per k-step one 64-byte B load
+  // and eight broadcast-FMAs. Each C element is the same ascending-k,
+  // single-accumulator FMA chain as in sgemm_microkernel_avx2.
+  __m512 r0 = _mm512_setzero_ps(), r1 = _mm512_setzero_ps();
+  __m512 r2 = _mm512_setzero_ps(), r3 = _mm512_setzero_ps();
+  __m512 r4 = _mm512_setzero_ps(), r5 = _mm512_setzero_ps();
+  __m512 r6 = _mm512_setzero_ps(), r7 = _mm512_setzero_ps();
   const float* a = a_panel;
-  const std::uint16_t* b = b_panel;
-  for (std::size_t k = 0; k < kc; ++k, a += kMRmx, b += kNRmx) {
-    const __m256i raw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b));
-    const __m512 bv = _mm512_castsi512_ps(
-        _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
+  const float* b = b_panel;
+  for (std::size_t k = 0; k < kc; ++k, a += kMR, b += kNR) {
+    const __m512 bv = _mm512_loadu_ps(b);
     r0 = _mm512_fmadd_ps(_mm512_set1_ps(a[0]), bv, r0);
     r1 = _mm512_fmadd_ps(_mm512_set1_ps(a[1]), bv, r1);
     r2 = _mm512_fmadd_ps(_mm512_set1_ps(a[2]), bv, r2);
@@ -44,14 +38,38 @@ void bf16_microkernel_avx512(std::size_t kc, const float* a_panel,
     r6 = _mm512_fmadd_ps(_mm512_set1_ps(a[6]), bv, r6);
     r7 = _mm512_fmadd_ps(_mm512_set1_ps(a[7]), bv, r7);
   }
-  _mm512_storeu_ps(acc + 0 * kNRmx, r0);
-  _mm512_storeu_ps(acc + 1 * kNRmx, r1);
-  _mm512_storeu_ps(acc + 2 * kNRmx, r2);
-  _mm512_storeu_ps(acc + 3 * kNRmx, r3);
-  _mm512_storeu_ps(acc + 4 * kNRmx, r4);
-  _mm512_storeu_ps(acc + 5 * kNRmx, r5);
-  _mm512_storeu_ps(acc + 6 * kNRmx, r6);
-  _mm512_storeu_ps(acc + 7 * kNRmx, r7);
+
+  const __m512 rows[kMR] = {r0, r1, r2, r3, r4, r5, r6, r7};
+  const __m512 av = _mm512_set1_ps(alpha);
+  // Columns [0, nr) of each row; masked lanes are neither read nor written.
+  const __mmask16 cols = static_cast<__mmask16>((1u << nr) - 1u);
+  if (beta == 0.0f) {
+    for (std::size_t i = 0; i < mr; ++i) {
+      _mm512_mask_storeu_ps(c + i * ldc, cols, _mm512_mul_ps(av, rows[i]));
+    }
+    return;
+  }
+  const __m512 bv = _mm512_set1_ps(beta);
+  if (mr == kMR && nr == kNR) {
+    for (std::size_t i = 0; i < kMR; ++i) {
+      _mm512_storeu_ps(c + i * ldc,
+                       _mm512_fmadd_ps(bv, _mm512_loadu_ps(c + i * ldc),
+                                       _mm512_mul_ps(av, rows[i])));
+    }
+    return;
+  }
+  // Fringe tile (mr < 8 or nr < 16): the AVX2 kernel's rule per 8-column
+  // half. Only the left half can be a full 8x8 block here; it takes
+  // fma(beta, C, alpha * acc), the rest fma(alpha, acc, beta * C).
+  const __mmask16 full = (mr == kMR && nr >= kNRHalf) ? 0x00FF : 0;
+  for (std::size_t i = 0; i < mr; ++i) {
+    const __m512 cv = _mm512_maskz_loadu_ps(cols, c + i * ldc);
+    const __m512 fused_c = _mm512_fmadd_ps(bv, cv, _mm512_mul_ps(av, rows[i]));
+    const __m512 fused_acc =
+        _mm512_fmadd_ps(av, rows[i], _mm512_mul_ps(bv, cv));
+    _mm512_mask_storeu_ps(c + i * ldc, cols,
+                          _mm512_mask_blend_ps(full, fused_acc, fused_c));
+  }
 }
 
 namespace {

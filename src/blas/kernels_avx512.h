@@ -1,13 +1,16 @@
-// AVX-512 reduced-precision GEMM micro-kernels: bf16 widen-FMA and int8
-// VNNI. Same accumulate-only contract as kernels_reduced.h.
+// AVX-512 GEMM micro-kernels: the fp32 SGEMM kernel and the int8 VNNI
+// kernel (same accumulate-only contract as kernels_reduced.h).
 //
-// Design notes (why these are bitwise-identical to the scalar references):
+// Design notes (why each is bitwise identical to the tier it replaces):
 //
-//   bf16: each k-step widens the B row (u16 << 16 reinterpreted as fp32)
-//   and issues one 16-wide FMA per A row, in the same ascending-k,
-//   one-FMA-per-element order as the scalar loop. We deliberately do NOT
-//   use vdpbf16ps: its internal rounding/denormal behaviour is
-//   implementation-defined territory, while widen+FMA is plain IEEE fp32.
+//   fp32: the full 8x16 C tile lives in eight zmm accumulators; each
+//   k-step is one 64-byte B load plus eight broadcast-FMAs. Every C element
+//   is therefore the same ascending-k, single-accumulator FMA chain as in
+//   the AVX2 kernel, which computes the same tile as two 8x8 halves. The
+//   write-back applies the AVX2 rule per 8-column half: fma(beta, C,
+//   alpha*acc) on a full 8x8 half, fma(alpha, acc, beta*C) on a fringe,
+//   alpha*acc when beta == 0. Selecting the avx512 tier thus never changes
+//   an fp32 result.
 //
 //   int8: vpdpbusd(u8, s8) accumulates 4-wide dot products into int32
 //   without intermediate saturation (unlike the vpmaddubsw emulation), so
@@ -25,8 +28,12 @@ namespace bgqhf::blas {
 
 #if defined(BGQHF_HAVE_AVX512_TU)
 
-void bf16_microkernel_avx512(std::size_t kc, const float* a_panel,
-                             const std::uint16_t* b_panel, float* acc);
+/// 8x16 register-blocked SGEMM kernel; same contract as microkernel<float>
+/// (beta == 0 writes without reading C).
+void sgemm_microkernel_avx512(std::size_t kc, const float* a_panel,
+                              const float* b_panel, float alpha, float beta,
+                              float* c, std::size_t ldc, std::size_t mr,
+                              std::size_t nr);
 
 void int8_microkernel_avx512(std::size_t kgroups, const std::uint8_t* a_panel,
                              const std::int8_t* b_panel, std::int32_t* acc);

@@ -1,29 +1,6 @@
 #include "blas/kernels_reduced.h"
 
-#include <cmath>
-
-#include "blas/precision.h"
-
 namespace bgqhf::blas {
-
-void bf16_microkernel_scalar(std::size_t kc, const float* a_panel,
-                             const std::uint16_t* b_panel, float* acc) {
-  for (std::size_t k = 0; k < kc;
-       ++k, a_panel += kMRmx, b_panel += kNRmx) {
-    float bw[kNRmx];
-    for (std::size_t j = 0; j < kNRmx; ++j) bw[j] = bf16_to_float(b_panel[j]);
-    for (std::size_t i = 0; i < kMRmx; ++i) {
-      const float av = a_panel[i];
-      float* __restrict row = acc + i * kNRmx;
-      // std::fmaf, not av * bw[j] + row[j]: identical to the AVX-512 FMA
-      // even when a product lands in the fp32 subnormal range (everywhere
-      // else the two are equal anyway because bf16 products are exact).
-      for (std::size_t j = 0; j < kNRmx; ++j) {
-        row[j] = std::fmaf(av, bw[j], row[j]);
-      }
-    }
-  }
-}
 
 void int8_microkernel_scalar(std::size_t kgroups, const std::uint8_t* a_panel,
                              const std::int8_t* b_panel, std::int32_t* acc) {

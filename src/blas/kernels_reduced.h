@@ -1,23 +1,17 @@
-// Portable reference kernels for the reduced-precision GEMM tier
-// (precision.h): bf16-storage/fp32-accumulate and int8 x int8 -> int32.
+// Portable reference kernel for the int8 x int8 -> int32 GEMM tier
+// (precision.h).
 //
-// Contract shared with the AVX-512 implementations (kernels_avx512.h), and
-// deliberately narrower than the fp32 micro-kernel's: a reduced kernel only
+// Contract shared with the AVX-512 implementation (kernels_avx512.h), and
+// deliberately narrower than the fp32 micro-kernel's: the int8 kernel only
 // *accumulates* one full register tile —
 //
 //     acc(0:MR, 0:NR) += sum_k widen(A_panel) (x) widen(B_panel)
 //
 // — it never touches C, alpha, beta or fringes. All float write-back,
 // dequantization and epilogue work lives in the shared driver
-// (gemm_mixed.cpp), compiled once, so scalar and AVX-512 runs of the same
-// precision mode are bitwise identical by construction:
-//
-//   bf16: both operands carry 8-bit significands, so every product is
-//         exactly representable in fp32 (16 < 24 significand bits) and
-//         fused multiply-add == multiply-then-add bit for bit. The scalar
-//         kernel uses std::fmaf so even subnormal products (where the
-//         exactness argument breaks) match the AVX-512 FMA path.
-//   int8: accumulation is pure integer arithmetic, exact on any ISA.
+// (gemm_mixed.cpp), compiled once, and the accumulation is pure integer
+// arithmetic, exact on any ISA: scalar and AVX-512 runs are bitwise
+// identical by construction.
 #pragma once
 
 #include <cstddef>
@@ -25,19 +19,12 @@
 
 namespace bgqhf::blas {
 
-/// Register tile of the reduced-precision kernels: 8 x 16 (one AVX-512
-/// vector of fp32/int32 per row).
+/// Register tile of the int8 kernels: 8 x 16 (one AVX-512 vector of int32
+/// per row).
 inline constexpr std::size_t kMRmx = 8;
 inline constexpr std::size_t kNRmx = 16;
 /// int8 kernels consume k in groups of 4 (the VNNI dot-product width).
 inline constexpr std::size_t kKGroup = 4;
-
-/// bf16 GEMM micro-kernel: acc(8x16, row-major) += A_panel x B_panel over
-/// kc steps. a_panel holds bf16-*rounded* fp32 values (kMRmx per k-step;
-/// fp32 container so the SIMD path broadcasts straight from memory);
-/// b_panel holds raw bf16 bits (kNRmx per k-step). Accumulation is fp32.
-using Bf16MicrokernelFn = void (*)(std::size_t kc, const float* a_panel,
-                                   const std::uint16_t* b_panel, float* acc);
 
 /// int8 GEMM micro-kernel: acc(8x16 int32, row-major) += A_panel x B_panel
 /// over kgroups groups of 4 k-values. Per group the A panel holds kMRmx
@@ -49,9 +36,6 @@ using Int8MicrokernelFn = void (*)(std::size_t kgroups,
                                    const std::uint8_t* a_panel,
                                    const std::int8_t* b_panel,
                                    std::int32_t* acc);
-
-void bf16_microkernel_scalar(std::size_t kc, const float* a_panel,
-                             const std::uint16_t* b_panel, float* acc);
 
 void int8_microkernel_scalar(std::size_t kgroups, const std::uint8_t* a_panel,
                              const std::int8_t* b_panel, std::int32_t* acc);

@@ -12,8 +12,8 @@ namespace bgqhf::blas {
 
 namespace {
 
-/// Write back acc (full 8x8 tile held in a stack buffer) into C, applying
-/// alpha/beta. Kept scalar: O(64) against the O(64*kc) accumulate loop.
+/// Write back acc (an 8x16 tile held in a stack buffer) into C, applying
+/// alpha/beta. Kept scalar: O(128) against the O(128*kc) accumulate loop.
 inline void writeback(const float* acc, float alpha, float beta, float* c,
                       std::size_t ldc, std::size_t mr, std::size_t nr) {
   if (beta == 0.0f) {
@@ -38,14 +38,15 @@ void sgemm_microkernel_sse2(std::size_t kc, const float* a_panel,
                             float* c, std::size_t ldc, std::size_t mr,
                             std::size_t nr) {
   alignas(16) float acc[kMR * kNR];
-  // Two passes over k, one per 4-column half, so the live set (8
-  // accumulators + b + broadcast a_i) fits the 16 xmm registers.
-  for (std::size_t half = 0; half < 2; ++half) {
+  // One pass over k per 4-column quarter of the panel, so the live set (8
+  // accumulators + b + broadcast a_i) fits the 16 xmm registers. Quarters
+  // past nr are skipped; the writeback never reads them.
+  for (std::size_t q = 0; q < nr; q += 4) {
     __m128 r0 = _mm_setzero_ps(), r1 = _mm_setzero_ps();
     __m128 r2 = _mm_setzero_ps(), r3 = _mm_setzero_ps();
     __m128 r4 = _mm_setzero_ps(), r5 = _mm_setzero_ps();
     __m128 r6 = _mm_setzero_ps(), r7 = _mm_setzero_ps();
-    const float* b = b_panel + half * 4;
+    const float* b = b_panel + q;
     const float* a = a_panel;
     for (std::size_t k = 0; k < kc; ++k, a += kMR, b += kNR) {
       const __m128 bv = _mm_loadu_ps(b);
@@ -58,14 +59,14 @@ void sgemm_microkernel_sse2(std::size_t kc, const float* a_panel,
       r6 = _mm_add_ps(r6, _mm_mul_ps(_mm_set1_ps(a[6]), bv));
       r7 = _mm_add_ps(r7, _mm_mul_ps(_mm_set1_ps(a[7]), bv));
     }
-    _mm_store_ps(acc + 0 * kNR + half * 4, r0);
-    _mm_store_ps(acc + 1 * kNR + half * 4, r1);
-    _mm_store_ps(acc + 2 * kNR + half * 4, r2);
-    _mm_store_ps(acc + 3 * kNR + half * 4, r3);
-    _mm_store_ps(acc + 4 * kNR + half * 4, r4);
-    _mm_store_ps(acc + 5 * kNR + half * 4, r5);
-    _mm_store_ps(acc + 6 * kNR + half * 4, r6);
-    _mm_store_ps(acc + 7 * kNR + half * 4, r7);
+    _mm_store_ps(acc + 0 * kNR + q, r0);
+    _mm_store_ps(acc + 1 * kNR + q, r1);
+    _mm_store_ps(acc + 2 * kNR + q, r2);
+    _mm_store_ps(acc + 3 * kNR + q, r3);
+    _mm_store_ps(acc + 4 * kNR + q, r4);
+    _mm_store_ps(acc + 5 * kNR + q, r5);
+    _mm_store_ps(acc + 6 * kNR + q, r6);
+    _mm_store_ps(acc + 7 * kNR + q, r7);
   }
   writeback(acc, alpha, beta, c, ldc, mr, nr);
 }

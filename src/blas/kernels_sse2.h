@@ -16,7 +16,7 @@ namespace bgqhf::blas {
 #if defined(__SSE2__)
 #define BGQHF_HAVE_SSE2_KERNELS 1
 
-/// 8x8 register-blocked SGEMM kernel; same contract as microkernel<float>
+/// 8x16 register-blocked SGEMM kernel; same contract as microkernel<float>
 /// (beta == 0 writes without reading C).
 void sgemm_microkernel_sse2(std::size_t kc, const float* a_panel,
                             const float* b_panel, float alpha, float beta,

@@ -12,10 +12,15 @@
 
 namespace bgqhf::blas {
 
-/// Register-block dimensions (the paper's inner kernel updates an 8x8 C
-/// block by a sequence of outer products).
+/// Register-block dimensions. One packed-B layout serves every kernel
+/// tier: the AVX-512 kernel updates a whole 8x16 C block by a sequence of
+/// outer products (the paper's inner kernel does the same at the QPX
+/// unit's width); the narrower kernels walk each 16-wide panel in column
+/// strips (kNRHalf = 8 for AVX2 and the scalar reference, 4 for SSE2)
+/// with a B stride of kNR.
 inline constexpr std::size_t kMR = 8;
-inline constexpr std::size_t kNR = 8;
+inline constexpr std::size_t kNR = 16;
+inline constexpr std::size_t kNRHalf = kNR / 2;
 
 /// Pack an mc x kc block of op(A) starting at (row0, col0) of the logical
 /// operand. When trans is true the logical operand is A^T (the view `a` is

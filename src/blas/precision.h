@@ -4,8 +4,11 @@
 // multiplier on commodity x86 is narrower storage types. Three tiers:
 //
 //   fp32 - today's path, bitwise unchanged (the default)
-//   bf16 - operands rounded to bfloat16 at pack time, products and
-//          accumulation in fp32 (storage is narrow, arithmetic is not)
+//   bf16 - GEMM stays fp32; the collectives ship bf16 wire bodies
+//          (simmpi/compress.h, CompressOptions::bf16_wire). A bf16-storage
+//          GEMM kernel would run the same eight FMAs per k step as the
+//          fp32 AVX-512 one plus a widen; it measured 0.79-1.00x fp32 on
+//          every bench_gemm shape.
 //   int8 - operands quantized to 8-bit integers at pack time with
 //          per-row (A) / per-column (B) max-abs scales, exact int32
 //          accumulation, one fp32 dequant at writeback

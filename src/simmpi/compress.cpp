@@ -136,9 +136,9 @@ CompressOptions CompressOptions::from_env() {
     o.topk_fraction = env.compress_topk;
   }
   if (env.compress_chunk != 0) o.chunk_values = env.compress_chunk;
-  // Reduced-precision compute implies reduced-precision wire: in bf16 mode
-  // gradients are bf16-rounded data anyway, so shipping fp32 payloads
-  // would spend bytes on bits the compute tier already discarded.
+  // bf16 mode narrows the gradient wire only: GEMM stays fp32 (on AVX-512
+  // the fp32 kernel runs the same FMAs a bf16-storage one would, without
+  // the widen), while the wire bodies halve the bytes per value.
   o.bf16_wire = !env.precision.empty() &&
                 blas::parse_precision(env.precision) == blas::Precision::kBf16;
   return o;

@@ -78,10 +78,10 @@ struct RuntimeEnv {
   /// Empty means dispatch by CPU feature. Unknown names are rejected with
   /// ConfigError at first dispatch (blas::active_kernels()).
   std::string force_kernel;
-  /// BGQHF_PRECISION — GEMM compute tier ("fp32"/"" = default, "bf16" =
-  /// bf16-storage/fp32-accumulate, "int8" = int8 x int8 -> int32 with
-  /// per-row/column scales). Parsed by blas::parse_precision, which throws
-  /// ConfigError on anything else.
+  /// BGQHF_PRECISION — reduced-precision tier ("fp32"/"" = default,
+  /// "bf16" = bf16 gradient wire bodies with fp32 GEMM, "int8" = int8 x
+  /// int8 -> int32 GEMM with per-row/column scales). Parsed by
+  /// blas::parse_precision, which throws ConfigError on anything else.
   std::string precision;
   /// BGQHF_COMPRESS — gradient-aggregation codec ("off"/"" = exact bitwise
   /// path, "topk" = threshold top-k dropping, "onebit" = 1-bit sign

@@ -1,6 +1,7 @@
 // Kernel-dispatch parity suite: every micro-kernel the build/CPU offers
-// (scalar reference, SSE2, AVX2+FMA) must agree with gemm_naive across all
-// mr/nr fringe combinations, both Trans settings, and beta in {0, 1, 0.5};
+// (scalar reference, SSE2, AVX2+FMA, AVX-512) must agree with gemm_naive
+// across all mr/nr fringe combinations, both Trans settings, and beta in
+// {0, 1, 0.5}; the AVX-512 kernel must agree with the AVX2 one *bitwise*;
 // and the fused-epilogue path must agree with the unfused reference
 // *bitwise* (same kernel, same scalar formulas, same application order --
 // fusion changes when the elementwise tail runs, not what it computes).
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "blas/gemm.h"
@@ -23,6 +25,9 @@ std::vector<KernelKind> supported_kernels() {
   std::vector<KernelKind> out{KernelKind::kScalar};
   if (kernel_supported(KernelKind::kSse2)) out.push_back(KernelKind::kSse2);
   if (kernel_supported(KernelKind::kAvx2)) out.push_back(KernelKind::kAvx2);
+  if (kernel_supported(KernelKind::kAvx512)) {
+    out.push_back(KernelKind::kAvx512);
+  }
   return out;
 }
 
@@ -57,6 +62,10 @@ double max_abs_diff(const Matrix<float>& a, const Matrix<float>& b) {
     }
   }
   return worst;
+}
+
+bool same_bits(const float* x, const float* y, std::size_t n) {
+  return std::memcmp(x, y, n * sizeof(float)) == 0;
 }
 
 TEST(Dispatch, ProbeAndOverrideAreConsistent) {
@@ -138,6 +147,85 @@ TEST(DispatchParity, BetaFoldingAcrossKPanels) {
                         beta, c_ref.view());
       EXPECT_LT(max_abs_diff(c_fast, c_ref), 2e-3)
           << to_string(kind) << " beta=" << beta;
+    }
+  }
+}
+
+// The avx512 SGEMM kernel computes each C element with the avx2 kernel's
+// FMA chain and write-back rule, so auto-dispatch on an AVX-512 host must
+// not change one bit: every (m % 16, n % 16) fringe, k over 1 and several
+// kc blocks, both transposes, beta in {0, 1, 0.5}, the fused epilogue with
+// column sums, serial and threaded.
+TEST(DispatchParity, Avx512MatchesAvx2Bitwise) {
+  if (!kernel_supported(KernelKind::kAvx512)) {
+    GTEST_SKIP() << "CPU lacks AVX-512";
+  }
+  util::ThreadPool pool(4);
+  util::ThreadPool* const pools[] = {nullptr, &pool};
+  const float betas[] = {0.0f, 1.0f, 0.5f};
+  for (std::size_t m = 17; m <= 32; ++m) {
+    for (std::size_t n = 17; n <= 32; ++n) {
+      for (const std::size_t k : {std::size_t{1}, std::size_t{17},
+                                  std::size_t{600}}) {
+        for (const bool ta : {false, true}) {
+          for (const bool tb : {false, true}) {
+            util::Rng rng(m * 7919u + n * 104729u + k + (ta ? 1 : 0) +
+                          (tb ? 2 : 0));
+            const Matrix<float> a =
+                ta ? random_matrix(k, m, rng) : random_matrix(m, k, rng);
+            const Matrix<float> b =
+                tb ? random_matrix(n, k, rng) : random_matrix(k, n, rng);
+            const Matrix<float> c0 = random_matrix(m, n, rng);
+            const Matrix<float> aux = random_matrix(m, n, rng);
+            std::vector<float> bias(n);
+            for (auto& v : bias) v = static_cast<float>(rng.uniform(-1, 1));
+            const Trans transa = ta ? Trans::kYes : Trans::kNo;
+            const Trans transb = tb ? Trans::kYes : Trans::kNo;
+            for (util::ThreadPool* p : pools) {
+              for (const float beta : betas) {
+                Matrix<float> c2 = c0, c5 = c0;
+                {
+                  ScopedKernel guard(KernelKind::kAvx2);
+                  gemm<float>(transa, transb, 1.1f, a.view(), b.view(), beta,
+                              c2.view(), p);
+                }
+                {
+                  ScopedKernel guard(KernelKind::kAvx512);
+                  gemm<float>(transa, transb, 1.1f, a.view(), b.view(), beta,
+                              c5.view(), p);
+                }
+                ASSERT_TRUE(same_bits(c2.data(), c5.data(), m * n))
+                    << "m=" << m << " n=" << n << " k=" << k << " ta=" << ta
+                    << " tb=" << tb << " beta=" << beta
+                    << " threaded=" << (p != nullptr);
+              }
+              Matrix<float> c2 = c0, c5 = c0;
+              std::vector<float> sums2(n, 0.25f), sums5(n, 0.25f);
+              GemmEpilogue<float> ep;
+              ep.bias = bias.data();
+              ep.act = EpilogueAct::kTanh;
+              ep.deriv_aux = aux.view();
+              ep.deriv_act = EpilogueAct::kSigmoid;
+              {
+                ScopedKernel guard(KernelKind::kAvx2);
+                ep.col_sums = sums2.data();
+                gemm_fused<float>(transa, transb, 0.9f, a.view(), b.view(),
+                                  0.5f, c2.view(), ep, p);
+              }
+              {
+                ScopedKernel guard(KernelKind::kAvx512);
+                ep.col_sums = sums5.data();
+                gemm_fused<float>(transa, transb, 0.9f, a.view(), b.view(),
+                                  0.5f, c5.view(), ep, p);
+              }
+              ASSERT_TRUE(same_bits(c2.data(), c5.data(), m * n))
+                  << "fused m=" << m << " n=" << n << " k=" << k;
+              ASSERT_TRUE(same_bits(sums2.data(), sums5.data(), n))
+                  << "col_sums m=" << m << " n=" << n << " k=" << k;
+            }
+          }
+        }
+      }
     }
   }
 }

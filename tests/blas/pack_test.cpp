@@ -55,7 +55,7 @@ TEST(Pack, PackATransposedReadsColumns) {
 }
 
 TEST(Pack, PackBFullPanelLayout) {
-  const Matrix<float> b = iota_matrix(12, 16);
+  const Matrix<float> b = iota_matrix(12, 2 + kNR);
   std::vector<float> buf(packed_b_elems(5, kNR));
   pack_b<float>(b.view(), false, 1, 2, 5, kNR, buf.data());
   for (std::size_t k = 0; k < 5; ++k) {
@@ -79,8 +79,9 @@ TEST(Pack, PackBZeroPadsFringeCols) {
 TEST(Pack, PackedSizesRoundUpToPanelMultiples) {
   EXPECT_EQ(packed_a_elems(8, 10), 8u * 10u);
   EXPECT_EQ(packed_a_elems(9, 10), 16u * 10u);
-  EXPECT_EQ(packed_b_elems(10, 8), 10u * 8u);
+  EXPECT_EQ(packed_b_elems(10, 16), 10u * 16u);
   EXPECT_EQ(packed_b_elems(10, 9), 10u * 16u);
+  EXPECT_EQ(packed_b_elems(10, 17), 10u * 32u);
 }
 
 TEST(Pack, MultiPanelPackACoversAllRows) {

@@ -5,6 +5,7 @@
 // shards the two are bitwise identical.
 #include <gtest/gtest.h>
 
+#include "blas/dispatch.h"
 #include "hf/trainer.h"
 
 namespace bgqhf::hf {
@@ -73,6 +74,35 @@ TEST(Equivalence, SequenceCriterionAlsoMatches) {
   ASSERT_EQ(serial.theta.size(), distributed.theta.size());
   for (std::size_t i = 0; i < serial.theta.size(); ++i) {
     ASSERT_EQ(serial.theta[i], distributed.theta[i]) << "param " << i;
+  }
+}
+
+// The avx512 SGEMM kernel is bitwise identical to the avx2 one, so the
+// whole training run must be too. Layer widths 40, 27 and 11 put full 8x16
+// tiles and both 8-column fringe halves into every primitive's GEMMs.
+TEST(Equivalence, Avx512KernelTrainsBitwiseLikeAvx2) {
+  if (!blas::kernel_supported(blas::KernelKind::kAvx512)) {
+    GTEST_SKIP() << "CPU lacks AVX-512";
+  }
+  struct Restore {
+    blas::KernelKind kind;
+    ~Restore() { blas::set_kernel_override(kind); }
+  } restore{blas::active_kernels().kind};
+  for (const Criterion criterion :
+       {Criterion::kCrossEntropy, Criterion::kSequence}) {
+    TrainerConfig cfg = config(1, criterion);
+    cfg.corpus.feature_dim = 13;
+    cfg.corpus.num_states = 11;
+    cfg.hidden = {40, 27};
+    ASSERT_TRUE(blas::set_kernel_override(blas::KernelKind::kAvx2));
+    const TrainOutcome avx2 = train_serial(cfg);
+    ASSERT_TRUE(blas::set_kernel_override(blas::KernelKind::kAvx512));
+    const TrainOutcome avx512 = train_serial(cfg);
+    ASSERT_EQ(avx2.theta.size(), avx512.theta.size());
+    for (std::size_t i = 0; i < avx2.theta.size(); ++i) {
+      ASSERT_EQ(avx2.theta[i], avx512.theta[i]) << "param " << i;
+    }
+    EXPECT_EQ(avx2.hf.final_heldout_loss, avx512.hf.final_heldout_loss);
   }
 }
 
