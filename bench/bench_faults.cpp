@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   base.heldout_every_kth = 4;
   base.hf.max_iterations = 4;
   base.hf.hyper.cg_max_iters = 20;
+  base.aggregation = {};  // FT rejects an env-set codec
   base.ft.enabled = true;
   base.ft.reply_timeout = 0.9375;  // 0.25 s waited out 3x, x1.5 backoff
   base.ft.command_timeout = 10.0;

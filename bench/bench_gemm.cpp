@@ -203,11 +203,23 @@ const char* tier_kernel_name(bgqhf::blas::Precision p) {
 // Emits one reduced-precision section. Measurements run with the precision
 // override pinned for the section, so gemm<float> routes through the int8
 // engine; fp32 is restored before returning. `fp32_serial` is the
-// matched-shape fp32 number the trajectory gate divides by.
+// matched-shape fp32 number the trajectory gate divides by. A tier that
+// would run the scalar reference kernel (a forced or older ISA) is named
+// and skipped: timing it takes minutes and measures no shipped kernel.
 void emit_precision_section(std::FILE* out, const char* name,
                             bgqhf::blas::Precision p,
                             bgqhf::util::ThreadPool* pool,
                             double fp32_serial, bool trailing_comma) {
+  const char* kernel = tier_kernel_name(p);
+  if (std::strstr(kernel, "(scalar)") != nullptr) {
+    std::fprintf(out, "  \"%s\": {\n", name);
+    std::fprintf(out, "    \"kernel\": \"%s\",\n", kernel);
+    std::fprintf(out,
+                 "    \"skipped\": \"the scalar reference kernel is not "
+                 "timed\"\n");
+    std::fprintf(out, "  }%s\n", trailing_comma ? "," : "");
+    return;
+  }
   bgqhf::blas::set_precision_override(p);
   const double serial = measure_gemm_gflops(512, 2048, 2048, nullptr);
   const double threaded = measure_gemm_gflops(512, 2048, 2048, pool);
@@ -215,7 +227,7 @@ void emit_precision_section(std::FILE* out, const char* name,
   const double fused = measure_fused_forward_gflops(512, 2048, 2048, true);
   bgqhf::blas::set_precision_override(bgqhf::blas::Precision::kFp32);
   std::fprintf(out, "  \"%s\": {\n", name);
-  std::fprintf(out, "    \"kernel\": \"%s\",\n", tier_kernel_name(p));
+  std::fprintf(out, "    \"kernel\": \"%s\",\n", kernel);
   std::fprintf(out, "    \"sgemm_512x2048x2048_serial\": %.3f,\n", serial);
   std::fprintf(out, "    \"sgemm_512x2048x2048_threaded\": %.3f,\n",
                threaded);

@@ -3,9 +3,9 @@
 // host measurements of simmpi itself (the functional layer), useful for
 // judging how much of a small functional run's wall time is runtime
 // overhead versus compute.
-// `--json` switches to a machine-readable seed-vs-PR comparison: bcast and
-// allreduce wall time per call for the naive (seed) algorithms versus auto
-// selection, over the rank/size grid BENCH_comm.json records.
+// `--json` switches to machine-readable output: bcast and allreduce wall
+// time per call over the rank/size grid BENCH_comm.json records, and the
+// compressed allreduce against the exact one.
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "simmpi/collective.h"
 #include "simmpi/communicator.h"
 #include "simmpi/compress.h"
 #include "util/table.h"
@@ -23,12 +22,9 @@ namespace {
 
 using namespace bgqhf;
 
-double time_collective(int ranks, std::size_t floats, bool naive,
-                       bool allreduce) {
+double time_collective(int ranks, std::size_t floats, bool allreduce) {
   const int reps = floats >= 10'000'000 ? 4 : (floats >= 1'000'000 ? 15 : 100);
   simmpi::World world(ranks);
-  world.set_tuning(naive ? simmpi::CollectiveTuning::naive()
-                         : simmpi::CollectiveTuning{});
   double seconds = 0.0;
   simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
     // All-zero contributions: the running sums stay bounded across reps,
@@ -150,31 +146,26 @@ int run_json() {
       "seconds per call at the root, closing barrier included\",\n");
   std::printf("  \"runs\": [\n");
   bool first = true;
-  std::map<std::pair<int, std::size_t>, double> exact_auto;
+  std::map<std::pair<int, std::size_t>, double> exact;
   for (const char* op : {"bcast", "allreduce"}) {
     const bool allreduce = std::strcmp(op, "allreduce") == 0;
     for (const int ranks : {4, 16, 64}) {
       for (const std::size_t floats :
            {std::size_t{1'000}, std::size_t{1'000'000},
             std::size_t{40'000'000}}) {
-        for (const bool naive : {true, false}) {
-          const double s = time_collective(ranks, floats, naive, allreduce);
-          const double mb =
-              floats * sizeof(float) / 1048576.0;
-          if (allreduce && !naive) exact_auto[{ranks, floats}] = s;
-          std::printf(
-              "%s    {\"op\": \"%s\", \"ranks\": %d, \"floats\": %zu, "
-              "\"tuning\": \"%s\", \"seconds_per_call\": %.6g, "
-              "\"effective_mb_per_s\": %.1f}",
-              first ? "" : ",\n", op, ranks, floats,
-              naive ? "naive" : "auto", s, mb / s);
-          first = false;
-          std::fflush(stdout);
-        }
+        const double s = time_collective(ranks, floats, allreduce);
+        const double mb = floats * sizeof(float) / 1048576.0;
+        if (allreduce) exact[{ranks, floats}] = s;
+        std::printf(
+            "%s    {\"op\": \"%s\", \"ranks\": %d, \"floats\": %zu, "
+            "\"seconds_per_call\": %.6g, \"effective_mb_per_s\": %.1f}",
+            first ? "" : ",\n", op, ranks, floats, s, mb / s);
+        first = false;
+        std::fflush(stdout);
       }
     }
   }
-  // Compressed allreduce against the exact auto path measured above. The
+  // Compressed allreduce against the exact allreduce measured above. The
   // "effective" bandwidth stays in logical bytes: it answers "how fast
   // did the global sum arrive", not "how many bytes moved".
   double gate_speedup = 0.0;
@@ -198,7 +189,7 @@ int run_json() {
     const CompressedRun r =
         time_compressed_allreduce(c.ranks, c.floats, c.mode);
     const double mb = c.floats * sizeof(float) / 1048576.0;
-    const double speedup = exact_auto.at({c.ranks, c.floats}) / r.seconds;
+    const double speedup = exact.at({c.ranks, c.floats}) / r.seconds;
     if (c.mode == simmpi::CompressMode::kTopK && c.ranks == 64 &&
         c.floats == 40'000'000) {
       gate_speedup = speedup;
@@ -207,7 +198,7 @@ int run_json() {
         ",\n    {\"op\": \"compressed_allreduce\", \"mode\": \"%s\", "
         "\"ranks\": %d, \"floats\": %zu, \"seconds_per_call\": %.6g, "
         "\"effective_mb_per_s\": %.1f, \"wire_mb_per_call\": %.2f, "
-        "\"compression_ratio\": %.1f, \"speedup_vs_exact_auto\": %.2f}",
+        "\"compression_ratio\": %.1f, \"speedup_vs_exact\": %.2f}",
         simmpi::to_string(c.mode), c.ranks, c.floats, r.seconds,
         mb / r.seconds, r.wire_mb, r.ratio, speedup);
     std::fflush(stdout);

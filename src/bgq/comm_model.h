@@ -43,8 +43,9 @@ class CommModel {
 
   /// MPI_Allreduce: the cheapest of reduce+bcast (hardware-assisted on the
   /// torus), recursive doubling (latency-optimal), and Rabenseifner's
-  /// reduce_scatter+allgather (bandwidth-optimal), per message size — the
-  /// same size-based selection the simmpi runtime's CollectiveTuning does.
+  /// reduce_scatter+allgather (bandwidth-optimal), per message size, as
+  /// real MPI libraries select. The in-process simmpi runtime does not
+  /// select: it runs one tree algorithm per collective (DESIGN.md §8).
   double allreduce_seconds(std::size_t bytes) const;
   /// Which algorithm allreduce_seconds() picks for this size: "tree+bcast",
   /// "recursive-doubling", or "rabenseifner" (the DESIGN.md table).

@@ -14,6 +14,18 @@ AggregationOptions AggregationOptions::from_env() {
   return agg;
 }
 
+void reject_under_ft(const AggregationOptions& agg, bool ft_enabled) {
+  if (!ft_enabled || !agg.active()) return;
+  const std::string expected =
+      "off with fault tolerance (ft.enabled): a re-run primitive needs "
+      "exact, blocking sums";
+  if (agg.compress.active()) {
+    throw util::ConfigError("BGQHF_COMPRESS", to_string(agg.compress.mode),
+                            expected);
+  }
+  throw util::ConfigError("BGQHF_OVERLAP", "1", expected);
+}
+
 std::vector<std::size_t> layer_segment_bounds(const nn::Network& net) {
   // Matches Network's flat layout: [W_0, b_0, W_1, b_1, ...], each layer's
   // weight matrix immediately followed by its bias.

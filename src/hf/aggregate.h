@@ -35,6 +35,11 @@ struct AggregationOptions {
   static AggregationOptions from_env();
 };
 
+/// Throws util::ConfigError naming BGQHF_COMPRESS (or BGQHF_OVERLAP) when
+/// fault tolerance meets an active aggregation path: FT re-runs a failed
+/// primitive, which needs exact, blocking sums.
+void reject_under_ft(const AggregationOptions& agg, bool ft_enabled);
+
 /// Per-layer segment boundaries of `net`'s flat parameter vector:
 /// bounds[l] .. bounds[l+1] covers [W_l, b_l]. Size num_layers() + 1.
 std::vector<std::size_t> layer_segment_bounds(const nn::Network& net);

@@ -279,6 +279,7 @@ LtfbResult run_ltfb(const TrainerConfig& base, const LtfbOptions& opts) {
         "run_ltfb: ft.command_timeout must exceed exchange_timeout, or the "
         "exchange wait starves healthy workers into declaring master death");
   }
+  reject_under_ft(base.aggregation, base.ft.enabled);
   const std::size_t K = opts.populations;
   const int per_pop = base.workers + 1;
   const TournamentSchedule schedule(opts.seed, K);

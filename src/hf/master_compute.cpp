@@ -52,7 +52,7 @@ MasterCompute::MasterCompute(simmpi::Comm& comm, std::size_t num_params,
     throw std::logic_error("MasterCompute must run on rank 0");
   }
   comm_.set_checksums(ft_.enabled);
-  if (ft_.enabled) agg_ = {};  // re-run primitives need exact sums
+  reject_under_ft(agg_, ft_.enabled);
   if (agg_.active()) {
     if (bounds_.empty()) bounds_ = {0, num_params_};
     if (bounds_.front() != 0 || bounds_.back() != num_params_) {

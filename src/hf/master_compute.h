@@ -43,8 +43,9 @@ class MasterCompute : public HfCompute {
   /// must match every worker's (the trainer derives both from one config).
   /// When `agg` is active the gradient collectives run per segment over
   /// async-reduce streams, compressed when BGQHF_COMPRESS is on; bounds
-  /// default to one whole-vector segment. Ignored under FT: a re-run
-  /// primitive must recompute the same exact sums.
+  /// default to one whole-vector segment. Rejected under FT
+  /// (util::ConfigError): a re-run primitive must recompute the same exact
+  /// sums.
   MasterCompute(simmpi::Comm& comm, std::size_t num_params,
                 std::size_t total_train_frames,
                 PhaseStats* stats = nullptr, FtOptions ft = {},

@@ -330,6 +330,7 @@ void train_over(simmpi::Comm& comm, const TrainerConfig& config,
     throw std::invalid_argument(
         "train_over: comm size must be config.workers + 1");
   }
+  reject_under_ft(config.aggregation, config.ft.enabled);
   if (comm.rank() == 0) {
     // ---- master ----
     distribute_shards(comm, config, shards, &out.master_phases);
@@ -365,6 +366,8 @@ void train_over(simmpi::Comm& comm, const TrainerConfig& config,
 }
 
 TrainOutcome train_distributed(const TrainerConfig& config) {
+  // Before any rank starts, so the caller gets the ConfigError itself.
+  reject_under_ft(config.aggregation, config.ft.enabled);
   TrainOutcome out;
   out.worker_phases.assign(static_cast<std::size_t>(config.workers),
                            PhaseStats{});

@@ -81,7 +81,8 @@ struct TrainerConfig {
   /// Gradient aggregation: compression codec + per-layer overlap. Defaults
   /// pick up BGQHF_COMPRESS* / BGQHF_OVERLAP so every driver honours the
   /// knobs; serial and distributed runs mirror the same arithmetic.
-  /// Ignored when ft.enabled (a re-run primitive needs exact sums).
+  /// Must be inactive when ft.enabled (a re-run primitive needs exact
+  /// sums): distributed training rejects the pair with util::ConfigError.
   AggregationOptions aggregation = AggregationOptions::from_env();
 };
 

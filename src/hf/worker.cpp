@@ -40,7 +40,7 @@ Phase command_phase(Command cmd) {
 }  // namespace
 
 void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
-                 const FtOptions& ft, const AggregationOptions& options) {
+                 const FtOptions& ft, const AggregationOptions& agg) {
   if (parent.rank() == 0) {
     throw std::logic_error("worker_loop must not run on the master rank");
   }
@@ -49,7 +49,7 @@ void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
   simmpi::Comm comm = parent;
   comm.set_checksums(ft.enabled);
   const int master = comm.world_rank_of(0);
-  const AggregationOptions agg = ft.enabled ? AggregationOptions{} : options;
+  reject_under_ft(agg, ft.enabled);
   const std::size_t n = workload.num_params();
   std::vector<float> scratch(n);
 

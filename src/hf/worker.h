@@ -29,8 +29,9 @@ namespace bgqhf::hf {
 /// and/or overlapped) the gradient replies become per-layer-segment
 /// nonblocking reduces matching MasterCompute's, with one error-feedback
 /// CompressState per segment persisted across calls. Must match the
-/// master's options. Ignored under FT: a re-run primitive must recompute
-/// the same exact sums, which error-feedback residuals would not.
+/// master's options. Rejected under FT (util::ConfigError): a re-run
+/// primitive must recompute the same exact sums, which error-feedback
+/// residuals would not.
 void worker_loop(simmpi::Comm& comm, Workload& workload,
                  PhaseStats* stats = nullptr, const FtOptions& ft = {},
                  const AggregationOptions& agg = {});

@@ -16,7 +16,10 @@ World::World(int size)
       stats_(size > 0 ? static_cast<std::size_t>(size) : 0),
       departed_(size > 0 ? new std::atomic<bool>[static_cast<std::size_t>(
                                size)]()
-                         : nullptr) {
+                         : nullptr),
+      failed_(size > 0 ? new std::atomic<bool>[static_cast<std::size_t>(
+                             size)]()
+                       : nullptr) {
   if (size <= 0) throw std::invalid_argument("simmpi: world size must be > 0");
   mailboxes_.reserve(static_cast<std::size_t>(size));
   std::vector<int> all(static_cast<std::size_t>(size));
@@ -64,6 +67,7 @@ void World::revoke(CommGroup& g, int revoker, const std::string& reason) {
 }
 
 void World::fail(int world_rank, const std::string& reason) {
+  failed_[world_rank] = true;  // before any revoke: see Comm::split
   std::vector<std::shared_ptr<CommGroup>> hit{world_group_};
   {
     std::lock_guard<std::mutex> lock(group_mu_);
@@ -247,8 +251,17 @@ Comm Comm::split(int color, int key) {
   if (my_group_rank < 0) {
     throw std::logic_error("simmpi: split lost its own rank");
   }
-  return Comm(*world_, world_->intern_group(members), my_group_rank,
-              checksums_);
+  std::shared_ptr<CommGroup> group = world_->intern_group(members);
+  // A member that finished the split first and then failed has revoked the
+  // group it interned, so a later member interns a fresh group that nobody
+  // would ever revoke; revoke it here, or its ops wait on the dead member.
+  for (const int m : members) {
+    if (world_->failed(m)) {
+      world_->revoke(*group, m, "member failed after the split");
+      break;
+    }
+  }
+  return Comm(*world_, std::move(group), my_group_rank, checksums_);
 }
 
 void run_ranks(World& world, const std::function<void(Comm&)>& fn) {

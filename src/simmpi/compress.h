@@ -55,8 +55,7 @@ enum class CompressMode {
 
 const char* to_string(CompressMode m);
 /// "", "off" -> kOff; "topk" -> kTopK; "onebit" -> kOneBit; "bf16" ->
-/// kBf16; anything else throws std::invalid_argument (typos must be loud,
-/// like BGQHF_COLL).
+/// kBf16; anything else throws std::invalid_argument (typos must be loud).
 CompressMode parse_compress_mode(const std::string& s);
 
 struct CompressOptions {
@@ -163,7 +162,7 @@ void decode_overwrite(std::span<const std::byte> blob, std::span<float> out);
 
 // ---- compressed / nonblocking collectives ----
 //
-// Tag ladder continues from communicator.h (kTagPairwise = base - 11).
+// Reserved collective tags below communicator.h's (base - 1 ... base - 5).
 inline constexpr int kTagCompressedUp = kCollectiveTagBase - 12;
 inline constexpr int kTagCompressedDown = kCollectiveTagBase - 13;
 /// Async reduce streams: stream s uses kTagAsyncReduceBase - s, so

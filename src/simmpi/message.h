@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -18,13 +17,11 @@ inline constexpr int kAnyTag = -1;
 
 /// Immutable, type-erased byte buffer with shared ownership.
 ///
-/// Three properties the collective engine needs that a plain
+/// Two properties the collective engine needs that a plain
 /// shared_ptr<vector<byte>> cannot give:
 ///   * adopt(): a rank's vector<T> moves into the payload without a
 ///     serialization copy — tree reduces forward their partials for free;
-///   * shared fan-out: a broadcast enqueues one buffer to many mailboxes;
-///   * view(): a sub-range aliases the owner, so a chunked pipelined bcast
-///     slices one buffer into segments without copying per chunk.
+///   * shared fan-out: a broadcast enqueues one buffer to many mailboxes.
 class Payload {
  public:
   Payload() = default;
@@ -54,19 +51,6 @@ class Payload {
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
 
-  /// A payload aliasing [offset, offset + bytes) of this one. Shares the
-  /// owner, so the parent buffer stays alive as long as any view does.
-  Payload view(std::size_t offset, std::size_t bytes) const {
-    if (offset + bytes > size_) {
-      throw std::length_error("simmpi: payload view out of range");
-    }
-    Payload p;
-    p.owner_ = owner_;
-    p.data_ = data_ + offset;
-    p.size_ = bytes;
-    return p;
-  }
-
   /// Reinterpret the bytes as a T array (size() / sizeof(T) elements).
   /// Valid for trivially copyable T; buffers originate from vector<T> or
   /// vector<byte>, both of which operator new aligns for any scalar type.
@@ -78,7 +62,7 @@ class Payload {
 
   /// CRC32 of the bytes, attached once by a sender with checksums on and
   /// carried along when a receiver forwards the payload (tree broadcast
-  /// hops, ring relays); a view() starts without one.
+  /// hops).
   std::optional<std::uint32_t> crc() const noexcept { return crc_; }
   void set_crc(std::uint32_t crc) noexcept { crc_ = crc; }
 

@@ -27,12 +27,11 @@ enum class CollOp {
   kBcast,
   kReduce,
   kAllreduce,
-  kReduceScatter,
   kAllgather,
   kGather,
   kScatter,
 };
-inline constexpr std::size_t kNumCollOps = 8;
+inline constexpr std::size_t kNumCollOps = 7;
 
 inline const char* to_string(CollOp op) {
   switch (op) {
@@ -40,7 +39,6 @@ inline const char* to_string(CollOp op) {
     case CollOp::kBcast: return "bcast";
     case CollOp::kReduce: return "reduce";
     case CollOp::kAllreduce: return "allreduce";
-    case CollOp::kReduceScatter: return "reduce_scatter";
     case CollOp::kAllgather: return "allgather";
     case CollOp::kGather: return "gather";
     case CollOp::kScatter: return "scatter";

@@ -139,7 +139,6 @@ std::unique_ptr<RuntimeEnv>& runtime_env_slot() {
 
 RuntimeEnv RuntimeEnv::from_process_env() {
   RuntimeEnv env;
-  env.coll = env_string("BGQHF_COLL");
   env.force_kernel = env_string("BGQHF_FORCE_KERNEL");
   env.precision = env_string("BGQHF_PRECISION");
   env.compress = env_string("BGQHF_COMPRESS");

@@ -71,9 +71,6 @@ class Config {
 /// now resolve here: get() caches the process environment on first use,
 /// and tests swap the whole snapshot with set_for_tests().
 struct RuntimeEnv {
-  /// BGQHF_COLL — collective algorithm family ("naive", "tree", ...).
-  /// Empty means auto-select.
-  std::string coll;
   /// BGQHF_FORCE_KERNEL — GEMM kernel override ("scalar", "simd", ...).
   /// Empty means dispatch by CPU feature. Unknown names are rejected with
   /// ConfigError at first dispatch (blas::active_kernels()).

@@ -75,8 +75,9 @@ TEST(CommModel, HierarchicalGatherGrowsWithScaleSublinearly) {
 TEST(CommModel, AllreduceSelectsTreeSmallRabenseifnerLarge) {
   // The size-based selection table: latency-optimal algorithms for short
   // vectors (the torus' hardware tree, a software cluster's recursive
-  // doubling), bandwidth-optimal reduce_scatter+allgather for long ones —
-  // matching the simmpi engine's CollectiveTuning story.
+  // doubling), bandwidth-optimal reduce_scatter+allgather for long ones.
+  // This model is where algorithm selection lives; the in-process simmpi
+  // runtime runs one tree algorithm per collective.
   const CommModel torus(bgq_racks(1), 1024, 1);
   EXPECT_STREQ(torus.allreduce_algorithm(64), "tree+bcast");
   EXPECT_STREQ(torus.allreduce_algorithm(kWeights), "rabenseifner");

@@ -18,6 +18,7 @@
 #include "hf/worker.h"
 #include "simmpi/communicator.h"
 #include "simmpi/fault.h"
+#include "util/config.h"
 #include "util/timer.h"
 
 namespace bgqhf::hf {
@@ -47,6 +48,8 @@ TrainerConfig base_config(int workers) {
   cfg.hf.max_iterations = 3;
   cfg.hf.hyper.cg_max_iters = 15;
   cfg.hf.seed = 11;
+  // FT rejects an active aggregation path; keep an env-set codec out.
+  cfg.aggregation = {};
   return cfg;
 }
 
@@ -107,6 +110,43 @@ TEST(FaultTolerance, FaultFreeFtTrajectoryBitwiseEqualsSerial) {
   EXPECT_EQ(serial.hf.final_heldout_loss, ft.hf.final_heldout_loss);
 }
 
+TEST(FaultTolerance, RejectsActiveAggregationInsteadOfIgnoringIt) {
+  TrainerConfig cfg = base_config(2);
+  cfg.ft = fast_ft();
+  cfg.aggregation.compress.mode = simmpi::CompressMode::kTopK;
+  try {
+    (void)train_distributed(cfg);
+    ADD_FAILURE() << "FT with compression must be rejected";
+  } catch (const util::ConfigError& e) {
+    EXPECT_EQ(e.knob(), "BGQHF_COMPRESS");
+    EXPECT_EQ(e.value(), "topk");
+  }
+  cfg.aggregation = {};
+  cfg.aggregation.overlap = true;
+  try {
+    (void)train_distributed(cfg);
+    ADD_FAILURE() << "FT with overlap must be rejected";
+  } catch (const util::ConfigError& e) {
+    EXPECT_EQ(e.knob(), "BGQHF_OVERLAP");
+  }
+  // train_over rejects on every rank, before any message moves.
+  const Shards shards = build_shards(cfg);
+  TrainOutcome out;
+  out.worker_phases.resize(2);
+  simmpi::World world(3);
+  try {
+    simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
+      train_over(comm, cfg, shards, nullptr, out);
+    });
+    ADD_FAILURE() << "train_over must reject FT with overlap";
+  } catch (const std::exception& e) {
+    EXPECT_NE(std::string(e.what()).find("BGQHF_OVERLAP"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(world.total_stats().p2p_messages(), 0u);
+  EXPECT_EQ(world.total_stats().collective_calls(), 0u);
+}
+
 TEST(FaultTolerance, MidRunWorkerKillCompletesAndStaysClose) {
   TrainerConfig cfg = base_config(3);
   cfg.ft = fast_ft();
@@ -114,8 +154,9 @@ TEST(FaultTolerance, MidRunWorkerKillCompletesAndStaysClose) {
   ASSERT_TRUE(clean.excluded_workers.empty());
 
   TrainerConfig faulty = cfg;
-  // Dies well after startup (config + 6 shard receives), mid-training.
-  faulty.faults.kills.push_back({/*rank=*/2, /*after_ops=*/40});
+  // Dies mid-training, well after startup (config + 6 shard receives):
+  // op 26 is its receive of the first prepare-curvature command header.
+  faulty.faults.kills.push_back({/*rank=*/2, /*after_ops=*/26});
   const TrainOutcome degraded = train_distributed(faulty);
 
   // No deadlock: all iterations ran, the dead worker was excluded and the
@@ -181,15 +222,15 @@ class RecordingWorkload : public StubWorkload {
 
 TEST(FaultTolerance, CorruptSharedBroadcastFrameHitsOnlyOneWorker) {
   // set_params broadcasts the command header, then θ, each down the
-  // binomial tree 0 -> {2, 1}, 2 -> 3 as a size header then one chunk.
-  // The master's sends are header-bcast (0..3), then θ's size header to
-  // workers 2, 1 (4, 5) and θ's bytes to workers 2, 1 (6, 7): flipping a
-  // bit in send 6 corrupts worker 2's copy of θ alone.
+  // binomial tree 0 -> {2, 1}, 2 -> 3 as one message per edge. The
+  // master's sends are the header to workers 2, 1 (0, 1), then θ to
+  // workers 2, 1 (2, 3): flipping a bit in send 2 corrupts worker 2's copy
+  // of θ alone.
   const std::size_t n = 4;
   simmpi::World world(4);
   simmpi::FaultConfig fc;
   fc.seed = 17;
-  fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/6});
+  fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/2});
   world.install_faults(fc);
   FtOptions ft = fast_ft();
   ft.reply_timeout = 0.25;  // 0.1 s waited out twice, x1.5 backoff
@@ -273,7 +314,7 @@ TEST(FaultTolerance, WorkerReportsCorruptCommandAndWithdraws) {
   simmpi::World world(2);
   simmpi::FaultConfig fc;
   fc.seed = 5;
-  // The master's first send: the size header of its command broadcast.
+  // The master's first send: its command header broadcast to worker 1.
   fc.corrupt_sends.push_back({/*rank=*/0, /*send_index=*/0});
   world.install_faults(fc);
   std::atomic<bool> note_ok{false};
@@ -344,27 +385,38 @@ void expect_recovers(const TrainerConfig& cfg, const TrainOutcome& clean,
 }
 
 TEST(FaultSweep, KillEachWorkerAtThreeOpCounts) {
+  // Early, mid and late in the run, each kill aimed at one message. On
+  // leaves 1 and 3, op 20 is a curvature-product reply, op 56 the
+  // receive of a held-out-loss command header and op 121 the receive of
+  // a θ broadcast. On worker 2, which relays to worker 3, op 18 is the
+  // receive of a θ broadcast, and ops 56 and 120 are its relays of a CG
+  // vector and of a θ broadcast to worker 3.
+  const struct {
+    int worker;
+    std::size_t ops[3];
+  } kills[] = {{1, {20, 56, 121}}, {2, {18, 56, 120}}, {3, {20, 56, 121}}};
   const TrainerConfig cfg = sweep_config();
   const TrainOutcome clean = train_distributed(cfg);
-  for (const int worker : {1, 2, 3}) {
-    for (const std::size_t ops : {30u, 90u, 200u}) {
-      SCOPED_TRACE(testing::Message() << "worker " << worker << " after "
+  for (const auto& k : kills) {
+    for (const std::size_t ops : k.ops) {
+      SCOPED_TRACE(testing::Message() << "worker " << k.worker << " after "
                                       << ops << " ops");
       TrainerConfig faulty = cfg;
-      faulty.faults.kills.push_back({worker, ops});
-      expect_recovers(faulty, clean, {worker});
+      faulty.faults.kills.push_back({k.worker, ops});
+      expect_recovers(faulty, clean, {k.worker});
     }
   }
 }
 
 TEST(FaultSweep, DroppedBroadcastIsReplayedWithoutExclusion) {
-  // The master's sends after startup (4 config-bcast sends, 18 shard
-  // sends) are broadcasts of 4 sends each; drop one mid-run. The starved
-  // workers rejoin the shrink, so nobody is excluded and the re-run
-  // reproduces the clean trajectory.
+  // The master's sends after startup (2 config-bcast sends, 18 shard
+  // sends) are broadcasts of 2 sends each, to worker 2 then worker 1.
+  // Sends 40 and 41 carry the second CG vector to worker 2 and to worker
+  // 1; drop one. The starved workers rejoin the shrink, so nobody is
+  // excluded and the re-run reproduces the clean trajectory.
   const TrainerConfig cfg = sweep_config();
   const TrainOutcome clean = train_distributed(cfg);
-  for (const std::size_t index : {62u, 63u}) {
+  for (const std::size_t index : {40u, 41u}) {
     SCOPED_TRACE(testing::Message() << "master send " << index);
     TrainerConfig faulty = cfg;
     faulty.faults.drop_sends.push_back({0, index});
@@ -377,9 +429,10 @@ TEST(FaultSweep, CorruptPayloads) {
   const TrainOutcome clean = train_distributed(cfg);
   {
     // Even master send indices past startup go to worker 2, which
-    // withdraws rather than use (or relay) the corrupt payload.
+    // withdraws rather than use (or relay) the corrupt payload; send 40 is
+    // the second CG vector.
     TrainerConfig faulty = cfg;
-    faulty.faults.corrupt_sends.push_back({0, 64});
+    faulty.faults.corrupt_sends.push_back({0, 40});
     expect_recovers(faulty, clean, {2});
   }
   {

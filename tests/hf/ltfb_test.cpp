@@ -223,6 +223,7 @@ TEST(Ltfb, Bf16WireAdoptsRoundedWinnerWeights) {
 TEST(Ltfb, KilledPopulationForfeitsAndTheBracketCompletes) {
   obs::clear_global();
   TrainerConfig cfg = tiny_config();
+  cfg.aggregation = {};  // FT rejects an env-set codec
   cfg.ft.enabled = true;
   cfg.ft.reply_timeout = 0.5;
   // command_timeout must exceed exchange_timeout (run_ltfb enforces this):
@@ -231,8 +232,9 @@ TEST(Ltfb, KilledPopulationForfeitsAndTheBracketCompletes) {
   cfg.ft.command_timeout = 4.0;
   cfg.ft.verbose = false;
   // Population 1's master (world rank 2 with 1 worker per population) dies
-  // mid-leg-0, before its first exchange.
-  cfg.faults.kills.push_back({/*rank=*/2, /*after_ops=*/30});
+  // mid-leg-0, before its first exchange: op 20 is its send of the first
+  // prepare-curvature command header.
+  cfg.faults.kills.push_back({/*rank=*/2, /*after_ops=*/20});
   LtfbOptions opts = tiny_tournament();
   opts.exchange_timeout = 1.5;
   const LtfbResult r = run_ltfb(cfg, opts);
@@ -274,6 +276,7 @@ TEST(Ltfb, RejectsDegenerateOptions) {
   // FT command_timeout must exceed exchange_timeout (worker starvation).
   opts = tiny_tournament();
   TrainerConfig ft_cfg = tiny_config();
+  ft_cfg.aggregation = {};  // FT rejects an env-set codec
   ft_cfg.ft.enabled = true;
   ft_cfg.ft.command_timeout = 1.0;
   opts.exchange_timeout = 2.0;

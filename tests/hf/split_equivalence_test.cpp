@@ -94,6 +94,7 @@ TEST(SplitEquivalence, CompressedSubgroupMirrorsCompressedSerial) {
 
 TEST(SplitEquivalence, FtSubgroupMirrorsSerial) {
   TrainerConfig cfg = config(2);
+  cfg.aggregation = {};  // FT rejects an env-set codec
   cfg.ft.enabled = true;
   cfg.ft.reply_timeout = 0.5;
   cfg.ft.command_timeout = 10.0;

@@ -1,11 +1,13 @@
-// Parity suite for the collective algorithm catalogue: every algorithm is
-// checked against the naive seed composition across rank counts (including
-// non-powers-of-two) and message sizes (including zero-length vectors),
-// plus determinism, deadline timeout, and fault-injection coverage.
+// The simmpi collectives, one algorithm each. bcast, reduce_sum,
+// allreduce_sum, allgather and gather are checked against serial results
+// over 1..9 ranks (non-powers of two included), nonzero roots, zero-length
+// vectors and float/double/int elements; the reductions bitwise against
+// PairwiseFold, the serial mirror of the reduce tree; the deadline of each
+// op against the peer it names; and the bcast's wire shape, one message per
+// tree edge, through the fault injector's send-index schedule.
 //
-// Cross-algorithm value parity uses small integer-valued floats so the
-// sums are exact regardless of combine association; bitwise tests (tree vs
-// naive, repeat determinism, PairwiseFold) use rounding-sensitive values.
+// Value checks use small integer-valued elements, so every sum is exact in
+// every element type; bitwise checks use rounding-sensitive values.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,463 +20,310 @@
 namespace bgqhf::simmpi {
 namespace {
 
-constexpr int kWorldSizes[] = {1, 2, 3, 4, 5, 8, 13, 16};
+constexpr int kMaxRanks = 9;
 constexpr std::size_t kVectorSizes[] = {0, 1, 5, 1000};
 
-// Integer-valued per-rank contribution: sums of these are exact in float,
-// so every association yields identical bits.
-std::vector<float> exact_pattern(int rank, std::size_t n) {
-  std::vector<float> v(n);
+// Integer-valued per-rank contribution, exact in float, double and int.
+template <typename T>
+std::vector<T> pattern(int rank, std::size_t n) {
+  std::vector<T> v(n);
   for (std::size_t i = 0; i < n; ++i) {
-    v[i] = static_cast<float>((static_cast<std::size_t>(rank) * 31 + i * 7) %
-                                  17) -
-           8.0f;
+    v[i] = static_cast<T>(
+        static_cast<int>((static_cast<std::size_t>(rank) * 31 + i * 7) % 17) -
+        8);
   }
   return v;
 }
 
-// Rounding-sensitive contribution for bitwise association tests.
-std::vector<float> rough_pattern(int rank, std::size_t n) {
-  std::vector<float> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i] = std::sin(0.1 * static_cast<double>(i + 1) *
-                    static_cast<double>(rank + 1)) *
-           (rank % 2 == 0 ? 1.0f : 1e-3f);
-  }
-  return v;
-}
-
-std::vector<float> exact_sum(int ranks, std::size_t n) {
-  std::vector<float> total(n, 0.0f);
+template <typename T>
+std::vector<T> serial_sum(int ranks, std::size_t n) {
+  std::vector<T> total(n, T{});
   for (int r = 0; r < ranks; ++r) {
-    const std::vector<float> v = exact_pattern(r, n);
+    const std::vector<T> v = pattern<T>(r, n);
     for (std::size_t i = 0; i < n; ++i) total[i] += v[i];
   }
   return total;
 }
 
-CollectiveTuning forced(ReduceAlgo a) {
-  CollectiveTuning t;
-  t.reduce = a;
-  return t;
-}
-CollectiveTuning forced(AllreduceAlgo a) {
-  CollectiveTuning t;
-  t.allreduce = a;
-  return t;
-}
-CollectiveTuning forced(AllgatherAlgo a) {
-  CollectiveTuning t;
-  t.allgather = a;
-  return t;
-}
-CollectiveTuning forced(ReduceScatterAlgo a) {
-  CollectiveTuning t;
-  t.reduce_scatter = a;
-  return t;
+template <typename T>
+std::vector<T> serial_concat(int ranks, std::size_t n) {
+  std::vector<T> all;
+  for (int r = 0; r < ranks; ++r) {
+    const std::vector<T> v = pattern<T>(r, n);
+    all.insert(all.end(), v.begin(), v.end());
+  }
+  return all;
 }
 
-// ---- broadcast ----
+// Rounding-sensitive contribution for the bitwise association tests.
+template <typename T>
+std::vector<T> rough_pattern(int rank, std::size_t n) {
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<T>(std::sin(0.1 * static_cast<double>(i + 1) *
+                                   static_cast<double>(rank + 1)) *
+                          (rank % 2 == 0 ? 1.0 : 1e-3));
+  }
+  return v;
+}
 
-TEST(CollectiveAlgorithms, BcastParityAllAlgorithmsAndSizes) {
-  for (const int p : kWorldSizes) {
+// Root 0, a middle rank and the last rank (deduplicated on small worlds).
+std::vector<int> roots(int p) {
+  std::vector<int> out{0};
+  if (p / 2 != 0) out.push_back(p / 2);
+  if (p - 1 != p / 2 && p - 1 != 0) out.push_back(p - 1);
+  return out;
+}
+
+// Runs `check(p, n, root)` over every world size, vector size and root.
+template <typename Check>
+void for_all_shapes(Check&& check) {
+  for (int p = 1; p <= kMaxRanks; ++p) {
     for (const std::size_t n : kVectorSizes) {
-      for (const BcastAlgo algo :
-           {BcastAlgo::kBinomial, BcastAlgo::kPipelined, BcastAlgo::kFlat}) {
-        World world(p);
-        CollectiveTuning t;
-        t.bcast = algo;
-        // Tiny chunks so even the small vectors pipeline in many pieces.
-        t.bcast_chunk_bytes = 32;
-        world.set_tuning(t);
-        const std::vector<float> expect = exact_pattern(7, n);
-        run_ranks(world, [&](Comm& comm) {
-          std::vector<float> data;
-          if (comm.rank() == 0) data = expect;
-          comm.bcast(data, 0);
-          EXPECT_EQ(data, expect) << "p=" << p << " n=" << n
-                                  << " algo=" << to_string(algo);
-        });
+      for (const int root : roots(p)) {
+        SCOPED_TRACE(testing::Message()
+                     << "p=" << p << " n=" << n << " root=" << root);
+        check(p, n, root);
       }
     }
   }
 }
 
-TEST(CollectiveAlgorithms, PipelinedBcastFromNonzeroRoot) {
-  World world(5);
-  CollectiveTuning t;
-  t.bcast = BcastAlgo::kPipelined;
-  t.bcast_chunk_bytes = 16;
-  world.set_tuning(t);
-  const std::vector<float> expect = exact_pattern(3, 999);
-  run_ranks(world, [&](Comm& comm) {
-    std::vector<float> data;
-    if (comm.rank() == 2) data = expect;
-    comm.bcast(data, 2);
-    EXPECT_EQ(data, expect);
-  });
-}
+// ---- values against serial results ----
 
-TEST(CollectiveAlgorithms, AutoBcastPipelinesAboveThreshold) {
-  World world(4);
-  CollectiveTuning t;
-  t.bcast_pipeline_bytes = 256;
-  t.bcast_chunk_bytes = 64;
-  world.set_tuning(t);
-  const std::vector<float> expect = exact_pattern(1, 500);  // 2000 bytes
-  run_ranks(world, [&](Comm& comm) {
-    std::vector<float> data;
-    if (comm.rank() == 0) data = expect;
-    comm.bcast(data, 0);
-    EXPECT_EQ(data, expect);
-  });
-}
-
-// ---- reduce ----
-
-TEST(CollectiveAlgorithms, ReduceParityAllAlgorithms) {
-  for (const int p : kWorldSizes) {
-    for (const std::size_t n : kVectorSizes) {
-      for (const ReduceAlgo algo :
-           {ReduceAlgo::kNaive, ReduceAlgo::kTree, ReduceAlgo::kRabenseifner}) {
-        World world(p);
-        world.set_tuning(forced(algo));
-        const std::vector<float> expect = exact_sum(p, n);
-        run_ranks(world, [&](Comm& comm) {
-          std::vector<float> v = exact_pattern(comm.rank(), n);
-          comm.reduce_sum(v, 0);
-          if (comm.rank() == 0) {
-            EXPECT_EQ(v, expect) << "p=" << p << " n=" << n
-                                 << " algo=" << to_string(algo);
-          } else {
-            // Non-roots are zero-filled so stale reads are loud.
-            EXPECT_EQ(v, std::vector<float>(n, 0.0f));
-          }
-        });
-      }
-    }
-  }
-}
-
-TEST(CollectiveAlgorithms, ReduceToNonzeroRootAllAlgorithms) {
-  for (const ReduceAlgo algo :
-       {ReduceAlgo::kNaive, ReduceAlgo::kTree, ReduceAlgo::kRabenseifner}) {
-    World world(6);
-    world.set_tuning(forced(algo));
-    const std::vector<float> expect = exact_sum(6, 40);
-    run_ranks(world, [&](Comm& comm) {
-      std::vector<float> v = exact_pattern(comm.rank(), 40);
-      comm.reduce_sum(v, 4);
-      if (comm.rank() == 4) {
-        EXPECT_EQ(v, expect) << to_string(algo);
-      }
+template <typename T>
+void check_bcast() {
+  for_all_shapes([](int p, std::size_t n, int root) {
+    const std::vector<T> expect = pattern<T>(root + 7, n);
+    run_world(p, [&](Comm& comm) {
+      // Non-roots start with stale contents of the wrong length.
+      std::vector<T> data = comm.rank() == root ? expect
+                                                : std::vector<T>(3, T{1});
+      comm.bcast(data, root);
+      EXPECT_EQ(data, expect);
     });
-  }
+  });
 }
 
-TEST(CollectiveAlgorithms, TreeReduceBitwiseMatchesNaive) {
-  // kTree reuses the naive tree's association, so even rounding-sensitive
-  // inputs must come out bitwise identical.
-  for (const int p : {2, 3, 5, 8, 13}) {
-    std::vector<float> naive_out;
-    std::vector<float> tree_out;
-    for (const ReduceAlgo algo : {ReduceAlgo::kNaive, ReduceAlgo::kTree}) {
-      World world(p);
-      world.set_tuning(forced(algo));
-      run_ranks(world, [&](Comm& comm) {
-        std::vector<float> v = rough_pattern(comm.rank(), 257);
-        comm.reduce_sum(v, 0);
-        if (comm.rank() == 0) {
-          (algo == ReduceAlgo::kNaive ? naive_out : tree_out) = v;
-        }
-      });
-    }
-    ASSERT_EQ(naive_out.size(), tree_out.size());
-    for (std::size_t i = 0; i < naive_out.size(); ++i) {
-      EXPECT_EQ(naive_out[i], tree_out[i]) << "p=" << p << " i=" << i;
-    }
-  }
+template <typename T>
+void check_reduce() {
+  for_all_shapes([](int p, std::size_t n, int root) {
+    const std::vector<T> expect = serial_sum<T>(p, n);
+    run_world(p, [&](Comm& comm) {
+      std::vector<T> v = pattern<T>(comm.rank(), n);
+      comm.reduce_sum(v, root);
+      // Non-roots are zero-filled so stale reads are loud.
+      EXPECT_EQ(v, comm.rank() == root ? expect : std::vector<T>(n, T{}));
+    });
+  });
 }
 
-TEST(CollectiveAlgorithms, ReduceIntAndDoubleTypes) {
-  for (const ReduceAlgo algo :
-       {ReduceAlgo::kNaive, ReduceAlgo::kTree, ReduceAlgo::kRabenseifner}) {
-    World world(7);
-    world.set_tuning(forced(algo));
-    run_ranks(world, [&](Comm& comm) {
-      std::vector<int> vi{comm.rank(), 1};
-      comm.reduce_sum(vi, 0);
-      std::vector<double> vd{static_cast<double>(comm.rank()) * 0.5};
-      comm.reduce_sum(vd, 0);
+template <typename T>
+void check_allreduce() {
+  for_all_shapes([](int p, std::size_t n, int root) {
+    if (root != 0) return;  // rootless: one pass per shape
+    const std::vector<T> expect = serial_sum<T>(p, n);
+    run_world(p, [&](Comm& comm) {
+      std::vector<T> v = pattern<T>(comm.rank(), n);
+      comm.allreduce_sum(v);
+      EXPECT_EQ(v, expect);
+    });
+  });
+}
+
+template <typename T>
+void check_allgather() {
+  for_all_shapes([](int p, std::size_t n, int root) {
+    if (root != 0) return;
+    const std::vector<T> expect = serial_concat<T>(p, n);
+    run_world(p, [&](Comm& comm) {
+      const std::vector<T> mine = pattern<T>(comm.rank(), n);
+      EXPECT_EQ(comm.allgather<T>(mine), expect);
+    });
+  });
+}
+
+template <typename T>
+void check_gather() {
+  for_all_shapes([](int p, std::size_t n, int root) {
+    const std::vector<T> expect = serial_concat<T>(p, n);
+    run_world(p, [&](Comm& comm) {
+      const std::vector<T> mine = pattern<T>(comm.rank(), n);
+      const std::vector<T> all = comm.gather<T>(mine, root);
+      EXPECT_EQ(all, comm.rank() == root ? expect : std::vector<T>{});
+    });
+  });
+}
+
+TEST(Collectives, BcastMatchesRoot) {
+  check_bcast<float>();
+  check_bcast<double>();
+  check_bcast<int>();
+}
+
+TEST(Collectives, ReduceSumMatchesSerialSum) {
+  check_reduce<float>();
+  check_reduce<double>();
+  check_reduce<int>();
+}
+
+TEST(Collectives, AllreduceSumMatchesSerialSumOnEveryRank) {
+  check_allreduce<float>();
+  check_allreduce<double>();
+  check_allreduce<int>();
+}
+
+TEST(Collectives, AllgatherMatchesRankOrderedConcatenation) {
+  check_allgather<float>();
+  check_allgather<double>();
+  check_allgather<int>();
+}
+
+TEST(Collectives, GatherMatchesRankOrderedConcatenation) {
+  check_gather<float>();
+  check_gather<double>();
+  check_gather<int>();
+}
+
+TEST(Collectives, SequenceOfMixedOpsMatchesUp) {
+  // The worker loop interleaves bcast/gather/reduce; every op must match
+  // its own messages in sequence, with no tag collisions between ops.
+  run_world(4, [](Comm& comm) {
+    for (int round = 0; round < 10; ++round) {
+      std::vector<int> b;
+      if (comm.rank() == 0) b = {round};
+      comm.bcast(b, 0);
+      ASSERT_EQ(b, std::vector<int>{round});
+      std::vector<int> s{comm.rank() + round};
+      comm.reduce_sum(s, 0);
+      const auto all = comm.allgather<int>(std::vector<int>{comm.rank()});
+      EXPECT_EQ(all, (std::vector<int>{0, 1, 2, 3}));
+      std::vector<double> a{0.5 * comm.rank()};
+      comm.allreduce_sum(a);
+      EXPECT_EQ(a[0], 3.0);
       if (comm.rank() == 0) {
-        EXPECT_EQ(vi, (std::vector<int>{21, 7})) << to_string(algo);
-        EXPECT_DOUBLE_EQ(vd[0], 10.5) << to_string(algo);
-      }
-    });
-  }
-}
-
-TEST(CollectiveAlgorithms, PairwiseFoldMatchesDistributedReduceBitwise) {
-  // The serial mirror: folding the per-rank partials through PairwiseFold
-  // must reproduce the distributed tree's bits exactly (the contract
-  // SerialCompute and the FT master rely on).
-  for (const int p : {1, 2, 3, 4, 6, 7, 13}) {
-    std::vector<float> distributed;
-    World world(p);
-    run_ranks(world, [&](Comm& comm) {
-      std::vector<float> v = rough_pattern(comm.rank(), 193);
-      comm.reduce_sum(v, 0);
-      if (comm.rank() == 0) distributed = v;
-    });
-    PairwiseFold<float> fold;
-    for (int r = 0; r < p; ++r) fold.push(rough_pattern(r, 193));
-    const std::vector<float> serial = fold.finish();
-    ASSERT_EQ(serial.size(), distributed.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], distributed[i]) << "p=" << p << " i=" << i;
-    }
-  }
-}
-
-// ---- allreduce ----
-
-TEST(CollectiveAlgorithms, AllreduceParityAllAlgorithms) {
-  for (const int p : kWorldSizes) {
-    for (const std::size_t n : kVectorSizes) {
-      for (const AllreduceAlgo algo :
-           {AllreduceAlgo::kNaive, AllreduceAlgo::kTreeBcast,
-            AllreduceAlgo::kRecursiveDoubling, AllreduceAlgo::kRabenseifner}) {
-        World world(p);
-        world.set_tuning(forced(algo));
-        const std::vector<float> expect = exact_sum(p, n);
-        run_ranks(world, [&](Comm& comm) {
-          std::vector<float> v = exact_pattern(comm.rank(), n);
-          comm.allreduce_sum(v);
-          EXPECT_EQ(v, expect) << "p=" << p << " n=" << n
-                               << " algo=" << to_string(algo);
-        });
+        EXPECT_EQ(s[0], 6 + 4 * round);
       }
     }
-  }
+  });
 }
 
-TEST(CollectiveAlgorithms, AllreduceRepeatIsBitwiseDeterministic) {
-  for (const AllreduceAlgo algo :
-       {AllreduceAlgo::kTreeBcast, AllreduceAlgo::kRecursiveDoubling,
-        AllreduceAlgo::kRabenseifner}) {
-    std::vector<std::vector<float>> results;
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      World world(6);
-      world.set_tuning(forced(algo));
-      run_ranks(world, [&](Comm& comm) {
-        std::vector<float> v = rough_pattern(comm.rank(), 311);
-        comm.allreduce_sum(v);
-        if (comm.rank() == 0) results.push_back(v);
+// ---- bitwise against the serial mirror ----
+
+template <typename T>
+void check_fold_bitwise() {
+  constexpr std::size_t n = 193;
+  for (int p = 1; p <= kMaxRanks; ++p) {
+    for (const int root : roots(p)) {
+      SCOPED_TRACE(testing::Message() << "p=" << p << " root=" << root);
+      // The tree folds in rank order relative to its root.
+      PairwiseFold<T> fold;
+      for (int i = 0; i < p; ++i) {
+        fold.push(rough_pattern<T>((root + i) % p, n));
+      }
+      const std::vector<T> serial = fold.finish();
+      run_world(p, [&](Comm& comm) {
+        std::vector<T> v = rough_pattern<T>(comm.rank(), n);
+        comm.reduce_sum(v, root);
+        if (comm.rank() == root) {
+          EXPECT_EQ(v, serial);
+        }
+        if (root == 0) {
+          std::vector<T> a = rough_pattern<T>(comm.rank(), n);
+          comm.allreduce_sum(a);
+          EXPECT_EQ(a, serial) << "allreduce on rank " << comm.rank();
+        }
       });
     }
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0], results[1]) << to_string(algo);
-    EXPECT_EQ(results[1], results[2]) << to_string(algo);
   }
 }
 
-TEST(CollectiveAlgorithms, DoublingAllreduceIdenticalBitsOnEveryRank) {
-  // Recursive doubling computes the sum redundantly on every rank; IEEE
-  // addition is bitwise commutative, so all ranks must agree exactly.
-  World world(8);
-  world.set_tuning(forced(AllreduceAlgo::kRecursiveDoubling));
-  std::vector<std::vector<float>> per_rank(8);
-  run_ranks(world, [&](Comm& comm) {
-    std::vector<float> v = rough_pattern(comm.rank(), 129);
-    comm.allreduce_sum(v);
-    per_rank[static_cast<std::size_t>(comm.rank())] = v;
-  });
-  for (int r = 1; r < 8; ++r) {
-    EXPECT_EQ(per_rank[static_cast<std::size_t>(r)], per_rank[0]) << r;
-  }
+TEST(Collectives, ReductionsBitwiseMatchPairwiseFold) {
+  // The contract SerialCompute and the FT master rely on: folding the
+  // per-rank partials through PairwiseFold reproduces the tree's bits.
+  check_fold_bitwise<float>();
+  check_fold_bitwise<double>();
 }
 
-// ---- reduce_scatter ----
+// ---- deadlines: each op names the peer that went silent ----
 
-TEST(CollectiveAlgorithms, ReduceScatterParity) {
-  for (const int p : kWorldSizes) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{3},
-                                std::size_t{64}, std::size_t{1000}}) {
-      for (const ReduceScatterAlgo algo :
-           {ReduceScatterAlgo::kNaive, ReduceScatterAlgo::kHalving,
-            ReduceScatterAlgo::kPairwise}) {
-        if (algo == ReduceScatterAlgo::kHalving && !is_pow2(p)) continue;
-        World world(p);
-        world.set_tuning(forced(algo));
-        const std::vector<float> total = exact_sum(p, n);
-        const SegmentLayout layout{n, p};
-        run_ranks(world, [&](Comm& comm) {
-          const std::vector<float> contrib = exact_pattern(comm.rank(), n);
-          const std::vector<float> mine = comm.reduce_scatter_sum(contrib);
-          const std::size_t off = layout.start(comm.rank());
-          ASSERT_EQ(mine.size(), layout.len(comm.rank()))
-              << "p=" << p << " n=" << n << " algo=" << to_string(algo);
-          for (std::size_t i = 0; i < mine.size(); ++i) {
-            EXPECT_EQ(mine[i], total[off + i])
-                << "p=" << p << " n=" << n << " algo=" << to_string(algo);
-          }
-        });
-      }
-    }
-  }
-}
-
-TEST(CollectiveAlgorithms, ReduceScatterFewerElementsThanRanks) {
-  // n < P: trailing ranks own zero-length segments.
-  World world(5);
-  world.set_tuning(forced(ReduceScatterAlgo::kPairwise));
-  run_ranks(world, [&](Comm& comm) {
-    const std::vector<float> contrib{1.0f, 2.0f};
-    const std::vector<float> mine = comm.reduce_scatter_sum(contrib);
-    if (comm.rank() < 2) {
-      ASSERT_EQ(mine.size(), 1u);
-      EXPECT_EQ(mine[0], 5.0f * (comm.rank() + 1));
-    } else {
-      EXPECT_TRUE(mine.empty());
-    }
-  });
-}
-
-TEST(CollectiveAlgorithms, ForcedHalvingOnNonPowerOfTwoThrows) {
-  World world(6);
-  world.set_tuning(forced(ReduceScatterAlgo::kHalving));
-  EXPECT_THROW(run_ranks(world,
-                         [&](Comm& comm) {
-                           std::vector<float> v(12, 1.0f);
-                           comm.reduce_scatter_sum(v);
-                         }),
-               std::exception);
-}
-
-// ---- allgather ----
-
-TEST(CollectiveAlgorithms, AllgatherParity) {
-  for (const int p : kWorldSizes) {
-    for (const std::size_t n : kVectorSizes) {
-      for (const AllgatherAlgo algo :
-           {AllgatherAlgo::kNaive, AllgatherAlgo::kRecursiveDoubling,
-            AllgatherAlgo::kRing}) {
-        if (algo == AllgatherAlgo::kRecursiveDoubling && !is_pow2(p)) {
-          continue;
-        }
-        World world(p);
-        world.set_tuning(forced(algo));
-        std::vector<float> expect;
-        for (int r = 0; r < p; ++r) {
-          const std::vector<float> v = exact_pattern(r, n);
-          expect.insert(expect.end(), v.begin(), v.end());
-        }
-        run_ranks(world, [&](Comm& comm) {
-          const std::vector<float> mine = exact_pattern(comm.rank(), n);
-          const std::vector<float> all = comm.allgather<float>(mine);
-          EXPECT_EQ(all, expect) << "p=" << p << " n=" << n
-                                 << " algo=" << to_string(algo);
-        });
-      }
-    }
-  }
-}
-
-TEST(CollectiveAlgorithms, ForcedDoublingAllgatherNonPowerOfTwoThrows) {
-  World world(3);
-  world.set_tuning(forced(AllgatherAlgo::kRecursiveDoubling));
-  EXPECT_THROW(run_ranks(world,
-                         [&](Comm& comm) {
-                           std::vector<float> v(4, 1.0f);
-                           comm.allgather<float>(v);
-                         }),
-               std::exception);
-}
-
-// ---- deadlines: every collective times out on a dead peer ----
-
-// Runs `fn` on every live rank of a world where `dead` never participates,
-// and asserts at least one surviving rank threw TimeoutError (a lone
-// timeout is rethrown as-is; several aggregate into RankErrors).
+// Runs `fn` on every rank of a 4-rank world except `dead`, which never
+// takes part. Each live rank catches its own TimeoutError and returns, so
+// no rank revokes the others; returns the source each rank's timeout
+// named (-1 where the op completed).
 template <typename Fn>
-void expect_timeout(int p, int dead, const CollectiveTuning& tuning,
-                    Fn&& fn) {
-  World world(p);
-  world.set_tuning(tuning);
-  try {
-    run_ranks(world, [&](Comm& comm) {
-      if (comm.rank() == dead) return;  // silent death
-      fn(comm);
-    });
-    FAIL() << "expected a timeout";
-  } catch (const TimeoutError&) {
-  } catch (const RankErrors& e) {
-    bool saw_timeout = false;
-    for (const auto& f : e.failures()) {
-      if (f.what.find("timed out") != std::string::npos) saw_timeout = true;
+std::vector<int> timeout_sources(int dead, Fn&& fn) {
+  std::vector<int> named(4, -1);
+  run_world(4, [&](Comm& comm) {
+    if (comm.rank() == dead) return;
+    try {
+      fn(comm, Deadline::in(0.05));
+    } catch (const TimeoutError& e) {
+      EXPECT_EQ(e.rank(), comm.rank());
+      named[static_cast<std::size_t>(comm.rank())] = e.source();
     }
-    EXPECT_TRUE(saw_timeout) << e.what();
-  }
-}
-
-TEST(CollectiveDeadlines, BcastForTimesOutOnDeadRoot) {
-  expect_timeout(3, 0, CollectiveTuning{}, [](Comm& comm) {
-    std::vector<float> v;
-    comm.bcast(v, 0, Deadline::in(0.05));
   });
+  return named;
 }
 
-TEST(CollectiveDeadlines, ReduceForTimesOutOnDeadChild) {
-  for (const ReduceAlgo algo :
-       {ReduceAlgo::kNaive, ReduceAlgo::kTree, ReduceAlgo::kRabenseifner}) {
-    expect_timeout(4, 3, forced(algo), [](Comm& comm) {
-      std::vector<float> v(8, 1.0f);
-      comm.reduce_sum(v, 0, Deadline::in(0.05));
-    });
-  }
+// Trees on 4 ranks rooted at 0: bcast 0 -> {2, 1}, 2 -> 3; reduce
+// 1 -> 0, 3 -> 2, then 2 -> 0.
+
+TEST(CollectiveDeadlines, BcastNamesTheSilentTreeParent) {
+  EXPECT_EQ(timeout_sources(0,
+                            [](Comm& comm, const Deadline& dl) {
+                              std::vector<float> v;
+                              comm.bcast(v, 0, dl);
+                            }),
+            (std::vector<int>{-1, 0, 0, 2}));
 }
 
-TEST(CollectiveDeadlines, AllreduceForTimesOutOnDeadPeer) {
-  for (const AllreduceAlgo algo :
-       {AllreduceAlgo::kNaive, AllreduceAlgo::kTreeBcast,
-        AllreduceAlgo::kRecursiveDoubling, AllreduceAlgo::kRabenseifner}) {
-    expect_timeout(4, 2, forced(algo), [](Comm& comm) {
-      std::vector<float> v(8, 1.0f);
-      comm.allreduce_sum(v, Deadline::in(0.05));
-    });
-  }
+TEST(CollectiveDeadlines, ReduceNamesTheSilentChild) {
+  EXPECT_EQ(timeout_sources(3,
+                            [](Comm& comm, const Deadline& dl) {
+                              std::vector<float> v(8, 1.0f);
+                              comm.reduce_sum(v, 0, dl);
+                            }),
+            (std::vector<int>{2, -1, 3, -1}));
 }
 
-TEST(CollectiveDeadlines, ReduceScatterForTimesOutOnDeadPeer) {
-  for (const ReduceScatterAlgo algo :
-       {ReduceScatterAlgo::kNaive, ReduceScatterAlgo::kHalving,
-        ReduceScatterAlgo::kPairwise}) {
-    expect_timeout(4, 1, forced(algo), [](Comm& comm) {
-      std::vector<float> v(8, 1.0f);
-      comm.reduce_scatter_sum(v, Deadline::in(0.05));
-    });
-  }
+TEST(CollectiveDeadlines, AllreduceNamesTheSilentPeer) {
+  // Rank 0 starves on dead rank 2's partial and never broadcasts; rank 3
+  // waits on 2 as its bcast parent.
+  EXPECT_EQ(timeout_sources(2,
+                            [](Comm& comm, const Deadline& dl) {
+                              std::vector<float> v(8, 1.0f);
+                              comm.allreduce_sum(v, dl);
+                            }),
+            (std::vector<int>{2, 0, -1, 2}));
 }
 
-TEST(CollectiveDeadlines, AllgatherForTimesOutOnDeadPeer) {
-  for (const AllgatherAlgo algo :
-       {AllgatherAlgo::kNaive, AllgatherAlgo::kRecursiveDoubling,
-        AllgatherAlgo::kRing}) {
-    expect_timeout(4, 3, forced(algo), [](Comm& comm) {
-      std::vector<float> v(4, 1.0f);
-      comm.allgather<float>(v, Deadline::in(0.05));
-    });
-  }
+TEST(CollectiveDeadlines, AllgatherNamesTheSilentContributor) {
+  EXPECT_EQ(timeout_sources(3,
+                            [](Comm& comm, const Deadline& dl) {
+                              std::vector<float> v(4, 1.0f);
+                              comm.allgather<float>(v, dl);
+                            }),
+            (std::vector<int>{3, 0, 0, -1}));
+}
+
+TEST(CollectiveDeadlines, GatherNamesTheFirstLateContributor) {
+  EXPECT_EQ(timeout_sources(1,
+                            [](Comm& comm, const Deadline& dl) {
+                              std::vector<float> v(4, 1.0f);
+                              comm.gather<float>(v, 0, dl);
+                            }),
+            (std::vector<int>{1, -1, -1, -1}));
 }
 
 TEST(CollectiveDeadlines, ForVariantsCompleteWhenAllRanksLive) {
   World world(5);
-  const std::vector<float> expect = exact_sum(5, 33);
+  const std::vector<float> expect = serial_sum<float>(5, 33);
   run_ranks(world, [&](Comm& comm) {
-    std::vector<float> v = exact_pattern(comm.rank(), 33);
+    std::vector<float> v = pattern<float>(comm.rank(), 33);
     comm.allreduce_sum(v, Deadline::in(5.0));
     EXPECT_EQ(v, expect);
-    std::vector<float> r = exact_pattern(comm.rank(), 33);
+    std::vector<float> r = pattern<float>(comm.rank(), 33);
     comm.reduce_sum(r, 0, Deadline::in(5.0));
     if (comm.rank() == 0) {
       EXPECT_EQ(r, expect);
@@ -502,6 +351,42 @@ TEST(CollectiveDeadlines, DroppedMessagesSurfaceAsTimeoutsNotHangs) {
   } catch (const TimeoutError&) {
   } catch (const RankErrors&) {
   }
+}
+
+// ---- wire shape ----
+
+TEST(CollectiveWire, BcastSendsOneMessagePerTreeEdge) {
+  // Two bcasts on 4 ranks, tree 0 -> {2, 1}, 2 -> 3. With one message per
+  // edge the root's sends are: first bcast to 2 (index 0) and to 1 (1),
+  // second bcast to 2 (2) and to 1 (3). Dropping send 2 therefore starves
+  // rank 2, and through it rank 3, of the *second* bcast only; a bcast
+  // that sent anything more per edge would lose part of the first.
+  World world(4);
+  FaultConfig fc;
+  fc.drop_sends.push_back({/*rank=*/0, /*send_index=*/2});
+  world.install_faults(fc);
+  std::vector<int> timed_out_on(4, -1);  // which bcast (1 or 2) timed out
+  std::vector<int> named(4, -1);
+  run_ranks(world, [&](Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    for (int call = 1; call <= 2; ++call) {
+      std::vector<int> v;
+      if (comm.rank() == 0) v = {call, 10 * call};
+      try {
+        comm.bcast(v, 0, Deadline::in(0.1));
+      } catch (const TimeoutError& e) {
+        timed_out_on[r] = call;
+        named[r] = e.source();
+        return;
+      }
+      EXPECT_EQ(v, (std::vector<int>{call, 10 * call}));
+    }
+  });
+  EXPECT_EQ(timed_out_on, (std::vector<int>{-1, -1, 2, 2}));
+  EXPECT_EQ(named, (std::vector<int>{-1, -1, 0, 2}));
+  EXPECT_EQ(world.faults()->log(0).sends, 4u);
+  EXPECT_EQ(world.faults()->log(0).drops, 1u);
+  EXPECT_EQ(world.faults()->log(2).sends, 1u);  // relayed the first only
 }
 
 // ---- per-op statistics ----
@@ -532,7 +417,7 @@ TEST(CollectiveStats, PerOpCountersTrackCallsAndBytes) {
 
 TEST(CollectiveStats, OpNamesAreStable) {
   EXPECT_STREQ(to_string(CollOp::kAllreduce), "allreduce");
-  EXPECT_STREQ(to_string(CollOp::kReduceScatter), "reduce_scatter");
+  EXPECT_STREQ(to_string(CollOp::kAllgather), "allgather");
   EXPECT_STREQ(to_string(CollOp::kBarrier), "barrier");
 }
 

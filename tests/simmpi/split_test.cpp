@@ -143,10 +143,11 @@ TEST(SplitTest, KillInOneGroupLeavesSiblingGroupRunning) {
   World world(4);
   FaultConfig faults;
   faults.seed = 11;
-  // after_ops=50 lets rank 3 get through the split's allgather; the kill
-  // then fires during its post-split send spin, before it ever reaches
-  // the tag-9 message its partner is waiting on.
-  faults.kills.push_back({/*rank=*/3, /*after_ops=*/50});
+  // after_ops=48 lets rank 3 get through the split's allgather (a gather
+  // send and a bcast receive); the kill then fires at the 47th send of
+  // its post-split spin, before it ever reaches the tag-9 message its
+  // partner is waiting on.
+  faults.kills.push_back({/*rank=*/3, /*after_ops=*/48});
   world.install_faults(faults);
   std::atomic<int> survivors{0};
   ASSERT_THROW(
