@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "figures_common.h"
 #include "hf/ksd.h"
 #include "hf/lbfgs.h"
 #include "hf/sgd.h"
@@ -55,12 +56,15 @@ std::unique_ptr<bgqhf::hf::SerialCompute> make_compute(
   hf::TrainerConfig cfg = task();
   hf::Shards shards = hf::build_shards(cfg);
   theta0->assign(shards.net.params().begin(), shards.net.params().end());
+  // Every shard, like train_serial, so each optimizer sees all the data.
   std::vector<std::unique_ptr<hf::Workload>> wl;
-  wl.push_back(std::make_unique<hf::SpeechWorkload>(
-      shards.net, std::move(shards.train[0]), std::move(shards.heldout[0]),
-      0,
-      hf::make_workload_options(cfg, shards.num_states, shards.advance_prob,
-                                nullptr)));
+  for (std::size_t i = 0; i < shards.train.size(); ++i) {
+    wl.push_back(std::make_unique<hf::SpeechWorkload>(
+        shards.net, std::move(shards.train[i]), std::move(shards.heldout[i]),
+        i,
+        hf::make_workload_options(cfg, shards.num_states,
+                                  shards.advance_prob, nullptr)));
+  }
   return std::make_unique<hf::SerialCompute>(std::move(wl));
 }
 
@@ -95,8 +99,9 @@ Entry run_sgd() {
   hf::SgdOptions opts;
   opts.epochs = 8;
   util::Timer t;
-  const auto result = hf::train_sgd(net, shards.train[0], shards.heldout[0],
-                                    opts, nullptr);
+  const auto result =
+      hf::train_sgd(net, bench::concat_shards(shards.train),
+                    bench::concat_shards(shards.heldout), opts, nullptr);
   return {"mini-batch SGD", result.final_heldout_loss,
           result.final_heldout_accuracy, t.seconds(), "8 epochs"};
 }

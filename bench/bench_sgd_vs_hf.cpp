@@ -49,8 +49,9 @@ int main() {
   sgd_opts.epochs = 8;
   sgd_opts.batch_frames = 256;
   util::Timer sgd_timer;
-  const hf::SgdResult sgd_out = hf::train_sgd(
-      sgd_net, shards.train[0], shards.heldout[0], sgd_opts, nullptr);
+  const hf::SgdResult sgd_out =
+      hf::train_sgd(sgd_net, concat_shards(shards.train),
+                    concat_shards(shards.heldout), sgd_opts, nullptr);
   const double sgd_seconds = sgd_timer.seconds();
 
   util::Table measured({"optimizer", "final held-out CE", "accuracy",

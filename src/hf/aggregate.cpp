@@ -52,33 +52,38 @@ void check_stream_capacity(std::size_t num_segments) {
 }
 
 SegmentSender::SegmentSender(simmpi::Comm& comm, std::span<float> carrier,
+                             std::span<float> out,
                              const std::vector<std::size_t>& bounds, int root,
                              int stream_base,
                              const simmpi::CompressOptions* options,
                              std::vector<simmpi::CompressState>* states)
     : comm_(comm),
       carrier_(carrier),
+      out_(out),
       bounds_(bounds),
       root_(root),
       stream_base_(stream_base),
       options_(options),
       states_(states),
+      handles_(bounds.size() - 1),
       started_(bounds.size() - 1, 0) {
-  if (carrier.size() != bounds.back()) {
+  if (carrier.size() != bounds.back() ||
+      (comm.rank() == root && out.size() != carrier.size())) {
     throw std::invalid_argument("SegmentSender: carrier/bounds mismatch");
   }
 }
 
 void SegmentSender::start_segment(std::size_t s) {
   started_[s] = 1;
-  const std::span<float> seg =
-      carrier_.subspan(bounds_[s], bounds_[s + 1] - bounds_[s]);
+  const std::size_t off = bounds_[s];
+  const std::size_t len = bounds_[s + 1] - off;
   simmpi::CompressState* state = states_ ? &(*states_)[s] : nullptr;
-  // Non-root ranks complete at start (buffered send), so the returned
-  // handle is already drained and safe to drop.
-  simmpi::start_reduce_sum(comm_, seg, {}, root_,
-                           stream_base_ + static_cast<int>(s), options_,
-                           state);
+  // Off the root the send is buffered and the handle completes at start;
+  // the root folds the partials in flush().
+  handles_[s] = simmpi::start_reduce_sum(
+      comm_, carrier_.subspan(off, len),
+      out_.empty() ? std::span<float>{} : out_.subspan(off, len), root_,
+      stream_base_ + static_cast<int>(s), options_, state);
 }
 
 void SegmentSender::segment_ready(std::size_t s) {
@@ -88,9 +93,13 @@ void SegmentSender::segment_ready(std::size_t s) {
 }
 
 std::size_t SegmentSender::flush() {
+  // Every segment starts before the root waits on any, so children's
+  // partials for late segments drain into its mailbox while early ones
+  // fold.
   for (std::size_t s = 0; s < started_.size(); ++s) {
     if (!started_[s]) start_segment(s);
   }
+  for (simmpi::AsyncReduce& h : handles_) h.wait();
   return overlapped_;
 }
 

@@ -48,24 +48,29 @@ std::vector<std::size_t> layer_segment_bounds(const nn::Network& net);
 /// would exceed simmpi::kMaxAsyncStreams.
 void check_stream_capacity(std::size_t num_segments);
 
-/// Worker-side GradientSink: starts segment `s`'s nonblocking reduce the
-/// moment the workload announces it, so packing + the buffered send of
-/// layer l overlap the GEMMs of the layers below. flush() starts whatever
-/// was never announced (and everything, when overlap is off).
+/// GradientSink that starts segment `s`'s nonblocking reduce the moment
+/// the workload announces it, so packing + the buffered send of layer l
+/// overlap the GEMMs of the layers below. flush() starts whatever was
+/// never announced (and everything, when overlap is off), then completes
+/// the reduces: on the root the totals land in `out`, elsewhere the sends
+/// completed at start.
 class SegmentSender : public GradientSink {
  public:
   /// `carrier` is the rank's full-length accumulator (gradient + residual
-  /// when compressing); `states` must outlive the sender and have one
-  /// entry per segment (ignored when `options` is null or off).
+  /// when compressing); `out` receives the totals on the root and is empty
+  /// elsewhere. `states` must outlive the sender and have one entry per
+  /// segment (ignored when `options` is null or off).
   SegmentSender(simmpi::Comm& comm, std::span<float> carrier,
-                const std::vector<std::size_t>& bounds, int root,
-                int stream_base, const simmpi::CompressOptions* options,
+                std::span<float> out, const std::vector<std::size_t>& bounds,
+                int root, int stream_base,
+                const simmpi::CompressOptions* options,
                 std::vector<simmpi::CompressState>* states);
 
   void segment_ready(std::size_t s) override;
 
-  /// Start every segment not yet announced; returns how many segments the
-  /// sink had already started early (the overlapped count).
+  /// Start every segment not yet announced and wait them all; returns how
+  /// many segments the sink had already started early (the overlapped
+  /// count).
   std::size_t flush();
 
  private:
@@ -73,11 +78,13 @@ class SegmentSender : public GradientSink {
 
   simmpi::Comm& comm_;
   std::span<float> carrier_;
+  std::span<float> out_;
   const std::vector<std::size_t>& bounds_;
   int root_;
   int stream_base_;
   const simmpi::CompressOptions* options_;
   std::vector<simmpi::CompressState>* states_;
+  std::vector<simmpi::AsyncReduce> handles_;
   std::vector<char> started_;
   std::size_t overlapped_ = 0;
 };

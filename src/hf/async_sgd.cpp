@@ -47,7 +47,9 @@ AsyncSgdOutcome train_sgd_async(const TrainerConfig& config,
   const SgdOptions& sgd = options.sgd;
 
   util::Timer total_timer;
-  simmpi::World world(config.workers + 1);
+  // One worker per shard, so every shard trains; rank 0 serves.
+  const int workers = static_cast<int>(shards.train.size());
+  simmpi::World world(workers + 1);
   simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
     if (comm.rank() == 0) {
       // ---- parameter server ----
@@ -55,7 +57,7 @@ AsyncSgdOutcome train_sgd_async(const TrainerConfig& config,
                                 shards.net.params().end());
       std::vector<float> velocity(n, 0.0f);
       int done_workers = 0;
-      while (done_workers < config.workers) {
+      while (done_workers < workers) {
         // Serve whatever arrives, in arrival order.
         simmpi::Status status;
         const std::vector<float> msg =
@@ -88,11 +90,11 @@ AsyncSgdOutcome train_sgd_async(const TrainerConfig& config,
       }
       // Final evaluation: push the final params to every worker and fold
       // their held-out stats.
-      for (int w = 1; w <= config.workers; ++w) {
+      for (int w = 1; w <= workers; ++w) {
         comm.send<float>(params, w, kTagPullResp);
       }
       nn::BatchLoss total;
-      for (int w = 1; w <= config.workers; ++w) {
+      for (int w = 1; w <= workers; ++w) {
         const std::vector<float> stats = comm.recv<float>(w, kTagEval);
         total.loss_sum += stats[0];
         total.frames += static_cast<std::size_t>(stats[1]);

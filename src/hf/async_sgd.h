@@ -36,10 +36,11 @@ struct AsyncSgdOutcome {
   double seconds = 0.0;
 };
 
-/// Train with asynchronous parameter-server SGD across config.workers
-/// worker ranks plus one server rank. Nondeterministic by design (update
-/// order depends on thread scheduling); the returned metrics are the
-/// server's final state evaluated on the full held-out set.
+/// Train with asynchronous parameter-server SGD across one worker rank per
+/// shard of build_shards (config.workers + 1) plus one server rank.
+/// Nondeterministic by design (update order depends on thread scheduling);
+/// the returned metrics are the server's final state evaluated on the full
+/// held-out set.
 AsyncSgdOutcome train_sgd_async(const TrainerConfig& config,
                                 const AsyncSgdOptions& options);
 

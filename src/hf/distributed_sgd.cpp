@@ -50,7 +50,9 @@ DistributedSgdOutcome train_sgd_distributed(const TrainerConfig& config,
       (max_frames + options.batch_frames - 1) / options.batch_frames;
 
   util::Timer total_timer;
-  simmpi::World world(config.workers);
+  // One rank per shard, so every shard trains.
+  const std::size_t ranks = shards.train.size();
+  simmpi::World world(static_cast<int>(ranks));
 
   simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
@@ -161,8 +163,7 @@ DistributedSgdOutcome train_sgd_distributed(const TrainerConfig& config,
 
   out.comm = world.total_stats();
   out.seconds = total_timer.seconds();
-  out.effective_batch_frames =
-      options.batch_frames * static_cast<std::size_t>(config.workers);
+  out.effective_batch_frames = options.batch_frames * ranks;
   return out;
 }
 

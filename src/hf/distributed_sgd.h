@@ -24,10 +24,10 @@ struct DistributedSgdOutcome {
   std::size_t effective_batch_frames = 0;
 };
 
-/// Train with synchronous parallel SGD across config.workers ranks (no
-/// separate master: the allreduce is symmetric). `options.batch_frames`
-/// is the per-rank slice, so the effective global batch is
-/// workers * batch_frames. All ranks hold identical parameters throughout;
+/// Train with synchronous parallel SGD, one rank per shard of
+/// build_shards (config.workers + 1 ranks; no separate master: the
+/// allreduce is symmetric). `options.batch_frames` is the per-rank slice,
+/// so the effective global batch is ranks * batch_frames. All ranks hold identical parameters throughout;
 /// the returned theta is rank 0's copy.
 DistributedSgdOutcome train_sgd_distributed(const TrainerConfig& config,
                                             const SgdOptions& options);

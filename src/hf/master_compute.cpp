@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "hf/trainer.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/logging.h"
@@ -34,6 +35,23 @@ obs::CounterId ft_excluded_metric() {
       obs::Schema::global().counter("hf.ft.excluded_workers");
   return id;
 }
+
+/// Rank 0's shard: the one distribute_shards left in its own mailbox, or
+/// an empty one when nothing was delivered.
+std::unique_ptr<Workload> own_shard(simmpi::Comm& comm, std::size_t num_params,
+                                    const FtOptions& ft) {
+  if (comm.rank() != 0) {
+    throw std::logic_error("MasterCompute must run on rank 0");
+  }
+  if (!comm.probe(0, kTagShardMeta)) {
+    return std::make_unique<EmptyWorkload>(num_params);
+  }
+  std::unique_ptr<Workload> shard = receive_workload(comm, ft, nullptr);
+  if (shard->num_params() != num_params) {
+    throw std::invalid_argument("MasterCompute: shard/num_params mismatch");
+  }
+  return shard;
+}
 }  // namespace
 
 MasterCompute::MasterCompute(simmpi::Comm& comm, std::size_t num_params,
@@ -45,26 +63,10 @@ MasterCompute::MasterCompute(simmpi::Comm& comm, std::size_t num_params,
       num_params_(num_params),
       train_frames_(total_train_frames),
       stats_(stats),
-      agg_(agg),
-      bounds_(std::move(segment_bounds)),
-      ft_(ft) {
-  if (comm.rank() != 0) {
-    throw std::logic_error("MasterCompute must run on rank 0");
-  }
+      ft_(ft),
+      workload_(own_shard(comm_, num_params, ft)),
+      share_(comm_, *workload_, ft, agg, std::move(segment_bounds)) {
   comm_.set_checksums(ft_.enabled);
-  reject_under_ft(agg_, ft_.enabled);
-  if (agg_.active()) {
-    if (bounds_.empty()) bounds_ = {0, num_params_};
-    if (bounds_.front() != 0 || bounds_.back() != num_params_) {
-      throw std::invalid_argument("MasterCompute: bad segment bounds");
-    }
-    check_stream_capacity(bounds_.size() - 1);
-    zeros_.assign(num_params_, 0.0f);
-    if (agg_.compress.active()) {
-      grad_states_.resize(bounds_.size() - 1);
-      sq_states_.resize(bounds_.size() - 1);
-    }
-  }
   ranks_.resize(static_cast<std::size_t>(comm.size()));
   std::iota(ranks_.begin(), ranks_.end(), 0);
   curvature_counts_.assign(ranks_.size(), 0);
@@ -144,62 +146,16 @@ void MasterCompute::broadcast_command(Command cmd, std::uint64_t aux) {
   comm_.bcast(header, 0, ft_.reply_deadline());
 }
 
-void MasterCompute::reduce_sum(std::span<float> out) {
-  // The master contributes the identity; the tree reduce folds worker
-  // partials in log depth and only O(N) bytes ever reach rank 0, versus
-  // the P*N the gather-then-sum it replaced buffered at the root.
-  std::vector<float> buf(out.size(), 0.0f);
-  comm_.reduce_sum(buf, 0, ft_.reply_deadline());
-  std::copy(buf.begin(), buf.end(), out.begin());
-}
-
-void MasterCompute::reduce_sum_segmented(
-    std::span<float> out, int stream_base,
-    std::vector<simmpi::CompressState>* states) {
-  // All segment reduces start before any wait, so worker blobs for late
-  // segments drain into the mailbox while early ones fold.
-  const simmpi::CompressOptions* copts =
-      agg_.compress.active() ? &agg_.compress : nullptr;
-  const std::size_t nseg = bounds_.size() - 1;
-  std::vector<simmpi::AsyncReduce> handles;
-  handles.reserve(nseg);
-  for (std::size_t s = 0; s < nseg; ++s) {
-    const std::size_t off = bounds_[s];
-    const std::size_t len = bounds_[s + 1] - off;
-    handles.push_back(simmpi::start_reduce_sum(
-        comm_, std::span<float>(zeros_).subspan(off, len),
-        out.subspan(off, len), 0, stream_base + static_cast<int>(s), copts,
-        states == nullptr ? nullptr : &(*states)[s]));
-  }
-  for (simmpi::AsyncReduce& h : handles) h.wait();
-}
-
-nn::BatchLoss MasterCompute::reduce_loss_stats() {
-  std::vector<double> flat(kLossStatsLen, 0.0);
-  comm_.reduce_sum(flat, 0, ft_.reply_deadline());
-  nn::BatchLoss total;
-  total.loss_sum = flat[0];
-  total.frames = static_cast<std::size_t>(flat[1]);
-  total.correct = static_cast<std::size_t>(flat[2]);
-  return total;
-}
-
 void MasterCompute::send_params(std::span<const float> theta) {
   broadcast_command(Command::kSetParams);
   std::vector<float> buf(theta.begin(), theta.end());
   comm_.bcast(buf, 0, ft_.reply_deadline());  // the paper's sync_weights
+  workload_->set_params(theta);
 }
 
 void MasterCompute::send_prepare(std::uint64_t seed) {
   broadcast_command(Command::kPrepareCurvature, seed);
-  // Per-worker counts (integers carried in double), kept so a worker lost
-  // mid-CG can be subtracted from the product denominator.
-  const double none = 0.0;
-  const std::vector<double> counts = comm_.gather(
-      std::span<const double>(&none, 1), 0, ft_.reply_deadline());
-  for (std::size_t r = 0; r < counts.size(); ++r) {
-    curvature_counts_[r] = static_cast<std::size_t>(counts[r]);
-  }
+  curvature_counts_ = share_.prepare_curvature(seed);
   curvature_frames_ = std::accumulate(curvature_counts_.begin(),
                                       curvature_counts_.end(), std::size_t{0});
 }
@@ -233,29 +189,15 @@ nn::BatchLoss MasterCompute::gradient_impl(std::span<float> grad_out,
   const bool squares = grad_sq_out.data() != nullptr;
   const nn::BatchLoss total = run([&] {
     broadcast_command(Command::kGradient, /*aux=*/squares ? 1 : 0);
-    if (agg_.active()) {
-      const bool comp = agg_.compress.active();
-      reduce_sum_segmented(grad_out, /*stream_base=*/0,
-                           comp ? &grad_states_ : nullptr);
-      if (squares) {
-        reduce_sum_segmented(grad_sq_out,
-                             /*stream_base=*/static_cast<int>(
-                                 bounds_.size() - 1),
-                             comp ? &sq_states_ : nullptr);
-      }
-    } else {
-      reduce_sum(grad_out);
-      if (squares) reduce_sum(grad_sq_out);
-    }
-    return reduce_loss_stats();
+    return share_.gradient(squares, grad_out, grad_sq_out, nullptr);
   });
   if (total.frames == 0) {
     throw std::runtime_error(
         "MasterCompute::gradient: no frames reported (all workers lost?)");
   }
-  // Survivor reweighting: the sum only covers responding workers, and so
-  // does `frames` — dividing by the surviving frame count keeps this the
-  // exact mean gradient over the data that is still in the job.
+  // Survivor reweighting: the sum only covers rank 0 and the responding
+  // workers, and so does `frames` — dividing by the surviving frame count
+  // keeps this the exact mean gradient over the data still in the job.
   const float inv = 1.0f / static_cast<float>(total.frames);
   for (auto& g : grad_out) g *= inv;
   return total;
@@ -277,11 +219,11 @@ void MasterCompute::curvature_product(std::span<const float> v,
   run([&] {
     broadcast_command(Command::kCurvatureProduct);
     comm_.bcast(buf, 0, ft_.reply_deadline());
-    reduce_sum(out);
+    share_.curvature_product(v, out);
   });
   if (curvature_frames_ == 0) {
     throw std::runtime_error(
-        "MasterCompute::curvature_product: all workers lost");
+        "MasterCompute::curvature_product: no curvature frames left");
   }
   const float inv = 1.0f / static_cast<float>(curvature_frames_);
   for (auto& g : out) g *= inv;
@@ -291,7 +233,7 @@ nn::BatchLoss MasterCompute::heldout_loss() {
   PhaseTimer timer(stats_, Phase::kHeldoutLoss);
   const nn::BatchLoss total = run([&] {
     broadcast_command(Command::kHeldoutLoss);
-    return reduce_loss_stats();
+    return share_.heldout_loss();
   });
   if (total.frames == 0) {
     throw std::runtime_error(
@@ -307,6 +249,7 @@ void MasterCompute::set_curvature_fraction(double fraction) {
     broadcast_command(Command::kSetCurvature,
                       std::bit_cast<std::uint64_t>(fraction));
   });
+  workload_->set_curvature_fraction(fraction);
 }
 
 void MasterCompute::shutdown() {

@@ -1,24 +1,29 @@
 // HfCompute implementation for the distributed master (rank 0).
 //
-// Each primitive is one broadcast command plus payload collectives; worker
-// sums arrive through tree reduce_sum collectives (the master contributes a
-// zero vector as slot 0), so only O(N) bytes ever reach rank 0 — the
-// gather-then-sum it replaces buffered P*N at the root. SerialCompute folds
-// the same slots through simmpi::PairwiseFold, making the aggregate
-// arithmetic identical over the same shards.
+// Rank 0 is a computing rank: it holds shard 0, which distribute_shards
+// delivers to its own mailbox, and runs the same ShardContribution as the
+// workers. Each primitive broadcasts the command and its payload, computes
+// rank 0's share, then joins the tree reduce_sum collectives with that
+// share as slot 0, so only O(N) bytes ever reach rank 0. SerialCompute
+// folds the same P shards in the same slot order through
+// simmpi::PairwiseFold, making the aggregate arithmetic identical. Built
+// without a shard waiting (e.g. over stub workers), rank 0 contributes
+// empty partials, like a worker with no frames.
 //
 // With FtOptions::enabled the primitives and their data movement are the
 // same; each op gets a reply_timeout deadline and each message a CRC, and
 // a TimeoutError, Revoked or CorruptMessage makes the master revoke the
 // communicator, shrink it to the survivors, record the excluded ranks,
 // re-send θ and the curvature fraction, and re-run the interrupted
-// primitive (fault_tolerance.h). Sums then cover exactly the responding
-// workers and are divided by the frames those workers hold, so every
-// result stays a *mean over the data still in the job* and the
-// Gauss-Newton estimate remains unbiased under worker loss.
+// primitive, recomputing rank 0's deterministic share (fault_tolerance.h).
+// Sums then cover rank 0 and the responding workers and are divided by
+// the frames those ranks hold, so every result stays a *mean over the
+// data still in the job* and the Gauss-Newton estimate remains unbiased
+// under worker loss. Rank 0's shard is never excluded.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,8 +33,9 @@
 #include "hf/fault_tolerance.h"
 #include "hf/phase_stats.h"
 #include "hf/protocol.h"
+#include "hf/worker.h"
+#include "hf/workload.h"
 #include "simmpi/communicator.h"
-#include "simmpi/compress.h"
 
 namespace bgqhf::hf {
 
@@ -38,6 +44,10 @@ class MasterCompute : public HfCompute {
   /// `num_params` / `total_train_frames` are known to the master from the
   /// shard-building phase. `stats`, when given, accumulates per-phase wall
   /// time on the master side (the functional Figs. 2/4 instrumentation).
+  ///
+  /// When distribute_shards left a shard in rank 0's own mailbox, the
+  /// constructor receives it (receive_workload) and rank 0 trains on it;
+  /// otherwise rank 0's partials are empty.
   ///
   /// `agg` + `segment_bounds` select the gradient-aggregation path; they
   /// must match every worker's (the trainer derives both from one config).
@@ -51,6 +61,9 @@ class MasterCompute : public HfCompute {
                 PhaseStats* stats = nullptr, FtOptions ft = {},
                 AggregationOptions agg = {},
                 std::vector<std::size_t> segment_bounds = {});
+  // share_ refers to comm_ and *workload_.
+  MasterCompute(const MasterCompute&) = delete;
+  MasterCompute& operator=(const MasterCompute&) = delete;
 
   std::size_t num_params() const override { return num_params_; }
   std::size_t total_train_frames() const override { return train_frames_; }
@@ -65,8 +78,9 @@ class MasterCompute : public HfCompute {
   nn::BatchLoss heldout_loss() override;
 
   /// Broadcast a new curvature resample fraction to every (live) worker
-  /// (LTFB hyperparameter mutation applied to a running population). No
-  /// reply; takes effect at each worker's next prepare_curvature.
+  /// and apply it to rank 0's shard (LTFB hyperparameter mutation applied
+  /// to a running population). No reply; takes effect at each rank's next
+  /// prepare_curvature.
   void set_curvature_fraction(double fraction);
 
   /// Tell all (live) workers to exit their loops. Call exactly once, after
@@ -92,15 +106,6 @@ class MasterCompute : public HfCompute {
   /// Primitive bodies that resync also replays.
   void send_params(std::span<const float> theta);
   void send_prepare(std::uint64_t seed);
-  /// Tree-reduce the workers' equal-length vectors into `out`; the
-  /// master's own contribution (slot 0 of the tree) is zero.
-  void reduce_sum(std::span<float> out);
-  /// Segmented variant: start one async reduce per segment (compressed
-  /// when agg_.compress is on, using `states`), then wait them all into
-  /// the matching slices of `out`.
-  void reduce_sum_segmented(std::span<float> out, int stream_base,
-                            std::vector<simmpi::CompressState>* states);
-  nn::BatchLoss reduce_loss_stats();
   nn::BatchLoss gradient_impl(std::span<float> grad_out,
                               std::span<float> grad_sq_out);
 
@@ -112,18 +117,17 @@ class MasterCompute : public HfCompute {
   std::size_t curvature_frames_ = 0;
   PhaseStats* stats_;
 
-  AggregationOptions agg_;
-  std::vector<std::size_t> bounds_;
-  std::vector<float> zeros_;  // master's (zero) reduce contribution
-  std::vector<simmpi::CompressState> grad_states_;
-  std::vector<simmpi::CompressState> sq_states_;
-
   FtOptions ft_;
+  /// Rank 0's shard (an EmptyWorkload when none was delivered) and the
+  /// scratch, carriers and compression states its share runs through.
+  std::unique_ptr<Workload> workload_;
+  ShardContribution share_;
   /// Original rank of each member of comm_ (index = current rank).
   std::vector<int> ranks_;
   std::vector<int> excluded_;
-  /// Per-member curvature sample sizes from the last prepare_curvature,
-  /// so a worker lost mid-CG can be subtracted from the denominator.
+  /// Per-member curvature sample sizes from the last prepare_curvature
+  /// (rank 0's first), so a worker lost mid-CG can be subtracted from the
+  /// denominator.
   std::vector<std::size_t> curvature_counts_;
   /// Replayed to the survivors before a primitive re-runs: a worker
   /// starved by a failed broadcast may have missed a reply-less command

@@ -1,24 +1,13 @@
 #include "hf/serial_compute.h"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "hf/protocol.h"
 #include "simmpi/collective.h"
 
 namespace bgqhf::hf {
 
 namespace {
-// The distributed master reduces over P slots: slot 0 is its own zero
-// vector, slots 1..P-1 are the worker partials. Mirroring that shape here
-// (zero first, then one slot per shard, folded with PairwiseFold's tree
-// association) keeps serial == distributed bitwise.
-template <typename T>
-simmpi::PairwiseFold<T> fold_with_zero_slot(std::size_t n) {
-  simmpi::PairwiseFold<T> fold;
-  fold.push(std::vector<T>(n, T{}));
-  return fold;
-}
-
 std::vector<double> flat_loss(const nn::BatchLoss& loss) {
   return {loss.loss_sum, static_cast<double>(loss.frames),
           static_cast<double>(loss.correct)};
@@ -53,18 +42,17 @@ SerialCompute::SerialCompute(std::vector<std::unique_ptr<Workload>> shards,
       throw std::invalid_argument("SerialCompute: bad segment bounds");
     }
     const std::size_t nseg = bounds_.size() - 1;
-    zero_carrier_.assign(n, 0.0f);
     carriers_.assign(shards_.size(), std::vector<float>(n, 0.0f));
     sq_carriers_.assign(shards_.size(), std::vector<float>(n, 0.0f));
-    grad_states_.resize(shards_.size() + 1);
-    sq_states_.resize(shards_.size() + 1);
+    grad_states_.resize(shards_.size());
+    sq_states_.resize(shards_.size());
     for (auto& per_slot : grad_states_) per_slot.resize(nseg);
     for (auto& per_slot : sq_states_) per_slot.resize(nseg);
   }
 }
 
 void SerialCompute::fold_compressed(
-    std::span<float> out, std::vector<std::vector<float>*> carriers,
+    std::span<float> out, std::vector<std::vector<float>>& carriers,
     std::vector<std::vector<simmpi::CompressState>>& states) {
   for (std::size_t s = 0; s + 1 < bounds_.size(); ++s) {
     const std::size_t off = bounds_[s];
@@ -73,7 +61,7 @@ void SerialCompute::fold_compressed(
     std::fill(seg.begin(), seg.end(), 0.0f);
     for (std::size_t slot = 0; slot < carriers.size(); ++slot) {
       const simmpi::Payload blob = simmpi::compress(
-          std::span<float>(*carriers[slot]).subspan(off, len), agg_.compress,
+          std::span<float>(carriers[slot]).subspan(off, len), agg_.compress,
           states[slot][s]);
       simmpi::decode_add({blob.data(), blob.size()}, seg);
     }
@@ -89,31 +77,25 @@ void SerialCompute::set_params(std::span<const float> theta) {
 }
 
 nn::BatchLoss SerialCompute::gradient(std::span<float> grad_out) {
+  simmpi::PairwiseFold<double> loss_fold;
   if (agg_.compress.active()) {
     // Compressed mirror: each shard accumulates its fresh gradient on top
     // of its persistent error-feedback carrier, then the blobs fold in the
-    // distributed root's slot order (master's zero slot first).
-    auto loss_fold = fold_with_zero_slot<double>(kLossStatsLen);
-    std::vector<std::vector<float>*> carriers{&zero_carrier_};
+    // distributed root's rank order.
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       loss_fold.push(flat_loss(shards_[i]->gradient(carriers_[i])));
-      carriers.push_back(&carriers_[i]);
     }
-    fold_compressed(grad_out, std::move(carriers), grad_states_);
-    const nn::BatchLoss total = unflatten_loss(loss_fold.finish());
-    const float inv = 1.0f / static_cast<float>(total.frames);
-    for (auto& g : grad_out) g *= inv;
-    return total;
+    fold_compressed(grad_out, carriers_, grad_states_);
+  } else {
+    simmpi::PairwiseFold<float> fold;
+    for (auto& s : shards_) {
+      std::fill(scratch_.begin(), scratch_.end(), 0.0f);
+      loss_fold.push(flat_loss(s->gradient(scratch_)));
+      fold.push(scratch_);
+    }
+    const std::vector<float> sum = fold.finish();
+    std::copy(sum.begin(), sum.end(), grad_out.begin());
   }
-  auto fold = fold_with_zero_slot<float>(grad_out.size());
-  auto loss_fold = fold_with_zero_slot<double>(kLossStatsLen);
-  for (auto& s : shards_) {
-    std::fill(scratch_.begin(), scratch_.end(), 0.0f);
-    loss_fold.push(flat_loss(s->gradient(scratch_)));
-    fold.push(scratch_);
-  }
-  const std::vector<float> sum = fold.finish();
-  std::copy(sum.begin(), sum.end(), grad_out.begin());
   const nn::BatchLoss total = unflatten_loss(loss_fold.finish());
   const float inv = 1.0f / static_cast<float>(total.frames);
   for (auto& g : grad_out) g *= inv;
@@ -122,38 +104,31 @@ nn::BatchLoss SerialCompute::gradient(std::span<float> grad_out) {
 
 nn::BatchLoss SerialCompute::gradient_with_squares(
     std::span<float> grad_out, std::span<float> grad_sq_out) {
+  simmpi::PairwiseFold<double> loss_fold;
   if (agg_.compress.active()) {
-    auto loss_fold = fold_with_zero_slot<double>(kLossStatsLen);
-    std::vector<std::vector<float>*> carriers{&zero_carrier_};
-    std::vector<std::vector<float>*> sq_carriers{&zero_carrier_};
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       loss_fold.push(flat_loss(
           shards_[i]->gradient_with_squares(carriers_[i], sq_carriers_[i])));
-      carriers.push_back(&carriers_[i]);
-      sq_carriers.push_back(&sq_carriers_[i]);
     }
-    fold_compressed(grad_out, std::move(carriers), grad_states_);
-    fold_compressed(grad_sq_out, std::move(sq_carriers), sq_states_);
-    const nn::BatchLoss total = unflatten_loss(loss_fold.finish());
-    const float inv = 1.0f / static_cast<float>(total.frames);
-    for (auto& g : grad_out) g *= inv;
-    return total;
+    fold_compressed(grad_out, carriers_, grad_states_);
+    fold_compressed(grad_sq_out, sq_carriers_, sq_states_);
+  } else {
+    simmpi::PairwiseFold<float> fold;
+    simmpi::PairwiseFold<float> sq_fold;
+    std::vector<float> sq_scratch(grad_sq_out.size());
+    for (auto& s : shards_) {
+      std::fill(scratch_.begin(), scratch_.end(), 0.0f);
+      std::fill(sq_scratch.begin(), sq_scratch.end(), 0.0f);
+      loss_fold.push(
+          flat_loss(s->gradient_with_squares(scratch_, sq_scratch)));
+      fold.push(scratch_);
+      sq_fold.push(sq_scratch);
+    }
+    const std::vector<float> sum = fold.finish();
+    std::copy(sum.begin(), sum.end(), grad_out.begin());
+    const std::vector<float> sq_sum = sq_fold.finish();
+    std::copy(sq_sum.begin(), sq_sum.end(), grad_sq_out.begin());
   }
-  auto fold = fold_with_zero_slot<float>(grad_out.size());
-  auto sq_fold = fold_with_zero_slot<float>(grad_sq_out.size());
-  auto loss_fold = fold_with_zero_slot<double>(kLossStatsLen);
-  std::vector<float> sq_scratch(grad_sq_out.size());
-  for (auto& s : shards_) {
-    std::fill(scratch_.begin(), scratch_.end(), 0.0f);
-    std::fill(sq_scratch.begin(), sq_scratch.end(), 0.0f);
-    loss_fold.push(flat_loss(s->gradient_with_squares(scratch_, sq_scratch)));
-    fold.push(scratch_);
-    sq_fold.push(sq_scratch);
-  }
-  const std::vector<float> sum = fold.finish();
-  std::copy(sum.begin(), sum.end(), grad_out.begin());
-  const std::vector<float> sq_sum = sq_fold.finish();
-  std::copy(sq_sum.begin(), sq_sum.end(), grad_sq_out.begin());
   const nn::BatchLoss total = unflatten_loss(loss_fold.finish());
   const float inv = 1.0f / static_cast<float>(total.frames);
   for (auto& g : grad_out) g *= inv;
@@ -170,7 +145,7 @@ void SerialCompute::prepare_curvature(std::uint64_t seed) {
 
 void SerialCompute::curvature_product(std::span<const float> v,
                                       std::span<float> out) {
-  auto fold = fold_with_zero_slot<float>(out.size());
+  simmpi::PairwiseFold<float> fold;
   for (auto& s : shards_) {
     std::fill(scratch_.begin(), scratch_.end(), 0.0f);
     s->curvature_product(v, scratch_);
@@ -186,7 +161,7 @@ void SerialCompute::curvature_product(std::span<const float> v,
 }
 
 nn::BatchLoss SerialCompute::heldout_loss() {
-  auto loss_fold = fold_with_zero_slot<double>(kLossStatsLen);
+  simmpi::PairwiseFold<double> loss_fold;
   for (auto& s : shards_) loss_fold.push(flat_loss(s->heldout_loss()));
   return unflatten_loss(loss_fold.finish());
 }

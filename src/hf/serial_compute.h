@@ -2,11 +2,12 @@
 //
 // With a single shard this is plain single-process HF training. With
 // several shards it mimics the distributed master's arithmetic exactly:
-// per-shard sums are accumulated in shard order into the same kind of
-// accumulator the master uses, so a distributed run over N workers and a
-// serial run over the same N shards produce bitwise-identical trajectories
-// — the strong form of the paper's "no loss in accuracy" claim, asserted
-// in tests/hf/distributed_equivalence_test.cpp.
+// shard i's sums take slot i of a PairwiseFold, the association the
+// reduce tree uses over P computing ranks (rank 0's own shard in slot 0),
+// so a distributed run over P ranks and a serial run over the same P
+// shards produce bitwise-identical trajectories — the strong form of the
+// paper's "no loss in accuracy" claim, asserted in
+// tests/hf/equivalence_test.cpp.
 #pragma once
 
 #include <memory>
@@ -22,9 +23,9 @@ namespace bgqhf::hf {
 class SerialCompute : public HfCompute {
  public:
   /// `agg` mirrors the distributed aggregation arithmetic: with
-  /// compression on, each (slot, segment) pair gets the same persistent
-  /// error-feedback CompressState a rank would hold (slot 0 is the
-  /// master's zero contribution) and blobs fold in the same slot order,
+  /// compression on, each (shard, segment) pair gets the same persistent
+  /// error-feedback CompressState its rank would hold and blobs fold in
+  /// the same rank order,
   /// so compressed serial == compressed distributed stays bitwise. The
   /// overlap flag is ignored — it only changes *when* collectives start,
   /// never their arithmetic.
@@ -51,11 +52,11 @@ class SerialCompute : public HfCompute {
   }
 
  private:
-  /// Compressed mirror of the master's per-segment rank-order blob fold:
-  /// compress each slot's carrier slice through its own state and
-  /// decode_add into `out` (zeroed first), slot 0 (zero carrier) first.
+  /// Compressed mirror of the root's per-segment rank-order blob fold:
+  /// compress each shard's carrier slice through its own state and
+  /// decode_add into `out` (zeroed first), shard 0 first.
   void fold_compressed(std::span<float> out,
-                       std::vector<std::vector<float>*> carriers,
+                       std::vector<std::vector<float>>& carriers,
                        std::vector<std::vector<simmpi::CompressState>>& states);
 
   std::vector<std::unique_ptr<Workload>> shards_;
@@ -65,10 +66,9 @@ class SerialCompute : public HfCompute {
 
   AggregationOptions agg_;
   std::vector<std::size_t> bounds_;
-  std::vector<float> zero_carrier_;           // master slot (stays zero)
   std::vector<std::vector<float>> carriers_;  // per-shard gradient residual
   std::vector<std::vector<float>> sq_carriers_;
-  // states[slot][segment]; slot 0 = master, slot i+1 = shard i.
+  // states[shard][segment].
   std::vector<std::vector<simmpi::CompressState>> grad_states_;
   std::vector<std::vector<simmpi::CompressState>> sq_states_;
 };

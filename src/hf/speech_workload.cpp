@@ -76,6 +76,14 @@ void SpeechWorkload::fold_batch(std::span<float> grad,
   }
 }
 
+blas::MatrixView<float> SpeechWorkload::PassBuffers::out_rows(
+    std::size_t rows, std::size_t cols) {
+  if (out.rows() < rows || out.cols() != cols) {
+    out = blas::Matrix<float>(rows, cols);
+  }
+  return out.view().block(0, 0, rows, cols);
+}
+
 namespace {
 
 // Layer-completion hook for the final batch: segments are layers, so the
@@ -94,23 +102,22 @@ nn::BatchLoss SpeechWorkload::gradient_ce(std::span<float> grad,
                                           GradientSink* sink) {
   nn::BatchLoss total;
   const bool squares = !grad_sq.empty();
+  PassBuffers buf;
   const std::size_t frames = train_.num_frames();
   for (std::size_t begin = 0; begin < frames;
        begin += options_.batch_frames) {
     const std::size_t count =
         std::min(options_.batch_frames, frames - begin);
     const auto x = train_.x.view().block(begin, 0, count, train_.x.cols());
-    const nn::ForwardCache cache = net_.forward(x, options_.pool);
-    blas::Matrix<float> delta(count, net_.output_dim());
-    auto delta_view = delta.view();
+    net_.forward_into(x, buf.cache, options_.pool);
+    auto delta = buf.out_rows(count, net_.output_dim());
     total += nn::softmax_xent(
-        cache.logits(),
-        std::span<const int>(train_.labels).subspan(begin, count),
-        &delta_view);
+        buf.cache.logits(),
+        std::span<const int>(train_.labels).subspan(begin, count), &delta);
     nn::accumulate_gradient(
-        net_, x, cache, std::move(delta),
-        squares ? std::span<float>(batch_scratch_) : grad, options_.pool,
-        make_layer_done(sink, squares, begin + count == frames));
+        net_, x, buf.cache, delta,
+        squares ? std::span<float>(batch_scratch_) : grad, buf.scratch,
+        options_.pool, make_layer_done(sink, squares, begin + count == frames));
     if (squares) fold_batch(grad, grad_sq);
   }
   return total;
@@ -121,18 +128,18 @@ nn::BatchLoss SpeechWorkload::gradient_sequence(std::span<float> grad,
                                                 GradientSink* sink) {
   nn::BatchLoss total;
   const bool squares = !grad_sq.empty();
+  PassBuffers buf;
   const std::size_t num_utts = train_.num_utterances();
   for (std::size_t u = 0; u < num_utts; ++u) {
     const auto x = train_.utt_x(u);
-    const nn::ForwardCache cache = net_.forward(x, options_.pool);
-    blas::Matrix<float> delta(x.rows, net_.output_dim());
-    auto delta_view = delta.view();
-    total += nn::sequence_xent(cache.logits(), train_.utt_labels(u),
-                               options_.transitions, &delta_view);
+    net_.forward_into(x, buf.cache, options_.pool);
+    auto delta = buf.out_rows(x.rows, net_.output_dim());
+    total += nn::sequence_xent(buf.cache.logits(), train_.utt_labels(u),
+                               options_.transitions, &delta);
     nn::accumulate_gradient(
-        net_, x, cache, std::move(delta),
-        squares ? std::span<float>(batch_scratch_) : grad, options_.pool,
-        make_layer_done(sink, squares, u + 1 == num_utts));
+        net_, x, buf.cache, delta,
+        squares ? std::span<float>(batch_scratch_) : grad, buf.scratch,
+        options_.pool, make_layer_done(sink, squares, u + 1 == num_utts));
     if (squares) fold_batch(grad, grad_sq);
   }
   return total;
@@ -192,6 +199,7 @@ void SpeechWorkload::curvature_product(std::span<const float> v,
 
 nn::BatchLoss SpeechWorkload::loss_only(const speech::Dataset& ds) {
   nn::BatchLoss total;
+  PassBuffers buf;
   if (options_.criterion == Criterion::kCrossEntropy) {
     const std::size_t frames = ds.num_frames();
     for (std::size_t begin = 0; begin < frames;
@@ -199,17 +207,18 @@ nn::BatchLoss SpeechWorkload::loss_only(const speech::Dataset& ds) {
       const std::size_t count =
           std::min(options_.batch_frames, frames - begin);
       const auto x = ds.x.view().block(begin, 0, count, ds.x.cols());
-      const blas::Matrix<float> logits =
-          net_.forward_logits(x, options_.pool);
+      const auto logits = buf.out_rows(count, net_.output_dim());
+      net_.forward_logits_into(x, logits, buf.scratch, options_.pool);
       total += nn::softmax_xent(
-          logits.view(), std::span<const int>(ds.labels).subspan(begin, count),
+          logits, std::span<const int>(ds.labels).subspan(begin, count),
           nullptr);
     }
   } else {
     for (std::size_t u = 0; u < ds.num_utterances(); ++u) {
-      const blas::Matrix<float> logits =
-          net_.forward_logits(ds.utt_x(u), options_.pool);
-      total += nn::sequence_xent(logits.view(), ds.utt_labels(u),
+      const auto x = ds.utt_x(u);
+      const auto logits = buf.out_rows(x.rows, net_.output_dim());
+      net_.forward_logits_into(x, logits, buf.scratch, options_.pool);
+      total += nn::sequence_xent(logits, ds.utt_labels(u),
                                  options_.transitions, nullptr);
     }
   }

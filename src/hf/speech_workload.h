@@ -71,6 +71,21 @@ class SpeechWorkload : public Workload {
   const nn::Network& network() const { return net_; }
 
  private:
+  // The working set one gradient or scoring pass reuses across all its
+  // batches: the forward cache, a rows x output_dim buffer (the loss delta
+  // while training, the logits while scoring) and a ping-pong scratch (the
+  // deltas backprop propagates, or the hidden activations while scoring).
+  // Grown to the pass's largest batch, never allocated per batch, and freed
+  // with the pass, so it is not resident during the curvature products.
+  struct PassBuffers {
+    nn::ForwardCache cache;
+    blas::Matrix<float> out;
+    nn::ForwardScratch scratch;
+
+    /// The first `rows` rows of `out`, grown (never shrunk) to fit.
+    blas::MatrixView<float> out_rows(std::size_t rows, std::size_t cols);
+  };
+
   struct CurvatureBatch {
     blas::ConstMatrixView<float> x;   // rows into train_.x
     nn::ForwardCache cache;           // activations at params_version_

@@ -49,13 +49,13 @@ speech::Dataset recv_dataset(simmpi::Comm& comm, int src, int meta_tag,
   ds.offsets.assign(meta.begin() + 3,
                     meta.begin() + 3 + static_cast<std::ptrdiff_t>(num_offsets));
   ds.labels = comm.recv<int>(src, labels_tag, ft.command_deadline());
-  const std::vector<float> x =
-      comm.recv<float>(src, x_tag, ft.command_deadline());
-  if (x.size() != rows * cols || ds.labels.size() != rows) {
+  ds.x = blas::Matrix<float>(rows, cols);
+  const std::size_t got =
+      comm.recv_into(std::span<float>(ds.x.data(), ds.x.size()), src, x_tag,
+                     ft.command_deadline());
+  if (got != rows * cols || ds.labels.size() != rows) {
     throw std::logic_error("recv_dataset: size mismatch");
   }
-  ds.x = blas::Matrix<float>(rows, cols);
-  std::copy(x.begin(), x.end(), ds.x.data());
   return ds;
 }
 
@@ -171,13 +171,14 @@ Shards build_shards(const TrainerConfig& config) {
   }
   const speech::Normalizer norm = speech::estimate_normalizer(train_src);
 
-  const std::size_t workers = static_cast<std::size_t>(config.workers);
+  // One shard per rank of the distributed job: the master computes too.
+  const std::size_t ranks = static_cast<std::size_t>(config.workers) + 1;
   // Assignment is computed from the sources' length tables alone — for a
   // sharded store that means the index; no shard data is touched.
-  const speech::Partition train_part = train_src.partition(workers);
-  const speech::Partition held_part = held_src.partition(workers);
+  const speech::Partition train_part = train_src.partition(ranks);
+  const speech::Partition held_part = held_src.partition(ranks);
 
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (std::size_t w = 0; w < ranks; ++w) {
     shards.train.push_back(speech::build_dataset(
         train_src, train_part.assignment[w], &norm, config.context));
     shards.heldout.push_back(speech::build_dataset(
@@ -256,18 +257,23 @@ TrainOutcome train_serial(const TrainerConfig& config) {
 
 void distribute_shards(simmpi::Comm& comm, const TrainerConfig& config,
                        const Shards& shards, PhaseStats* master_phases) {
-  const int workers = comm.size() - 1;
+  if (shards.train.size() != static_cast<std::size_t>(comm.size())) {
+    throw std::invalid_argument(
+        "distribute_shards: need one shard per rank of the communicator");
+  }
   std::vector<std::uint64_t> blob = encode_config(config, shards);
   comm.bcast(blob, 0);
-  // load_data: ship each worker its shard over point-to-point sends
-  // (the phase Figures 2/4 chart as load_data).
+  // load_data: ship every rank its shard over point-to-point sends (the
+  // phase Figures 2/4 chart as load_data). Rank 0's shard and its copy of
+  // the config go to its own mailbox, where MasterCompute picks them up.
   BGQHF_SPAN(phase_label(Phase::kLoadData), "master");
   util::Timer load_timer;
-  for (int w = 0; w < workers; ++w) {
-    const auto shard = static_cast<std::size_t>(w);
-    send_dataset(comm, w + 1, shards.train[shard], kTagShardMeta,
+  comm.send<std::uint64_t>(blob, 0, kTagShardConfig);
+  for (int r = 0; r < comm.size(); ++r) {
+    const auto shard = static_cast<std::size_t>(r);
+    send_dataset(comm, r, shards.train[shard], kTagShardMeta,
                  kTagShardLabels, kTagShardX);
-    send_dataset(comm, w + 1, shards.heldout[shard], kTagShardHeldMeta,
+    send_dataset(comm, r, shards.heldout[shard], kTagShardHeldMeta,
                  kTagShardHeldLabels, kTagShardHeldX);
   }
   if (master_phases != nullptr) {
@@ -275,40 +281,47 @@ void distribute_shards(simmpi::Comm& comm, const TrainerConfig& config,
   }
 }
 
+std::unique_ptr<SpeechWorkload> receive_workload(simmpi::Comm& comm,
+                                                 const FtOptions& ft,
+                                                 PhaseStats* phases) {
+  std::vector<std::uint64_t> blob;
+  if (comm.rank() == 0) {
+    blob = comm.recv<std::uint64_t>(0, kTagShardConfig, ft.command_deadline());
+  } else {
+    comm.bcast(blob, 0, ft.command_deadline());
+  }
+  const DecodedConfig dc = decode_config(blob);
+  util::Timer load_timer;
+  speech::Dataset train, heldout;
+  {
+    BGQHF_SPAN(phase_label(Phase::kLoadData), "worker");
+    train = recv_dataset(comm, 0, kTagShardMeta, kTagShardLabels, kTagShardX,
+                         ft);
+    heldout = recv_dataset(comm, 0, kTagShardHeldMeta, kTagShardHeldLabels,
+                           kTagShardHeldX, ft);
+  }
+  if (phases != nullptr) phases->add(Phase::kLoadData, load_timer.seconds());
+  nn::Network net = nn::Network::mlp(dc.input_dim, dc.hidden, dc.num_states);
+  SpeechWorkloadOptions wl_opts;
+  wl_opts.criterion = dc.criterion;
+  wl_opts.batch_frames = dc.batch_frames;
+  wl_opts.curvature_fraction = dc.curvature_fraction;
+  wl_opts.pool = nullptr;  // every rank is already a thread
+  if (dc.criterion == Criterion::kSequence) {
+    wl_opts.transitions =
+        nn::TransitionModel::left_to_right(dc.num_states, dc.advance_prob);
+  }
+  return std::make_unique<SpeechWorkload>(
+      std::move(net), std::move(train), std::move(heldout),
+      static_cast<std::size_t>(comm.rank()), wl_opts);
+}
+
 void run_worker_rank(simmpi::Comm& comm, const TrainerConfig& config,
                      PhaseStats* phases) {
   try {
-    std::vector<std::uint64_t> blob;
-    comm.bcast(blob, 0, config.ft.command_deadline());
-    const DecodedConfig dc = decode_config(blob);
-    util::Timer load_timer;
-    speech::Dataset train, heldout;
-    {
-      BGQHF_SPAN(phase_label(Phase::kLoadData), "worker");
-      train = recv_dataset(comm, 0, kTagShardMeta, kTagShardLabels,
-                           kTagShardX, config.ft);
-      heldout = recv_dataset(comm, 0, kTagShardHeldMeta,
-                             kTagShardHeldLabels, kTagShardHeldX, config.ft);
-    }
-    if (phases != nullptr) {
-      phases->add(Phase::kLoadData, load_timer.seconds());
-    }
-    nn::Network net =
-        nn::Network::mlp(dc.input_dim, dc.hidden, dc.num_states);
-    SpeechWorkloadOptions wl_opts;
-    wl_opts.criterion = dc.criterion;
-    wl_opts.batch_frames = dc.batch_frames;
-    wl_opts.curvature_fraction = dc.curvature_fraction;
-    wl_opts.pool = nullptr;
-    if (dc.criterion == Criterion::kSequence) {
-      wl_opts.transitions = nn::TransitionModel::left_to_right(
-          dc.num_states, dc.advance_prob);
-    }
-    SpeechWorkload workload(std::move(net), std::move(train),
-                            std::move(heldout),
-                            static_cast<std::size_t>(comm.rank() - 1),
-                            wl_opts);
-    worker_loop(comm, workload, phases, config.ft, config.aggregation);
+    const std::unique_ptr<SpeechWorkload> workload =
+        receive_workload(comm, config.ft, phases);
+    worker_loop(comm, *workload, phases, config.ft, config.aggregation);
   } catch (const simmpi::RankKilledError&) {
     // Injected kill: exit the rank cleanly so run_ranks completes; the
     // master observes the silence at its next reply deadline.

@@ -1,14 +1,19 @@
 // End-to-end training drivers.
 //
 // train_serial() and train_distributed() run the *same* Algorithm-1
-// optimizer over the *same* shards; the only difference is whether shard
-// sums are folded locally (SerialCompute) or tree-reduced over simmpi
-// (MasterCompute + worker_loop). Their training trajectories are bitwise
-// identical, which is the reproducible form of the paper's "no loss in
-// accuracy" scaling claim.
+// optimizer over the *same* workers + 1 shards; the only difference is
+// whether shard sums are folded locally (SerialCompute) or tree-reduced
+// over simmpi, one shard per rank (MasterCompute on rank 0 + worker_loop).
+// Their training trajectories are bitwise identical, which is the
+// reproducible form of the paper's "no loss in accuracy" scaling claim.
+//
+// Unlike the paper, whose master only coordinates (Sec. IV), rank 0 here
+// trains on a shard of its own, so no core idles while the workers
+// compute. The bgq performance model keeps the paper's dedicated master.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,8 +40,9 @@ enum class InitScheme {
 };
 
 struct TrainerConfig {
-  /// Worker count; the distributed run uses workers+1 ranks (rank 0 is the
-  /// master and holds no data, per the paper's one-layer architecture).
+  /// Ranks besides the master; the distributed run uses workers+1 ranks
+  /// and the data splits into workers+1 shards, one per rank (rank 0, the
+  /// master, trains on shard 0).
   int workers = 4;
   speech::CorpusSpec corpus;
   /// Where training data comes from. An empty data_dir generates the
@@ -86,7 +92,8 @@ struct TrainerConfig {
   AggregationOptions aggregation = AggregationOptions::from_env();
 };
 
-/// Per-worker data shards plus the initialized network.
+/// Per-rank data shards (workers + 1 of them; shard r belongs to rank r)
+/// plus the initialized network.
 struct Shards {
   nn::Network net;
   std::vector<speech::Dataset> train;
@@ -113,7 +120,8 @@ struct TrainOutcome {
   simmpi::CommStats comm;  // all-zero for serial runs
   double seconds = 0.0;
   /// Measured per-phase wall time (distributed runs only): the functional
-  /// analogue of the paper's Figs. 2-5 instrumentation.
+  /// analogue of the paper's Figs. 2-5 instrumentation. The master's
+  /// phases include its own shard's compute.
   PhaseStats master_phases;
   std::vector<PhaseStats> worker_phases;  // indexed by worker (rank - 1)
   /// Worker ranks the master excluded mid-run (FT mode; empty otherwise).
@@ -124,25 +132,34 @@ TrainOutcome train_serial(const TrainerConfig& config);
 TrainOutcome train_distributed(const TrainerConfig& config);
 
 /// Master-side startup over an arbitrary communicator (rank 0 = master,
-/// comm.size()-1 workers): broadcast the config blob and ship each worker
-/// its shard (buffered sends; the master never blocks here). Factored out of train_distributed so the same startup runs
-/// inside an LTFB population's split sub-communicator.
+/// comm.size()-1 workers, one shard per rank): broadcast the config blob
+/// and ship every rank its shard over buffered sends, rank 0's (and a copy
+/// of the blob) to its own mailbox, where MasterCompute's constructor
+/// receives them. Factored out of train_distributed so the same startup
+/// runs inside an LTFB population's split sub-communicator.
 void distribute_shards(simmpi::Comm& comm, const TrainerConfig& config,
                        const Shards& shards, PhaseStats* master_phases);
 
-/// Worker-side body over an arbitrary communicator: receive config and
-/// shards from rank 0 (each op under ft.command_deadline()), build the
-/// speech workload, and serve worker_loop until shutdown. An injected kill,
-/// and under FT a failed startup op, return normally (after logging).
+/// Any rank's half of distribute_shards: take the config blob and this
+/// rank's shard (each op under ft.command_deadline()) and build the speech
+/// workload over them, with shard id = comm.rank(). `phases`, when given,
+/// is charged the load_data time.
+std::unique_ptr<SpeechWorkload> receive_workload(simmpi::Comm& comm,
+                                                 const FtOptions& ft,
+                                                 PhaseStats* phases);
+
+/// Worker-side body over an arbitrary communicator: receive_workload, then
+/// serve worker_loop until shutdown. An injected kill, and under FT a
+/// failed startup op, return normally (after logging).
 void run_worker_rank(simmpi::Comm& comm, const TrainerConfig& config,
                      PhaseStats* phases);
 
 /// The per-rank body of train_distributed over an arbitrary communicator:
-/// rank 0 drives the HF optimizer through MasterCompute, other ranks run
-/// run_worker_rank. Every rank of `comm` must call this; results land in
-/// the shared `out` (master fields from rank 0, worker_phases[r-1] from
-/// rank r, which must be pre-sized). comm.size() must be
-/// config.workers + 1. Used directly by the split-communicator
+/// rank 0 drives the HF optimizer through MasterCompute (computing on
+/// shard 0 as it goes), other ranks run run_worker_rank. Every rank of
+/// `comm` must call this; results land in the shared `out` (master fields
+/// from rank 0, worker_phases[r-1] from rank r, which must be pre-sized).
+/// comm.size() must be config.workers + 1. Used directly by the split-communicator
 /// equivalence tests and the LTFB trainer.
 void train_over(simmpi::Comm& comm, const TrainerConfig& config,
                 const Shards& shards, const TrainerCheckpoint* resume,

@@ -1,5 +1,6 @@
 #include "hf/worker.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -39,6 +40,128 @@ Phase command_phase(Command cmd) {
 
 }  // namespace
 
+ShardContribution::ShardContribution(simmpi::Comm& comm, Workload& workload,
+                                     FtOptions ft, AggregationOptions agg,
+                                     std::vector<std::size_t> bounds)
+    : comm_(comm),
+      workload_(workload),
+      ft_(ft),
+      agg_(agg),
+      bounds_(std::move(bounds)) {
+  reject_under_ft(agg_, ft_.enabled);
+  const std::size_t n = workload_.num_params();
+  scratch_.resize(n);
+  if (!agg_.active()) return;
+  if (bounds_.empty()) bounds_ = {0, n};
+  if (bounds_.front() != 0 || bounds_.back() != n) {
+    throw std::invalid_argument("ShardContribution: bad segment bounds");
+  }
+  check_stream_capacity(bounds_.size() - 1);
+  if (agg_.compress.active()) {
+    grad_states_.resize(bounds_.size() - 1);
+    sq_states_.resize(bounds_.size() - 1);
+  }
+  grad_carrier_.assign(n, 0.0f);
+  sq_carrier_.assign(n, 0.0f);
+}
+
+simmpi::Deadline ShardContribution::deadline() const {
+  return comm_.rank() == 0 ? ft_.reply_deadline() : ft_.command_deadline();
+}
+
+void ShardContribution::reduce(std::vector<float>& partial,
+                               std::span<float> out) {
+  comm_.reduce_sum(partial, 0, deadline());
+  if (!out.empty()) std::copy(partial.begin(), partial.end(), out.begin());
+}
+
+nn::BatchLoss ShardContribution::reduce_loss(const nn::BatchLoss& mine) {
+  std::vector<double> flat{mine.loss_sum, static_cast<double>(mine.frames),
+                           static_cast<double>(mine.correct)};
+  comm_.reduce_sum(flat, 0, deadline());
+  if (comm_.rank() != 0) return mine;
+  nn::BatchLoss total;
+  total.loss_sum = flat[0];
+  total.frames = static_cast<std::size_t>(flat[1]);
+  total.correct = static_cast<std::size_t>(flat[2]);
+  return total;
+}
+
+nn::BatchLoss ShardContribution::gradient(bool squares,
+                                          std::span<float> grad_out,
+                                          std::span<float> sq_out,
+                                          PhaseStats* stats) {
+  const std::size_t n = workload_.num_params();
+  if (agg_.active()) {
+    // Segmented path: per-layer nonblocking reduces (compressed when
+    // BGQHF_COMPRESS is on). Under compression the carriers are NOT
+    // zeroed — they hold the error-feedback residual, and the workload
+    // accumulates the fresh gradient on top of it.
+    const bool comp = agg_.compress.active();
+    const simmpi::CompressOptions* copts = comp ? &agg_.compress : nullptr;
+    const std::size_t nseg = bounds_.size() - 1;
+    if (!comp) std::fill(grad_carrier_.begin(), grad_carrier_.end(), 0.0f);
+    SegmentSender grad_sink(comm_, grad_carrier_, grad_out, bounds_, 0, 0,
+                            copts, comp ? &grad_states_ : nullptr);
+    nn::BatchLoss loss;
+    if (!squares) {
+      loss = workload_.gradient(
+          grad_carrier_,
+          agg_.overlap ? static_cast<GradientSink*>(&grad_sink) : nullptr);
+      const std::size_t overlapped = grad_sink.flush();
+      if (stats != nullptr) stats->add_segments(nseg, overlapped);
+    } else {
+      if (!comp) std::fill(sq_carrier_.begin(), sq_carrier_.end(), 0.0f);
+      loss = workload_.gradient_with_squares(grad_carrier_, sq_carrier_);
+      SegmentSender sq_sink(comm_, sq_carrier_, sq_out, bounds_, 0,
+                            static_cast<int>(nseg), copts,
+                            comp ? &sq_states_ : nullptr);
+      grad_sink.flush();
+      sq_sink.flush();
+      if (stats != nullptr) stats->add_segments(2 * nseg, 0);
+    }
+    return reduce_loss(loss);
+  }
+  scratch_.assign(n, 0.0f);  // a failed reduce may have consumed it
+  if (!squares) {
+    const nn::BatchLoss loss = workload_.gradient(scratch_);
+    reduce(scratch_, grad_out);
+    return reduce_loss(loss);
+  }
+  sq_scratch_.assign(n, 0.0f);
+  const nn::BatchLoss loss =
+      workload_.gradient_with_squares(scratch_, sq_scratch_);
+  reduce(scratch_, grad_out);
+  reduce(sq_scratch_, sq_out);
+  return reduce_loss(loss);
+}
+
+std::vector<std::size_t> ShardContribution::prepare_curvature(
+    std::uint64_t seed) {
+  workload_.prepare_curvature(seed);
+  // Integers carried in double.
+  const double count = static_cast<double>(workload_.curvature_frames());
+  const std::vector<double> gathered =
+      comm_.gather(std::span<const double>(&count, 1), 0, deadline());
+  std::vector<std::size_t> counts;
+  counts.reserve(gathered.size());
+  for (const double c : gathered) {
+    counts.push_back(static_cast<std::size_t>(c));
+  }
+  return counts;
+}
+
+void ShardContribution::curvature_product(std::span<const float> v,
+                                          std::span<float> out) {
+  scratch_.assign(workload_.num_params(), 0.0f);  // as in gradient()
+  workload_.curvature_product(v, scratch_);
+  reduce(scratch_, out);
+}
+
+nn::BatchLoss ShardContribution::heldout_loss() {
+  return reduce_loss(workload_.heldout_loss());
+}
+
 void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
                  const FtOptions& ft, const AggregationOptions& agg) {
   if (parent.rank() == 0) {
@@ -49,38 +172,8 @@ void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
   simmpi::Comm comm = parent;
   comm.set_checksums(ft.enabled);
   const int master = comm.world_rank_of(0);
-  reject_under_ft(agg, ft.enabled);
-  const std::size_t n = workload.num_params();
-  std::vector<float> scratch(n);
+  ShardContribution share(comm, workload, ft, agg, workload.segment_bounds());
 
-  // Segmented-aggregation state. The gradient carrier is separate from
-  // `scratch` because under compression it holds the error-feedback
-  // residual between gradient calls — the curvature path re-zeroing
-  // scratch must not wipe it.
-  const bool comp = agg.compress.active();
-  const simmpi::CompressOptions* copts = comp ? &agg.compress : nullptr;
-  std::vector<std::size_t> bounds;
-  std::vector<simmpi::CompressState> grad_states;
-  std::vector<simmpi::CompressState> sq_states;
-  std::vector<float> grad_carrier;
-  std::vector<float> sq_carrier;
-  if (agg.active()) {
-    bounds = workload.segment_bounds();
-    check_stream_capacity(bounds.size() - 1);
-    if (comp) {
-      grad_states.resize(bounds.size() - 1);
-      sq_states.resize(bounds.size() - 1);
-    }
-    grad_carrier.assign(n, 0.0f);
-    sq_carrier.assign(n, 0.0f);
-  }
-
-  auto reply_loss_stats = [&](const nn::BatchLoss& loss) {
-    std::vector<double> flat{loss.loss_sum,
-                             static_cast<double>(loss.frames),
-                             static_cast<double>(loss.correct)};
-    comm.reduce_sum(flat, 0, ft.command_deadline());
-  };
   auto stamp = [&](Phase phase, const util::Timer& timer) {
     if (stats != nullptr) stats->add(phase, timer.seconds());
   };
@@ -128,89 +221,29 @@ void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
           stamp(Phase::kSyncWeights, timer);
           break;
         }
-        case Command::kGradient: {
-          if (agg.active()) {
-            // Segmented path: per-layer nonblocking reduces (compressed
-            // when BGQHF_COMPRESS is on). Under compression the carriers
-            // are NOT zeroed — they hold the error-feedback residual, and
-            // the workload accumulates the fresh gradient on top of it.
-            const std::size_t nseg = bounds.size() - 1;
-            if (!comp) {
-              std::fill(grad_carrier.begin(), grad_carrier.end(), 0.0f);
-            }
-            if (header[1] == 0) {
-              SegmentSender sink(comm, grad_carrier, bounds, 0, 0, copts,
-                                 comp ? &grad_states : nullptr);
-              const nn::BatchLoss loss = workload.gradient(
-                  grad_carrier,
-                  agg.overlap ? static_cast<GradientSink*>(&sink) : nullptr);
-              const std::size_t overlapped = sink.flush();
-              if (stats != nullptr) stats->add_segments(nseg, overlapped);
-              reply_loss_stats(loss);
-            } else {
-              if (!comp) {
-                std::fill(sq_carrier.begin(), sq_carrier.end(), 0.0f);
-              }
-              const nn::BatchLoss loss =
-                  workload.gradient_with_squares(grad_carrier, sq_carrier);
-              SegmentSender grad_sink(comm, grad_carrier, bounds, 0, 0,
-                                      copts, comp ? &grad_states : nullptr);
-              SegmentSender sq_sink(comm, sq_carrier, bounds, 0,
-                                    static_cast<int>(nseg), copts,
-                                    comp ? &sq_states : nullptr);
-              grad_sink.flush();
-              sq_sink.flush();
-              if (stats != nullptr) stats->add_segments(2 * nseg, 0);
-              reply_loss_stats(loss);
-            }
-            stamp(Phase::kGradient, timer);
-            break;
-          }
-          scratch.assign(n, 0.0f);  // a failed reduce may have consumed it
-          if (header[1] == 0) {
-            const nn::BatchLoss loss = workload.gradient(scratch);
-            comm.reduce_sum(scratch, 0, ft.command_deadline());
-            reply_loss_stats(loss);
-          } else {
-            // aux == 1: the master also wants squared-gradient sums for
-            // the Jacobi preconditioner.
-            std::vector<float> squares(n, 0.0f);
-            const nn::BatchLoss loss =
-                workload.gradient_with_squares(scratch, squares);
-            comm.reduce_sum(scratch, 0, ft.command_deadline());
-            comm.reduce_sum(squares, 0, ft.command_deadline());
-            reply_loss_stats(loss);
-          }
+        case Command::kGradient:
+          // aux == 1: the master also wants squared-gradient sums for the
+          // Jacobi preconditioner.
+          share.gradient(header[1] != 0, {}, {}, stats);
           stamp(Phase::kGradient, timer);
           break;
-        }
-        case Command::kPrepareCurvature: {
-          workload.prepare_curvature(header[1]);
-          // Gathered, not summed: the master keeps per-worker counts so a
-          // worker lost mid-CG leaves the product denominator exact.
-          const double count =
-              static_cast<double>(workload.curvature_frames());
-          comm.gather(std::span<const double>(&count, 1), 0,
-                      ft.command_deadline());
+        case Command::kPrepareCurvature:
+          share.prepare_curvature(header[1]);
           stamp(Phase::kCurvaturePrepare, timer);
           break;
-        }
         case Command::kCurvatureProduct: {
           std::vector<float> v;
           incoming = "CG vector payload";
           comm.bcast(v, 0, ft.command_deadline());
           incoming = "child's partial";
-          scratch.assign(n, 0.0f);  // a failed reduce may have consumed it
-          workload.curvature_product(v, scratch);
-          comm.reduce_sum(scratch, 0, ft.command_deadline());
+          share.curvature_product(v, {});
           stamp(Phase::kCurvatureProduct, timer);
           break;
         }
-        case Command::kHeldoutLoss: {
-          reply_loss_stats(workload.heldout_loss());
+        case Command::kHeldoutLoss:
+          share.heldout_loss();
           stamp(Phase::kHeldoutLoss, timer);
           break;
-        }
         case Command::kSetCurvature:
           workload.set_curvature_fraction(std::bit_cast<double>(header[1]));
           stamp(Phase::kCurvaturePrepare, timer);

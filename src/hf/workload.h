@@ -85,4 +85,27 @@ class Workload {
   virtual nn::BatchLoss heldout_loss() = 0;
 };
 
+/// A shard without frames: every sum it adds is empty. A rank given no
+/// shard contributes through one.
+class EmptyWorkload final : public Workload {
+ public:
+  explicit EmptyWorkload(std::size_t num_params) : num_params_(num_params) {}
+
+  std::size_t num_params() const override { return num_params_; }
+  std::size_t train_frames() const override { return 0; }
+  void set_params(std::span<const float>) override {}
+  nn::BatchLoss gradient(std::span<float>) override { return {}; }
+  nn::BatchLoss gradient_with_squares(std::span<float>,
+                                      std::span<float>) override {
+    return {};
+  }
+  void prepare_curvature(std::uint64_t) override {}
+  std::size_t curvature_frames() const override { return 0; }
+  void curvature_product(std::span<const float>, std::span<float>) override {}
+  nn::BatchLoss heldout_loss() override { return {}; }
+
+ private:
+  std::size_t num_params_;
+};
+
 }  // namespace bgqhf::hf

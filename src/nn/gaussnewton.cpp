@@ -26,14 +26,14 @@ blas::Matrix<float> r_forward(const Network& net,
     auto wl = net.layer(l);
     auto vl = net.layer_params(v, l);
     const blas::ConstMatrixView<float> a_prev =
-        l == 0 ? x : cache.acts[l - 1].view();
+        l == 0 ? x : cache.act(l - 1);
 
     // The rb_l broadcast and the act' mask ride the epilogue of whichever
     // GEMM finishes the R{z_l} accumulation (the second one when l > 0).
     blas::GemmEpilogue<float> ep;
     ep.bias = vl.b.data();
     if (l + 1 < L) {
-      ep.deriv_aux = cache.acts[l].view();
+      ep.deriv_aux = cache.act(l);
       ep.deriv_act = to_epilogue(net.layers()[l].act);
     }
 

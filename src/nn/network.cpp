@@ -102,19 +102,28 @@ void affine_forward(blas::ConstMatrixView<float> in, ConstLayerParams lp,
 
 ForwardCache Network::forward(blas::ConstMatrixView<float> x,
                               util::ThreadPool* pool) const {
+  ForwardCache cache;
+  forward_into(x, cache, pool);
+  return cache;
+}
+
+void Network::forward_into(blas::ConstMatrixView<float> x, ForwardCache& cache,
+                           util::ThreadPool* pool) const {
   if (x.cols != input_dim()) {
     throw std::invalid_argument("forward: input dimension mismatch");
   }
-  ForwardCache cache;
-  cache.acts.reserve(layers_.size());
+  cache.acts.resize(layers_.size());
+  cache.rows = x.rows;
   blas::ConstMatrixView<float> in = x;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    blas::Matrix<float> out(x.rows, layers_[l].out);
-    affine_forward(in, layer(l), layers_[l].act, out.view(), pool);
-    cache.acts.push_back(std::move(out));
-    in = cache.acts.back().view();
+    blas::Matrix<float>& m = cache.acts[l];
+    if (m.rows() < x.rows || m.cols() != layers_[l].out) {
+      m = blas::Matrix<float>(x.rows, layers_[l].out);
+    }
+    const blas::MatrixView<float> out = m.view().block(0, 0, x.rows, m.cols());
+    affine_forward(in, layer(l), layers_[l].act, out, pool);
+    in = out;
   }
-  return cache;
 }
 
 blas::Matrix<float> Network::forward_logits(blas::ConstMatrixView<float> x,

@@ -35,11 +35,18 @@ struct ConstLayerParams {
 };
 
 /// Forward-pass cache: post-activation output of every layer; the last
-/// entry holds the output logits (linear). Input is not stored.
+/// entry holds the output logits (linear). Input is not stored. Layer l's
+/// activations are the first `rows` rows of acts[l]: a cache reused across
+/// batches (Network::forward_into) keeps matrices sized for the largest
+/// batch it has seen.
 struct ForwardCache {
   std::vector<blas::Matrix<float>> acts;
+  std::size_t rows = 0;
 
-  blas::ConstMatrixView<float> logits() const { return acts.back().view(); }
+  blas::ConstMatrixView<float> act(std::size_t l) const {
+    return acts[l].view().block(0, 0, rows, acts[l].cols());
+  }
+  blas::ConstMatrixView<float> logits() const { return act(acts.size() - 1); }
 };
 
 /// Reusable activation scratch for forward_logits_into: two ping-pong
@@ -93,6 +100,12 @@ class Network {
   /// activation cache needed by backprop / R-op.
   ForwardCache forward(blas::ConstMatrixView<float> x,
                        util::ThreadPool* pool = nullptr) const;
+
+  /// forward() into a caller-owned cache, so a cache reused across
+  /// batches allocates only when a batch outgrows it. Bitwise identical to
+  /// forward().
+  void forward_into(blas::ConstMatrixView<float> x, ForwardCache& cache,
+                    util::ThreadPool* pool = nullptr) const;
 
   /// Forward pass discarding hidden activations (loss evaluation only).
   blas::Matrix<float> forward_logits(blas::ConstMatrixView<float> x,

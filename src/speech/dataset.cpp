@@ -1,6 +1,8 @@
 #include "speech/dataset.h"
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "speech/source.h"
 
@@ -19,13 +21,14 @@ void append_utterance(Dataset& ds, const Utterance& utt,
   // normalized consistently.
   blas::Matrix<float> raw = utt.features;  // copy
   if (norm != nullptr) norm->apply(raw.view());
-  blas::Matrix<float> stacked = stack_context(raw.view(), context);
-  for (std::size_t t = 0; t < stacked.rows(); ++t) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      ds.x(row, c) = stacked(t, c);
-    }
-    ++row;
+  const blas::Matrix<float> stacked = stack_context(raw.view(), context);
+  if (stacked.cols() != dim) {
+    throw std::logic_error("append_utterance: stacked width mismatch");
   }
+  // Both are row-major with `dim` columns: one block copy.
+  std::copy(stacked.data(), stacked.data() + stacked.size(),
+            ds.x.data() + row * dim);
+  row += stacked.rows();
   ds.labels.insert(ds.labels.end(), utt.labels.begin(), utt.labels.end());
   ds.offsets.push_back(row);
 }

@@ -45,14 +45,17 @@ TEST(AsyncSgd, ServerConsumesEveryPush) {
   const TrainerConfig cfg = config(2);
   const AsyncSgdOptions opts = options(40);
   const AsyncSgdOutcome out = train_sgd_async(cfg, opts);
-  // Every worker pushes once per step; none may be lost.
-  EXPECT_EQ(out.updates_applied, 2u * 40u);
+  // One worker per shard (config.workers + 1 of them), each pushing once
+  // per step; none may be lost.
+  EXPECT_EQ(out.updates_applied, 3u * 40u);
 }
 
-TEST(AsyncSgd, SingleWorkerDegeneratesToSerialLikeSgd) {
+TEST(AsyncSgd, OneWorkerConfigTrainsBothShards) {
+  // config.workers = 1 still splits the data into two shards, so two SGD
+  // workers push.
   const TrainerConfig cfg = config(1);
   const AsyncSgdOutcome out = train_sgd_async(cfg, options(80));
-  EXPECT_EQ(out.updates_applied, 80u);
+  EXPECT_EQ(out.updates_applied, 2u * 80u);
   EXPECT_LT(out.final_heldout_loss, 0.75 * untrained_loss(cfg));
 }
 

@@ -47,12 +47,13 @@ TEST(DistributedSgd, DeterministicAcrossRuns) {
 }
 
 TEST(DistributedSgd, EffectiveBatchScalesWithWorkers) {
+  // One rank per shard: config.workers + 1 ranks, 64 frames each.
   const DistributedSgdOutcome two =
       train_sgd_distributed(config(2), options());
   const DistributedSgdOutcome four =
       train_sgd_distributed(config(4), options());
-  EXPECT_EQ(two.effective_batch_frames, 128u);
-  EXPECT_EQ(four.effective_batch_frames, 256u);
+  EXPECT_EQ(two.effective_batch_frames, 192u);
+  EXPECT_EQ(four.effective_batch_frames, 320u);
 }
 
 TEST(DistributedSgd, CommunicationVolumeScalesWithUpdates) {

@@ -1,8 +1,9 @@
 // The paper's central accuracy claim, in its strongest testable form:
-// distributing HF training across workers changes *nothing* about the
-// optimization trajectory. SerialCompute folds shard sums in shard order;
-// MasterCompute folds gathered worker sums in rank order; given identical
-// shards the two are bitwise identical.
+// distributing HF training across ranks changes *nothing* about the
+// optimization trajectory. SerialCompute folds the sums of P shards in
+// shard order; the distributed run tree-reduces the partials of P
+// computing ranks (the master's own shard 0 in slot 0) in rank order;
+// given identical shards the two are bitwise identical.
 #include <gtest/gtest.h>
 
 #include "blas/dispatch.h"

@@ -7,15 +7,20 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "hf/fault_tolerance.h"
 #include "hf/master_compute.h"
+#include "hf/optimizer.h"
 #include "hf/protocol.h"
+#include "hf/serial_compute.h"
+#include "hf/speech_workload.h"
 #include "hf/trainer.h"
 #include "hf/worker.h"
+#include "simmpi/collective.h"
 #include "simmpi/communicator.h"
 #include "simmpi/fault.h"
 #include "util/config.h"
@@ -204,6 +209,100 @@ TEST(FaultTolerance, SurvivorReweightingIsExactMeanOverSurvivors) {
     } else {
       EXPECT_TRUE(excluded.empty());
     }
+  }
+}
+
+TEST(FaultTolerance, MasterFinishesOnItsOwnShardWhenEveryWorkerDies) {
+  // Both workers die at their first op (the config broadcast), so from the
+  // first reply deadline on the master is the whole job: every sum is rank
+  // 0's own and every mean divides by shard 0's frames alone. The run
+  // therefore equals serial training over shard 0, bitwise.
+  TrainerConfig cfg = base_config(2);
+  cfg.ft = fast_ft();
+  cfg.ft.reply_timeout = 0.25;
+  cfg.faults.kills.push_back({/*rank=*/1, /*after_ops=*/0});
+  cfg.faults.kills.push_back({/*rank=*/2, /*after_ops=*/0});
+  const TrainOutcome alone = train_distributed(cfg);
+  EXPECT_EQ(alone.excluded_workers, (std::vector<int>{1, 2}));
+  ASSERT_EQ(alone.hf.iterations.size(), cfg.hf.max_iterations);
+
+  Shards shards = build_shards(cfg);
+  const SpeechWorkloadOptions opts = make_workload_options(
+      cfg, shards.num_states, shards.advance_prob, nullptr);
+  std::vector<std::unique_ptr<Workload>> shard0;
+  shard0.push_back(std::make_unique<SpeechWorkload>(
+      shards.net, std::move(shards.train[0]), std::move(shards.heldout[0]),
+      0, opts));
+  SerialCompute serial(std::move(shard0));
+  std::vector<float> theta(shards.net.params().begin(),
+                           shards.net.params().end());
+  const HfResult expected = HfOptimizer(cfg.hf).run(serial, theta);
+  ASSERT_EQ(theta.size(), alone.theta.size());
+  for (std::size_t i = 0; i < theta.size(); ++i) {
+    ASSERT_EQ(theta[i], alone.theta[i]) << "param " << i;
+  }
+  EXPECT_EQ(expected.final_heldout_loss, alone.hf.final_heldout_loss);
+}
+
+TEST(FaultTolerance, SurvivorMeansCountTheMastersFrames) {
+  // Rank 0 trains on a real shard; workers 1 and 2 are stubs with 10
+  // frames of gradient 0.5 and 30 of 1.5. The master's frames stay in
+  // every denominator: alive, the mean folds all three partials in rank
+  // order; with worker 2 dead, rank 0's and worker 1's.
+  TrainerConfig cfg = base_config(2);
+  Shards shards = build_shards(cfg);
+  const std::size_t n = shards.net.num_params();
+  const std::size_t f0 = shards.train[0].num_frames();
+  SpeechWorkload own(shards.net, shards.train[0], shards.heldout[0], 0,
+                     make_workload_options(cfg, shards.num_states,
+                                           shards.advance_prob, nullptr));
+  std::vector<float> g0(n, 0.0f);
+  const nn::BatchLoss own_loss = own.gradient(g0);
+  ASSERT_EQ(own_loss.frames, f0);
+  auto stub_sum = [&](float g, std::size_t frames) {
+    return std::vector<float>(n, g * static_cast<float>(frames));
+  };
+  for (const bool kill_worker2 : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "kill worker 2: " << kill_worker2);
+    simmpi::PairwiseFold<float> fold;
+    fold.push(g0);
+    fold.push(stub_sum(0.5f, 10));
+    if (!kill_worker2) fold.push(stub_sum(1.5f, 30));
+    std::vector<float> expected = fold.finish();
+    const std::size_t frames = f0 + 10 + (kill_worker2 ? 0 : 30);
+    const float inv = 1.0f / static_cast<float>(frames);
+    for (auto& v : expected) v *= inv;
+
+    simmpi::World world(3);
+    FtOptions ft = fast_ft();
+    ft.reply_timeout = 0.25;
+    std::vector<float> grad(n, 0.0f);
+    std::atomic<std::size_t> got_frames{0};
+    std::vector<int> excluded;
+    simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
+      if (comm.rank() == 0) {
+        distribute_shards(comm, cfg, shards, nullptr);
+        MasterCompute compute(comm, n, shards.total_train_frames, nullptr,
+                              ft);
+        compute.set_params(shards.net.params());
+        got_frames = compute.gradient(grad).frames;
+        excluded = compute.excluded_workers();
+        compute.shutdown();
+        return;
+      }
+      std::vector<std::uint64_t> blob;
+      comm.bcast(blob, 0);  // the config blob; the shard stays unread
+      if (comm.rank() == 2 && kill_worker2) return;  // silent death
+      StubWorkload workload(n, comm.rank() == 1 ? 10 : 30,
+                            comm.rank() == 1 ? 0.5f : 1.5f);
+      worker_loop(comm, workload, nullptr, ft);
+    });
+    EXPECT_EQ(got_frames.load(), frames);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(grad[i], expected[i]) << "i=" << i;
+    }
+    EXPECT_EQ(excluded,
+              kill_worker2 ? std::vector<int>{2} : std::vector<int>{});
   }
 }
 
@@ -409,14 +508,15 @@ TEST(FaultSweep, KillEachWorkerAtThreeOpCounts) {
 }
 
 TEST(FaultSweep, DroppedBroadcastIsReplayedWithoutExclusion) {
-  // The master's sends after startup (2 config-bcast sends, 18 shard
-  // sends) are broadcasts of 2 sends each, to worker 2 then worker 1.
-  // Sends 40 and 41 carry the second CG vector to worker 2 and to worker
-  // 1; drop one. The starved workers rejoin the shrink, so nobody is
+  // The master's sends after startup (2 config-bcast sends, the config
+  // and shard 0 to itself, 18 shard sends to the workers: 27 in all) are
+  // broadcasts of 2 sends each, to worker 2 then worker 1. Sends 47 and
+  // 48 carry the second CG vector to worker 2 and to worker 1; drop one.
+  // The starved workers rejoin the shrink, so nobody is
   // excluded and the re-run reproduces the clean trajectory.
   const TrainerConfig cfg = sweep_config();
   const TrainOutcome clean = train_distributed(cfg);
-  for (const std::size_t index : {40u, 41u}) {
+  for (const std::size_t index : {47u, 48u}) {
     SCOPED_TRACE(testing::Message() << "master send " << index);
     TrainerConfig faulty = cfg;
     faulty.faults.drop_sends.push_back({0, index});
@@ -428,11 +528,11 @@ TEST(FaultSweep, CorruptPayloads) {
   const TrainerConfig cfg = sweep_config();
   const TrainOutcome clean = train_distributed(cfg);
   {
-    // Even master send indices past startup go to worker 2, which
-    // withdraws rather than use (or relay) the corrupt payload; send 40 is
+    // Odd master send indices past startup go to worker 2, which
+    // withdraws rather than use (or relay) the corrupt payload; send 47 is
     // the second CG vector.
     TrainerConfig faulty = cfg;
-    faulty.faults.corrupt_sends.push_back({0, 40});
+    faulty.faults.corrupt_sends.push_back({0, 47});
     expect_recovers(faulty, clean, {2});
   }
   {

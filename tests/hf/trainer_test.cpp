@@ -26,9 +26,10 @@ TrainerConfig small_config(int workers) {
 }
 
 TEST(BuildShards, ShardCountsMatchWorkers) {
+  // One shard per rank: the workers and the master.
   const Shards shards = build_shards(small_config(3));
-  EXPECT_EQ(shards.train.size(), 3u);
-  EXPECT_EQ(shards.heldout.size(), 3u);
+  EXPECT_EQ(shards.train.size(), 4u);
+  EXPECT_EQ(shards.heldout.size(), 4u);
 }
 
 TEST(BuildShards, TrainFramesSumToCorpusMinusHeldout) {
@@ -112,6 +113,30 @@ TEST(Trainer, PhaseStatsPopulatedByDistributedRun) {
     EXPECT_EQ(w.calls(Phase::kShutdown), 1u);
     EXPECT_GT(w.total_seconds(), 0.0);
   }
+}
+
+TEST(Trainer, MasterTrainsOnShardZeroBesideALoneWorker) {
+  // workers = 1 is a two-rank job over two shards: the lone worker holds
+  // only shard 1, so matching serial training over both shards bitwise
+  // means rank 0 computed shard 0's share of every primitive.
+  TrainerConfig cfg = small_config(1);
+  const Shards shards = build_shards(cfg);
+  ASSERT_EQ(shards.train.size(), 2u);
+  EXPECT_GT(shards.train[0].num_frames(), 0u);
+  EXPECT_LT(shards.train[1].num_frames(),
+            shards.total_train_frames * 6 / 10);
+
+  const TrainOutcome serial = train_serial(cfg);
+  const TrainOutcome distributed = train_distributed(cfg);
+  ASSERT_EQ(serial.theta.size(), distributed.theta.size());
+  for (std::size_t i = 0; i < serial.theta.size(); ++i) {
+    ASSERT_EQ(serial.theta[i], distributed.theta[i]) << "param " << i;
+  }
+  EXPECT_EQ(serial.hf.final_heldout_loss, distributed.hf.final_heldout_loss);
+  EXPECT_GT(distributed.master_phases.seconds(Phase::kGradient), 0.0);
+  ASSERT_EQ(distributed.worker_phases.size(), 1u);
+  EXPECT_EQ(distributed.worker_phases[0].calls(Phase::kGradient),
+            distributed.master_phases.calls(Phase::kGradient));
 }
 
 TEST(Trainer, SerialRunLeavesPhaseStatsEmpty) {
