@@ -100,8 +100,8 @@ Entry run_sgd() {
   opts.epochs = 8;
   util::Timer t;
   const auto result =
-      hf::train_sgd(net, bench::concat_shards(shards.train),
-                    bench::concat_shards(shards.heldout), opts, nullptr);
+      hf::train_sgd(net, speech::concat_datasets(shards.train),
+                    speech::concat_datasets(shards.heldout), opts, nullptr);
   return {"mini-batch SGD", result.final_heldout_loss,
           result.final_heldout_accuracy, t.seconds(), "8 epochs"};
 }

@@ -50,8 +50,8 @@ int main() {
   sgd_opts.batch_frames = 256;
   util::Timer sgd_timer;
   const hf::SgdResult sgd_out =
-      hf::train_sgd(sgd_net, concat_shards(shards.train),
-                    concat_shards(shards.heldout), sgd_opts, nullptr);
+      hf::train_sgd(sgd_net, speech::concat_datasets(shards.train),
+                    speech::concat_datasets(shards.heldout), sgd_opts, nullptr);
   const double sgd_seconds = sgd_timer.seconds();
 
   util::Table measured({"optimizer", "final held-out CE", "accuracy",

@@ -65,8 +65,7 @@ struct CompressedRun {
 // heavy-tailed (product of four uniforms — log-gamma, like real gradient
 // entries); uniform-magnitude data would make every entry equally urgent
 // and the transient ship-everything phase very long.
-CompressedRun time_compressed_allreduce(int ranks, std::size_t floats,
-                                        simmpi::CompressMode mode) {
+CompressedRun time_compressed_allreduce(int ranks, std::size_t floats) {
   // Even rep counts: the threshold controller settles into a small
   // period-2 limit cycle, so averaging over full periods keeps the
   // reported wire volume stable.
@@ -78,7 +77,7 @@ CompressedRun time_compressed_allreduce(int ranks, std::size_t floats,
   std::vector<std::size_t> wire(static_cast<std::size_t>(ranks), 0);
   simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
     simmpi::CompressOptions opts;
-    opts.mode = mode;  // default topk_fraction / chunk_values
+    opts.mode = simmpi::CompressMode::kTopK;  // default topk_fraction
     simmpi::CompressState state;
     std::vector<float> fresh(floats);
     std::uint64_t s =
@@ -212,26 +211,18 @@ int run_json() {
   // did the global sum arrive", not "how many bytes moved".
   double gate_speedup = -1.0;  // negative: the gate cell was not run
   struct Cell {
-    simmpi::CompressMode mode;
     int ranks;
     std::size_t floats;
   };
   const Cell cells[] = {
-      {simmpi::CompressMode::kTopK, 4, 1'000'000},
-      {simmpi::CompressMode::kTopK, 16, 1'000'000},
-      {simmpi::CompressMode::kTopK, 64, 1'000'000},
-      {simmpi::CompressMode::kTopK, 4, 40'000'000},
-      {simmpi::CompressMode::kTopK, 16, 40'000'000},
-      {simmpi::CompressMode::kTopK, 64, 40'000'000},
-      {simmpi::CompressMode::kOneBit, 4, 1'000'000},
-      {simmpi::CompressMode::kOneBit, 16, 1'000'000},
-      {simmpi::CompressMode::kOneBit, 64, 1'000'000},
+      {4, 1'000'000},  {16, 1'000'000},  {64, 1'000'000},
+      {4, 40'000'000}, {16, 40'000'000}, {64, 40'000'000},
   };
   for (const Cell& c : cells) {
     std::printf(
-        ",\n    {\"op\": \"compressed_allreduce\", \"mode\": \"%s\", "
+        ",\n    {\"op\": \"compressed_allreduce\", \"mode\": \"topk\", "
         "\"ranks\": %d, \"floats\": %zu, ",
-        simmpi::to_string(c.mode), c.ranks, c.floats);
+        c.ranks, c.floats);
     std::string skip = too_big(c.ranks, c.floats, kLiveCopiesCompressed);
     const auto base = exact.find({c.ranks, c.floats});
     if (skip.empty() && base == exact.end()) {
@@ -242,14 +233,10 @@ int run_json() {
       std::fflush(stdout);
       continue;
     }
-    const CompressedRun r =
-        time_compressed_allreduce(c.ranks, c.floats, c.mode);
+    const CompressedRun r = time_compressed_allreduce(c.ranks, c.floats);
     const double mb = c.floats * sizeof(float) / 1048576.0;
     const double speedup = base->second / r.seconds;
-    if (c.mode == simmpi::CompressMode::kTopK && c.ranks == 64 &&
-        c.floats == 40'000'000) {
-      gate_speedup = speedup;
-    }
+    if (c.ranks == 64 && c.floats == 40'000'000) gate_speedup = speedup;
     std::printf(
         "\"seconds_per_call\": %.6g, \"effective_mb_per_s\": %.1f, "
         "\"wire_mb_per_call\": %.2f, \"compression_ratio\": %.1f, "

@@ -18,28 +18,6 @@
 
 namespace bgqhf::bench {
 
-/// `parts` (build_shards' per-rank shards) as one dataset, in shard
-/// order: the whole training or held-out set, for the single-dataset
-/// serial baselines.
-inline speech::Dataset concat_shards(const std::vector<speech::Dataset>& parts) {
-  std::size_t rows = 0;
-  for (const auto& p : parts) rows += p.num_frames();
-  speech::Dataset all;
-  all.x = blas::Matrix<float>(rows, parts.front().x.cols());
-  all.offsets.push_back(0);
-  std::size_t at = 0;
-  for (const auto& p : parts) {
-    std::copy(p.x.data(), p.x.data() + p.x.size(),
-              all.x.data() + at * all.x.cols());
-    all.labels.insert(all.labels.end(), p.labels.begin(), p.labels.end());
-    for (std::size_t u = 1; u < p.offsets.size(); ++u) {
-      all.offsets.push_back(at + p.offsets[u]);
-    }
-    at += p.num_frames();
-  }
-  return all;
-}
-
 struct ConfigTriple {
   int ranks;
   int ranks_per_node;

@@ -4,8 +4,8 @@
 //
 // The world's K*(workers+1) ranks partition into K populations via
 // simmpi::Comm::split; each population is a full master/worker HF trainer
-// (every collective, compression, overlap, and FT path runs unchanged
-// inside its sub-communicator) with seeded-perturbed hyperparameters.
+// (every collective, compression, and FT path runs unchanged inside its
+// sub-communicator) with seeded-perturbed hyperparameters.
 // Every `round_iters` outer HF iterations the population masters pause,
 // replay the same seeded TournamentSchedule, and exchange held-out CE +
 // weights with their bracket partner over the CRC'd weights-only

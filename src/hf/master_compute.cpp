@@ -189,7 +189,7 @@ nn::BatchLoss MasterCompute::gradient_impl(std::span<float> grad_out,
   const bool squares = grad_sq_out.data() != nullptr;
   const nn::BatchLoss total = run([&] {
     broadcast_command(Command::kGradient, /*aux=*/squares ? 1 : 0);
-    return share_.gradient(squares, grad_out, grad_sq_out, nullptr);
+    return share_.gradient(squares, grad_out, grad_sq_out);
   });
   if (total.frames == 0) {
     throw std::runtime_error(

@@ -51,9 +51,9 @@ class MasterCompute : public HfCompute {
   ///
   /// `agg` + `segment_bounds` select the gradient-aggregation path; they
   /// must match every worker's (the trainer derives both from one config).
-  /// When `agg` is active the gradient collectives run per segment over
-  /// async-reduce streams, compressed when BGQHF_COMPRESS is on; bounds
-  /// default to one whole-vector segment. Rejected under FT
+  /// When BGQHF_COMPRESS is on the gradient collectives run as one
+  /// blocking compressed reduce per segment; bounds default to one
+  /// whole-vector segment. Rejected under FT
   /// (util::ConfigError): a re-run primitive must recompute the same exact
   /// sums.
   MasterCompute(simmpi::Comm& comm, std::size_t num_params,

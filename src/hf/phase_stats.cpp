@@ -50,18 +50,6 @@ obs::HistogramId PhaseStats::handle(Phase phase) {
   return handles[static_cast<std::size_t>(phase)];
 }
 
-obs::CounterId PhaseStats::segments_total_id() {
-  static const obs::CounterId id =
-      obs::Schema::global().counter("hf.aggregate.segments_total");
-  return id;
-}
-
-obs::CounterId PhaseStats::segments_overlapped_id() {
-  static const obs::CounterId id =
-      obs::Schema::global().counter("hf.aggregate.segments_overlapped");
-  return id;
-}
-
 double PhaseStats::total_seconds() const {
   double total = 0.0;
   for (std::size_t i = 0; i < kNumPhases; ++i) {

@@ -52,28 +52,6 @@ class PhaseStats {
 
   double total_seconds() const;
 
-  /// Overlapped-aggregation accounting ("hf.aggregate.segments_*"
-  /// counters): `total` gradient segments were aggregated, of which
-  /// `overlapped` were started while backprop was still running.
-  void add_segments(std::size_t total, std::size_t overlapped) {
-    registry_.add(segments_total_id(), total);
-    registry_.add(segments_overlapped_id(), overlapped);
-  }
-  std::size_t segments_total() const {
-    return registry_.counter(segments_total_id());
-  }
-  std::size_t segments_overlapped() const {
-    return registry_.counter(segments_overlapped_id());
-  }
-  /// Fraction of aggregated segments whose collective overlapped compute
-  /// (0 when aggregation never ran segmented).
-  double overlap_fraction() const {
-    const std::size_t total = segments_total();
-    return total == 0 ? 0.0
-                      : static_cast<double>(segments_overlapped()) /
-                            static_cast<double>(total);
-  }
-
   PhaseStats& operator+=(const PhaseStats& o) {
     registry_ += o.registry_;
     return *this;
@@ -85,8 +63,6 @@ class PhaseStats {
 
  private:
   static obs::HistogramId handle(Phase phase);
-  static obs::CounterId segments_total_id();
-  static obs::CounterId segments_overlapped_id();
   obs::Registry registry_;
 };
 

@@ -25,10 +25,8 @@ class SerialCompute : public HfCompute {
   /// `agg` mirrors the distributed aggregation arithmetic: with
   /// compression on, each (shard, segment) pair gets the same persistent
   /// error-feedback CompressState its rank would hold and blobs fold in
-  /// the same rank order,
-  /// so compressed serial == compressed distributed stays bitwise. The
-  /// overlap flag is ignored — it only changes *when* collectives start,
-  /// never their arithmetic.
+  /// the same rank order, so compressed serial == compressed distributed
+  /// stays bitwise.
   explicit SerialCompute(std::vector<std::unique_ptr<Workload>> shards,
                          AggregationOptions agg = {});
 

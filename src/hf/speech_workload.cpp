@@ -1,7 +1,6 @@
 #include "hf/speech_workload.h"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 #include "hf/aggregate.h"
@@ -35,12 +34,7 @@ std::vector<std::size_t> SpeechWorkload::segment_bounds() const {
 }
 
 nn::BatchLoss SpeechWorkload::gradient(std::span<float> grad_accum) {
-  return gradient_impl(grad_accum, {}, nullptr);
-}
-
-nn::BatchLoss SpeechWorkload::gradient(std::span<float> grad_accum,
-                                       GradientSink* sink) {
-  return gradient_impl(grad_accum, {}, sink);
+  return gradient_impl(grad_accum, {});
 }
 
 nn::BatchLoss SpeechWorkload::gradient_with_squares(
@@ -49,12 +43,11 @@ nn::BatchLoss SpeechWorkload::gradient_with_squares(
     throw std::invalid_argument(
         "gradient_with_squares: squares accumulator size mismatch");
   }
-  return gradient_impl(grad_accum, grad_sq_accum, nullptr);
+  return gradient_impl(grad_accum, grad_sq_accum);
 }
 
 nn::BatchLoss SpeechWorkload::gradient_impl(std::span<float> grad,
-                                            std::span<float> grad_sq,
-                                            GradientSink* sink) {
+                                            std::span<float> grad_sq) {
   if (grad.size() != net_.num_params()) {
     throw std::invalid_argument("gradient: accumulator size mismatch");
   }
@@ -62,8 +55,8 @@ nn::BatchLoss SpeechWorkload::gradient_impl(std::span<float> grad,
     batch_scratch_.assign(net_.num_params(), 0.0f);
   }
   return options_.criterion == Criterion::kCrossEntropy
-             ? gradient_ce(grad, grad_sq, sink)
-             : gradient_sequence(grad, grad_sq, sink);
+             ? gradient_ce(grad, grad_sq)
+             : gradient_sequence(grad, grad_sq);
 }
 
 void SpeechWorkload::fold_batch(std::span<float> grad,
@@ -84,22 +77,8 @@ blas::MatrixView<float> SpeechWorkload::PassBuffers::out_rows(
   return out.view().block(0, 0, rows, cols);
 }
 
-namespace {
-
-// Layer-completion hook for the final batch: segments are layers, so the
-// layer index from accumulate_gradient IS the segment index.
-std::function<void(std::size_t)> make_layer_done(GradientSink* sink,
-                                                 bool squares,
-                                                 bool final_batch) {
-  if (sink == nullptr || squares || !final_batch) return {};
-  return [sink](std::size_t l) { sink->segment_ready(l); };
-}
-
-}  // namespace
-
 nn::BatchLoss SpeechWorkload::gradient_ce(std::span<float> grad,
-                                          std::span<float> grad_sq,
-                                          GradientSink* sink) {
+                                          std::span<float> grad_sq) {
   nn::BatchLoss total;
   const bool squares = !grad_sq.empty();
   PassBuffers buf;
@@ -117,15 +96,14 @@ nn::BatchLoss SpeechWorkload::gradient_ce(std::span<float> grad,
     nn::accumulate_gradient(
         net_, x, buf.cache, delta,
         squares ? std::span<float>(batch_scratch_) : grad, buf.scratch,
-        options_.pool, make_layer_done(sink, squares, begin + count == frames));
+        options_.pool);
     if (squares) fold_batch(grad, grad_sq);
   }
   return total;
 }
 
 nn::BatchLoss SpeechWorkload::gradient_sequence(std::span<float> grad,
-                                                std::span<float> grad_sq,
-                                                GradientSink* sink) {
+                                                std::span<float> grad_sq) {
   nn::BatchLoss total;
   const bool squares = !grad_sq.empty();
   PassBuffers buf;
@@ -139,7 +117,7 @@ nn::BatchLoss SpeechWorkload::gradient_sequence(std::span<float> grad,
     nn::accumulate_gradient(
         net_, x, buf.cache, delta,
         squares ? std::span<float>(batch_scratch_) : grad, buf.scratch,
-        options_.pool, make_layer_done(sink, squares, u + 1 == num_utts));
+        options_.pool);
     if (squares) fold_batch(grad, grad_sq);
   }
   return total;

@@ -49,14 +49,12 @@ class SpeechWorkload : public Workload {
   std::size_t num_params() const override { return net_.num_params(); }
   std::size_t train_frames() const override { return train_.num_frames(); }
 
-  /// One segment per layer ([W_l, b_l]), so the aggregation layer can ship
-  /// layer l while backprop is still retiring the layers below it.
+  /// One segment per layer ([W_l, b_l]), so compressed aggregation keeps
+  /// one error-feedback state per layer.
   std::vector<std::size_t> segment_bounds() const override;
 
   void set_params(std::span<const float> theta) override;
   nn::BatchLoss gradient(std::span<float> grad_accum) override;
-  nn::BatchLoss gradient(std::span<float> grad_accum,
-                         GradientSink* sink) override;
   nn::BatchLoss gradient_with_squares(
       std::span<float> grad_accum, std::span<float> grad_sq_accum) override;
   void prepare_curvature(std::uint64_t seed) override;
@@ -92,16 +90,11 @@ class SpeechWorkload : public Workload {
     blas::Matrix<float> probs;        // softmax probs (CE) or gamma (seq)
   };
 
-  // grad_sq may be empty (squares disabled). The sink, when non-null, is
-  // fired per layer during the *final* batch's backprop (non-squares path
-  // only — the squares staging buffer breaks the segment-final property).
-  nn::BatchLoss gradient_impl(std::span<float> grad, std::span<float> grad_sq,
-                              GradientSink* sink);
-  nn::BatchLoss gradient_ce(std::span<float> grad, std::span<float> grad_sq,
-                            GradientSink* sink);
+  // grad_sq may be empty (squares disabled).
+  nn::BatchLoss gradient_impl(std::span<float> grad, std::span<float> grad_sq);
+  nn::BatchLoss gradient_ce(std::span<float> grad, std::span<float> grad_sq);
   nn::BatchLoss gradient_sequence(std::span<float> grad,
-                                  std::span<float> grad_sq,
-                                  GradientSink* sink);
+                                  std::span<float> grad_sq);
   nn::BatchLoss loss_only(const speech::Dataset& ds);
   /// Accumulate scratch into grad (and scratch^2 into grad_sq), then zero
   /// scratch for the next batch.

@@ -84,9 +84,9 @@ struct TrainerConfig {
   /// When non-empty, load this checkpoint (written via hf.checkpoint_path)
   /// and resume training from its completed iteration.
   std::string resume_from;
-  /// Gradient aggregation: compression codec + per-layer overlap. Defaults
-  /// pick up BGQHF_COMPRESS* / BGQHF_OVERLAP so every driver honours the
-  /// knobs; serial and distributed runs mirror the same arithmetic.
+  /// Gradient aggregation: the compression codec. Defaults pick up
+  /// BGQHF_COMPRESS* / BGQHF_PRECISION so every driver honours the knobs;
+  /// serial and distributed runs mirror the same arithmetic.
   /// Must be inactive when ft.enabled (a re-run primitive needs exact
   /// sums): distributed training rejects the pair with util::ConfigError.
   AggregationOptions aggregation = AggregationOptions::from_env();

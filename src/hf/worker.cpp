@@ -56,11 +56,8 @@ ShardContribution::ShardContribution(simmpi::Comm& comm, Workload& workload,
   if (bounds_.front() != 0 || bounds_.back() != n) {
     throw std::invalid_argument("ShardContribution: bad segment bounds");
   }
-  check_stream_capacity(bounds_.size() - 1);
-  if (agg_.compress.active()) {
-    grad_states_.resize(bounds_.size() - 1);
-    sq_states_.resize(bounds_.size() - 1);
-  }
+  grad_states_.resize(bounds_.size() - 1);
+  sq_states_.resize(bounds_.size() - 1);
   grad_carrier_.assign(n, 0.0f);
   sq_carrier_.assign(n, 0.0f);
 }
@@ -87,39 +84,36 @@ nn::BatchLoss ShardContribution::reduce_loss(const nn::BatchLoss& mine) {
   return total;
 }
 
+void ShardContribution::reduce_compressed(
+    std::vector<float>& carrier, std::span<float> out,
+    std::vector<simmpi::CompressState>& states) {
+  for (std::size_t s = 0; s + 1 < bounds_.size(); ++s) {
+    const std::size_t off = bounds_[s];
+    const std::size_t len = bounds_[s + 1] - off;
+    simmpi::compressed_reduce_sum(
+        comm_, std::span<float>(carrier).subspan(off, len),
+        out.empty() ? std::span<float>{} : out.subspan(off, len), 0,
+        agg_.compress, states[s]);
+  }
+}
+
 nn::BatchLoss ShardContribution::gradient(bool squares,
                                           std::span<float> grad_out,
-                                          std::span<float> sq_out,
-                                          PhaseStats* stats) {
+                                          std::span<float> sq_out) {
   const std::size_t n = workload_.num_params();
   if (agg_.active()) {
-    // Segmented path: per-layer nonblocking reduces (compressed when
-    // BGQHF_COMPRESS is on). Under compression the carriers are NOT
-    // zeroed — they hold the error-feedback residual, and the workload
-    // accumulates the fresh gradient on top of it.
-    const bool comp = agg_.compress.active();
-    const simmpi::CompressOptions* copts = comp ? &agg_.compress : nullptr;
-    const std::size_t nseg = bounds_.size() - 1;
-    if (!comp) std::fill(grad_carrier_.begin(), grad_carrier_.end(), 0.0f);
-    SegmentSender grad_sink(comm_, grad_carrier_, grad_out, bounds_, 0, 0,
-                            copts, comp ? &grad_states_ : nullptr);
-    nn::BatchLoss loss;
+    // Compressed path, one blocking reduce per layer segment. The carriers
+    // are NOT zeroed: they hold the error-feedback residual, and the
+    // workload accumulates the fresh gradient on top of it.
     if (!squares) {
-      loss = workload_.gradient(
-          grad_carrier_,
-          agg_.overlap ? static_cast<GradientSink*>(&grad_sink) : nullptr);
-      const std::size_t overlapped = grad_sink.flush();
-      if (stats != nullptr) stats->add_segments(nseg, overlapped);
-    } else {
-      if (!comp) std::fill(sq_carrier_.begin(), sq_carrier_.end(), 0.0f);
-      loss = workload_.gradient_with_squares(grad_carrier_, sq_carrier_);
-      SegmentSender sq_sink(comm_, sq_carrier_, sq_out, bounds_, 0,
-                            static_cast<int>(nseg), copts,
-                            comp ? &sq_states_ : nullptr);
-      grad_sink.flush();
-      sq_sink.flush();
-      if (stats != nullptr) stats->add_segments(2 * nseg, 0);
+      const nn::BatchLoss loss = workload_.gradient(grad_carrier_);
+      reduce_compressed(grad_carrier_, grad_out, grad_states_);
+      return reduce_loss(loss);
     }
+    const nn::BatchLoss loss =
+        workload_.gradient_with_squares(grad_carrier_, sq_carrier_);
+    reduce_compressed(grad_carrier_, grad_out, grad_states_);
+    reduce_compressed(sq_carrier_, sq_out, sq_states_);
     return reduce_loss(loss);
   }
   scratch_.assign(n, 0.0f);  // a failed reduce may have consumed it
@@ -224,7 +218,7 @@ void worker_loop(simmpi::Comm& parent, Workload& workload, PhaseStats* stats,
         case Command::kGradient:
           // aux == 1: the master also wants squared-gradient sums for the
           // Jacobi preconditioner.
-          share.gradient(header[1] != 0, {}, {}, stats);
+          share.gradient(header[1] != 0, {}, {});
           stamp(Phase::kGradient, timer);
           break;
         case Command::kPrepareCurvature:

@@ -34,17 +34,16 @@ class ShardContribution {
  public:
   /// `comm` and `workload` must outlive this object; `comm` may be
   /// reassigned (a shrink) between calls. `bounds` are the gradient
-  /// segments for an active `agg` (empty = one whole-vector segment) and
+  /// segments for compressed `agg` (empty = one whole-vector segment) and
   /// must match every rank's; the scratch, carriers and error-feedback
   /// states are allocated here, once.
   ShardContribution(simmpi::Comm& comm, Workload& workload, FtOptions ft,
                     AggregationOptions agg, std::vector<std::size_t> bounds);
 
   /// Gradient sums (and, with `squares`, squared-gradient sums for the
-  /// Jacobi preconditioner), then the loss stats. `stats`, when given,
-  /// counts the segments sent and how many of them overlapped backprop.
+  /// Jacobi preconditioner), then the loss stats.
   nn::BatchLoss gradient(bool squares, std::span<float> grad_out,
-                         std::span<float> sq_out, PhaseStats* stats);
+                         std::span<float> sq_out);
   /// Draw the curvature sample; the root gets every rank's sample frames
   /// in rank order (gathered, not summed, so a rank lost mid-CG can leave
   /// the product denominator exactly).
@@ -57,6 +56,10 @@ class ShardContribution {
   /// Exact blocking reduce of `partial`; on the root the total is copied
   /// into `out`.
   void reduce(std::vector<float>& partial, std::span<float> out);
+  /// Compressed blocking reduce of `carrier`, one collective per segment
+  /// through that segment's state; on the root the totals land in `out`.
+  void reduce_compressed(std::vector<float>& carrier, std::span<float> out,
+                         std::vector<simmpi::CompressState>& states);
   nn::BatchLoss reduce_loss(const nn::BatchLoss& mine);
 
   simmpi::Comm& comm_;
@@ -66,10 +69,10 @@ class ShardContribution {
   std::vector<std::size_t> bounds_;
   std::vector<float> scratch_;
   std::vector<float> sq_scratch_;
-  // Segmented-aggregation state. The carriers are separate from the
-  // scratch because under compression they hold the error-feedback
-  // residual between gradient calls, which the curvature path re-zeroing
-  // the scratch must not wipe.
+  // Compressed-aggregation state. The carriers are separate from the
+  // scratch because they hold the error-feedback residual between
+  // gradient calls, which the curvature path re-zeroing the scratch must
+  // not wipe.
   std::vector<float> grad_carrier_;
   std::vector<float> sq_carrier_;
   std::vector<simmpi::CompressState> grad_states_;
@@ -91,10 +94,10 @@ class ShardContribution {
 /// revoke by another rank makes it join the shrink and serve on among the
 /// survivors.
 ///
-/// `agg` selects the gradient-aggregation path: when active (compressed
-/// and/or overlapped) the gradient replies become per-layer-segment
-/// nonblocking reduces, with one error-feedback CompressState per segment
-/// persisted across calls. Must match the master's options. Rejected under
+/// `agg` selects the gradient-aggregation path: when compressed the
+/// gradient replies become per-layer-segment blocking compressed reduces,
+/// with one error-feedback CompressState per segment persisted across
+/// calls. Must match the master's options. Rejected under
 /// FT (util::ConfigError): a re-run primitive must recompute the same
 /// exact sums, which error-feedback residuals would not.
 void worker_loop(simmpi::Comm& comm, Workload& workload,

@@ -15,20 +15,6 @@
 
 namespace bgqhf::hf {
 
-/// Callback the aggregation layer hands to Workload::gradient so segments
-/// of the accumulator whose gradient is already final can be shipped while
-/// the rest of backprop is still running (overlapped collectives).
-class GradientSink {
- public:
-  virtual ~GradientSink() = default;
-
-  /// Segment `s` of segment_bounds() is final for this gradient() call:
-  /// the workload will not touch [bounds[s], bounds[s+1]) again before
-  /// returning. Called at most once per segment; segments never announced
-  /// are simply final when gradient() returns.
-  virtual void segment_ready(std::size_t s) = 0;
-};
-
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -38,8 +24,8 @@ class Workload {
 
   /// Boundaries of independently aggregatable slices of the flat gradient
   /// (size = #segments + 1, first 0, last num_params()). The default is
-  /// one segment; layered models expose one segment per layer so
-  /// aggregation can start per layer as backprop retires it.
+  /// one segment; layered models expose one segment per layer, each with
+  /// its own error-feedback state under compressed aggregation.
   virtual std::vector<std::size_t> segment_bounds() const {
     return {0, num_params()};
   }
@@ -51,15 +37,6 @@ class Workload {
   /// grad_accum += d(sum train loss)/d(theta); returns summed loss stats
   /// over the local training shard.
   virtual nn::BatchLoss gradient(std::span<float> grad_accum) = 0;
-
-  /// Overlap-aware variant: when `sink` is non-null the workload may
-  /// announce finished segments early (during the final batch's backprop).
-  /// Default ignores the sink — every segment is final at return.
-  virtual nn::BatchLoss gradient(std::span<float> grad_accum,
-                                 GradientSink* sink) {
-    (void)sink;
-    return gradient(grad_accum);
-  }
 
   /// Like gradient(), additionally accumulating the element-wise square of
   /// every batch's gradient contribution into grad_sq_accum — the

@@ -11,8 +11,7 @@ void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
                          const ForwardCache& cache,
                          blas::ConstMatrixView<float> delta_out,
                          std::span<float> grad, ForwardScratch& scratch,
-                         util::ThreadPool* pool,
-                         const std::function<void(std::size_t)>& layer_done) {
+                         util::ThreadPool* pool) {
   const std::size_t L = net.num_layers();
   if (cache.acts.size() != L) {
     throw std::invalid_argument("accumulate_gradient: bad cache");
@@ -31,9 +30,6 @@ void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
     // dW_l += delta^T (N x out) * a_prev (N x in)  -> out x in
     blas::gemm<float>(blas::Trans::kYes, blas::Trans::kNo, 1.0f, delta,
                       a_prev, 1.0f, gl.w, pool);
-    // db_l was finalized before this GEMM (standalone sweep for the loss
-    // layer, previous step's epilogue otherwise), so [W_l, b_l] is done.
-    if (layer_done) layer_done(l);
     if (l == 0) break;
 
     // delta_{l-1} = (delta * W_l) .* act'(a_{l-1}), with the derivative
@@ -57,12 +53,10 @@ void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
 void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
                          const ForwardCache& cache,
                          blas::Matrix<float>&& delta_out,
-                         std::span<float> grad, util::ThreadPool* pool,
-                         const std::function<void(std::size_t)>& layer_done) {
+                         std::span<float> grad, util::ThreadPool* pool) {
   const blas::Matrix<float> delta = std::move(delta_out);
   ForwardScratch scratch;
-  accumulate_gradient(net, x, cache, delta.view(), grad, scratch, pool,
-                      layer_done);
+  accumulate_gradient(net, x, cache, delta.view(), grad, scratch, pool);
 }
 
 }  // namespace bgqhf::nn

@@ -6,7 +6,6 @@
 // delta * W), which is where the paper's tuned SGEMM earns its keep.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "blas/matrix.h"
@@ -22,26 +21,17 @@ namespace bgqhf::nn {
 ///   grad       flat vector, Network parameter layout
 ///   scratch    holds the deltas propagated to the hidden layers, so a
 ///              long-lived one makes steady-state batches allocate nothing
-///   layer_done fired with l right after layer l's [W_l, b_l] slice of
-///              `grad` receives its final write for this batch (b_l lands
-///              one step earlier via the fused epilogue); descending layer
-///              order. Lets the aggregation layer ship layer l while the
-///              GEMMs for layers below are still running.
 void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
                          const ForwardCache& cache,
                          blas::ConstMatrixView<float> delta_out,
                          std::span<float> grad, ForwardScratch& scratch,
-                         util::ThreadPool* pool = nullptr,
-                         const std::function<void(std::size_t)>& layer_done =
-                             {});
+                         util::ThreadPool* pool = nullptr);
 
 /// The same with a call-local scratch; `delta_out` is consumed.
 void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
                          const ForwardCache& cache,
                          blas::Matrix<float>&& delta_out,
                          std::span<float> grad,
-                         util::ThreadPool* pool = nullptr,
-                         const std::function<void(std::size_t)>& layer_done =
-                             {});
+                         util::ThreadPool* pool = nullptr);
 
 }  // namespace bgqhf::nn

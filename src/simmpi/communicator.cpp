@@ -160,14 +160,6 @@ Message Comm::receive(int source, int tag, const Deadline& dl, bool p2p) {
   return std::move(*m);
 }
 
-std::optional<Message> Comm::try_receive(int source, int tag) {
-  check_live();
-  std::optional<Message> m = world_->mailbox(world_rank_).try_pop(
-      translate_source(source), tag, group_->context);
-  if (m.has_value()) verify(*m);
-  return m;
-}
-
 void Comm::barrier(const Deadline& dl) {
   BGQHF_SPAN("collective", "barrier");
   check_live();

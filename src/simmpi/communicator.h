@@ -253,67 +253,6 @@ class Comm {
         .probe(translate_source(source), tag, group_->context);
   }
 
-  // ---- nonblocking point-to-point ----
-  //
-  // "Efficiently overlapping computation and communication helps to
-  // improve the performance" (Sec. V-C). Sends are buffered, so isend
-  // completes immediately; irecv returns a handle that can be tested
-  // without blocking and waited on when the data is finally needed.
-
-  /// Immediate (buffered) send; returns once the message is enqueued.
-  template <typename T>
-  void isend(std::span<const T> data, int dest, int tag) {
-    send(data, dest, tag);
-  }
-
-  /// Handle to a pending receive.
-  template <typename T>
-  class RecvRequest {
-   public:
-    /// Non-blocking completion test; once true, data() is valid.
-    bool test() {
-      if (done_) return true;
-      auto msg = comm_->try_receive(source_, tag_);
-      if (!msg.has_value()) return false;
-      data_ = Comm::from_bytes<T>(*msg);
-      // Charge the elapsed time since the request was posted: a poll that
-      // finds data after 10 ms of overlap is 10 ms of latency the Fig. 4/5
-      // MPI-time split must see, not 0.
-      comm_->stats().add_p2p(msg->size_bytes(), posted_.seconds());
-      done_ = true;
-      return true;
-    }
-    /// Block until completion and return the payload.
-    std::vector<T>& wait(const Deadline& dl = Deadline::never()) {
-      if (!done_) {
-        data_ = Comm::from_bytes<T>(
-            comm_->receive(source_, tag_, dl, /*p2p=*/true));
-        done_ = true;
-      }
-      return data_;
-    }
-    bool done() const { return done_; }
-    std::vector<T>& data() { return data_; }
-
-   private:
-    friend class Comm;
-    RecvRequest(Comm* comm, int source, int tag)
-        : comm_(comm), source_(source), tag_(tag) {}
-    Comm* comm_;
-    int source_;
-    int tag_;
-    bool done_ = false;
-    std::vector<T> data_;
-    util::Timer posted_;  // running since irecv() posted the request
-  };
-
-  /// Post a nonblocking receive matching (source, tag).
-  template <typename T>
-  RecvRequest<T> irecv(int source, int tag) {
-    translate_source(source);  // reject a wildcard on a split comm now
-    return RecvRequest<T>(this, source, tag);
-  }
-
   // ---- collectives (all ranks must call, same arguments shape) ----
 
   void barrier(const Deadline& dl = Deadline::never());
@@ -541,8 +480,6 @@ class Comm {
   /// revoked (Revoked); checks any CRC (CorruptMessage). `p2p` charges the
   /// per-message stats.
   Message receive(int source, int tag, const Deadline& dl, bool p2p);
-  /// Non-blocking receive (RecvRequest::test); same checks.
-  std::optional<Message> try_receive(int source, int tag);
   Message recv_coll(int source, int tag, const Deadline& dl) {
     return receive(source, tag, dl, /*p2p=*/false);
   }

@@ -23,7 +23,7 @@ constexpr std::uint32_t kMagic = 0x5A434251u;  // "BQCZ" little-endian
 enum WireMode : std::uint8_t {
   kWireRaw = 0,
   kWireTopK = 1,
-  kWireOneBit = 2,
+  // 2 was the retired 1-bit body; parse() rejects it as unknown.
   kWireBf16 = 3,    // dense bfloat16 body, widened to fp32 on decode
   kWireTopK16 = 4,  // top-k with bfloat16 value stream
 };
@@ -36,11 +36,6 @@ struct WireHeader {
   std::uint64_t aux = 0;
 };
 static_assert(sizeof(WireHeader) == 24, "wire header layout drifted");
-
-std::size_t onebit_chunks(std::size_t total, std::size_t chunk) {
-  return (total + chunk - 1) / chunk;
-}
-std::size_t onebit_words(std::size_t total) { return (total + 31) / 32; }
 
 /// Validated view of one blob: header plus the body bounds. Every decoder
 /// goes through here so a truncated or mislabelled blob fails loudly
@@ -72,15 +67,6 @@ BlobView parse(std::span<const std::byte> blob) {
       }
       expect = v.header.aux * (sizeof(std::uint32_t) + sizeof(float));
       break;
-    case kWireOneBit: {
-      if (v.header.aux == 0) {
-        throw std::invalid_argument("simmpi: 1-bit blob with zero chunk");
-      }
-      expect = onebit_chunks(v.header.total, v.header.aux) * 2 *
-                   sizeof(float) +
-               onebit_words(v.header.total) * sizeof(std::uint32_t);
-      break;
-    }
     case kWireBf16:
       expect = v.header.total * sizeof(std::uint16_t);
       break;
@@ -110,7 +96,6 @@ const char* to_string(CompressMode m) {
   switch (m) {
     case CompressMode::kOff: return "off";
     case CompressMode::kTopK: return "topk";
-    case CompressMode::kOneBit: return "onebit";
     case CompressMode::kBf16: return "bf16";
   }
   return "?";
@@ -119,7 +104,6 @@ const char* to_string(CompressMode m) {
 CompressMode parse_compress_mode(const std::string& s) {
   if (s.empty() || s == "off") return CompressMode::kOff;
   if (s == "topk") return CompressMode::kTopK;
-  if (s == "onebit") return CompressMode::kOneBit;
   if (s == "bf16") return CompressMode::kBf16;
   throw std::invalid_argument("BGQHF_COMPRESS: unknown mode '" + s + "'");
 }
@@ -135,7 +119,6 @@ CompressOptions CompressOptions::from_env() {
     }
     o.topk_fraction = env.compress_topk;
   }
-  if (env.compress_chunk != 0) o.chunk_values = env.compress_chunk;
   // bf16 mode narrows the gradient wire only: GEMM stays fp32 (on AVX-512
   // the fp32 kernel runs the same FMAs a bf16-storage one would, without
   // the widen), while the wire bodies halve the bytes per value.
@@ -163,7 +146,7 @@ Payload compress(std::span<float> carrier, const CompressOptions& options,
                  CompressState& state) {
   const std::size_t n = carrier.size();
   const std::size_t raw_bytes = n * sizeof(float);
-  std::vector<std::byte>& ws = state.next_workspace();
+  std::vector<std::byte> ws;
   WireHeader hdr;
   hdr.total = n;
 
@@ -195,7 +178,7 @@ Payload compress(std::span<float> carrier, const CompressOptions& options,
       out16[i] = h;
       carrier[i] = v - blas::bf16_to_float(h);
     }
-  } else if (options.mode == CompressMode::kTopK) {
+  } else {
     BGQHF_SPAN("compress", "pack");
     if (n > std::numeric_limits<std::uint32_t>::max()) {
       throw std::length_error("simmpi: top-k indices limited to 2^32 values");
@@ -299,56 +282,6 @@ Payload compress(std::span<float> carrier, const CompressOptions& options,
             state.val_.data(), k * sizeof(float));
       }
     }
-  } else {
-    BGQHF_SPAN("compress", "quantize");
-    const std::size_t chunk = std::max<std::size_t>(1, options.chunk_values);
-    const std::size_t nchunks = onebit_chunks(n, chunk);
-    const std::size_t words = onebit_words(n);
-    hdr.mode = kWireOneBit;
-    hdr.aux = chunk;
-    ws.assign(sizeof(WireHeader) + nchunks * 2 * sizeof(float) +
-                  words * sizeof(std::uint32_t),
-              std::byte{0});
-    std::memcpy(ws.data(), &hdr, sizeof(WireHeader));
-    float* scales = reinterpret_cast<float*>(ws.data() + sizeof(WireHeader));
-    auto* bits = reinterpret_cast<std::uint32_t*>(
-        ws.data() + sizeof(WireHeader) + nchunks * 2 * sizeof(float));
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const std::size_t b = c * chunk;
-      const std::size_t e = std::min(n, b + chunk);
-      // Per-chunk scale pair: mean of positives / mean of non-positives
-      // (Seide et al. 2014's reconstruction-optimal columns, per chunk).
-      // Double accumulators so chunk size never degrades the scales.
-      double pos = 0.0;
-      double neg = 0.0;
-      std::size_t pc = 0;
-      std::size_t nc = 0;
-      for (std::size_t i = b; i < e; ++i) {
-        const float v = carrier[i];
-        if (v > 0.0f) {
-          pos += v;
-          ++pc;
-        } else {
-          neg += v;
-          ++nc;
-        }
-      }
-      const float ps =
-          pc == 0 ? 0.0f : static_cast<float>(pos / static_cast<double>(pc));
-      const float ns =
-          nc == 0 ? 0.0f : static_cast<float>(neg / static_cast<double>(nc));
-      scales[2 * c] = ps;
-      scales[2 * c + 1] = ns;
-      for (std::size_t i = b; i < e; ++i) {
-        const float v = carrier[i];
-        if (v > 0.0f) {
-          bits[i >> 5] |= 1u << (i & 31u);
-          carrier[i] = v - ps;
-        } else {
-          carrier[i] = v - ns;
-        }
-      }
-    }
   }
 
   state.last_raw_ = raw_bytes;
@@ -386,23 +319,6 @@ void decode_add(std::span<const std::byte> blob, std::span<float> acc) {
           throw std::out_of_range("simmpi: top-k index out of range");
         }
         acc[i] += val[j];
-      }
-      break;
-    }
-    case kWireOneBit: {
-      const std::size_t chunk = v.header.aux;
-      const std::size_t nchunks = onebit_chunks(n, chunk);
-      const auto* scales = reinterpret_cast<const float*>(v.body);
-      const auto* bits = reinterpret_cast<const std::uint32_t*>(
-          v.body + nchunks * 2 * sizeof(float));
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        const std::size_t b = c * chunk;
-        const std::size_t e = std::min(n, b + chunk);
-        const float ps = scales[2 * c];
-        const float ns = scales[2 * c + 1];
-        for (std::size_t i = b; i < e; ++i) {
-          acc[i] += ((bits[i >> 5] >> (i & 31u)) & 1u) != 0 ? ps : ns;
-        }
       }
       break;
     }
@@ -457,23 +373,6 @@ void decode_overwrite(std::span<const std::byte> blob, std::span<float> out) {
       }
       break;
     }
-    case kWireOneBit: {
-      const std::size_t chunk = v.header.aux;
-      const std::size_t nchunks = onebit_chunks(n, chunk);
-      const auto* scales = reinterpret_cast<const float*>(v.body);
-      const auto* bits = reinterpret_cast<const std::uint32_t*>(
-          v.body + nchunks * 2 * sizeof(float));
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        const std::size_t b = c * chunk;
-        const std::size_t e = std::min(n, b + chunk);
-        const float ps = scales[2 * c];
-        const float ns = scales[2 * c + 1];
-        for (std::size_t i = b; i < e; ++i) {
-          out[i] = ((bits[i >> 5] >> (i & 31u)) & 1u) != 0 ? ps : ns;
-        }
-      }
-      break;
-    }
     case kWireBf16: {
       const auto* h = reinterpret_cast<const std::uint16_t*>(v.body);
       for (std::size_t i = 0; i < n; ++i) out[i] = blas::bf16_to_float(h[i]);
@@ -499,101 +398,6 @@ void decode_overwrite(std::span<const std::byte> blob, std::span<float> out) {
 
 // ---- collectives ----
 
-AsyncReduce start_reduce_sum(Comm& comm, std::span<float> carrier,
-                             std::span<float> out, int root, int stream,
-                             const CompressOptions* options,
-                             CompressState* state) {
-  if (stream < 0 || stream >= kMaxAsyncStreams) {
-    throw std::out_of_range("simmpi: async reduce stream out of range");
-  }
-  const bool compressed = options != nullptr && options->active();
-  if (compressed && state == nullptr) {
-    throw std::invalid_argument(
-        "simmpi: compressed reduce needs a CompressState");
-  }
-  AsyncReduce h;
-  h.comm_ = &comm;
-  h.root_ = root;
-  h.tag_ = kTagAsyncReduceBase - stream;
-  h.mine_ = carrier;
-  h.out_ = out;
-  h.options_ = options;
-  h.compressed_ = compressed;
-  if (comm.rank() == root) {
-    if (out.size() != carrier.size()) {
-      throw std::length_error("simmpi: async reduce out/in size mismatch");
-    }
-    // The root's own contribution is captured now (compressed: packed, so
-    // its carrier becomes the residual immediately; exact: `carrier` must
-    // stay untouched until wait()), receives happen in wait().
-    if (compressed) {
-      h.own_blob_ = compress(carrier, *options, *state);
-      h.wire_sent_ = h.own_blob_.size();
-    }
-    h.pending_ = true;
-    return h;
-  }
-  util::Timer t;
-  Payload p = compressed
-                  ? compress(carrier, *options, *state)
-                  : Payload::adopt(
-                        std::vector<float>(carrier.begin(), carrier.end()));
-  h.wire_sent_ = p.size();
-  comm.coll_send_payload(std::move(p), root, h.tag_);
-  comm.stats().add_op_wire(CollOp::kReduce, carrier.size() * sizeof(float),
-                           h.wire_sent_, t.seconds());
-  return h;
-}
-
-void AsyncReduce::wait() {
-  if (!pending_) return;
-  pending_ = false;
-  BGQHF_SPAN("collective", "wait");
-  util::Timer t;
-  Comm& comm = *comm_;
-  const int p = comm.size();
-  const std::size_t raw_bytes = mine_.size() * sizeof(float);
-  std::size_t wire = wire_sent_;
-  if (compressed_) {
-    // Fold the blobs in rank order (own blob at the root's slot): fixed
-    // order, so compressed aggregation is bitwise deterministic and
-    // SerialCompute can mirror it exactly.
-    std::fill(out_.begin(), out_.end(), 0.0f);
-    for (int r = 0; r < p; ++r) {
-      if (r == root_) {
-        decode_add(blob_span(own_blob_), out_);
-        continue;
-      }
-      const Message m = comm.coll_recv(r, tag_);
-      wire += m.size_bytes();
-      decode_add(blob_span(m.payload), out_);
-    }
-    own_blob_ = Payload();
-  } else {
-    // Exact mode: fold in *relative* rank order with PairwiseFold — the
-    // association of the blocking binomial tree — so the nonblocking path
-    // is bitwise identical to reduce_sum at any root.
-    PairwiseFold<float> fold;
-    for (int rr = 0; rr < p; ++rr) {
-      const int r = (root_ + rr) % p;
-      if (r == root_) {
-        fold.push(std::vector<float>(mine_.begin(), mine_.end()));
-        continue;
-      }
-      const Message m = comm.coll_recv(r, tag_);
-      wire += m.size_bytes();
-      if (m.size_bytes() != raw_bytes) {
-        throw std::length_error("simmpi: async reduce size mismatch");
-      }
-      const float* d = m.payload.as<float>();
-      fold.push(std::vector<float>(d, d + mine_.size()));
-    }
-    const std::vector<float> total = fold.finish();
-    std::copy(total.begin(), total.end(), out_.begin());
-  }
-  comm.stats().add_op_wire(CollOp::kReduce, raw_bytes, wire, t.seconds());
-}
-
 void compressed_reduce_sum(Comm& comm, std::span<float> carrier,
                            std::span<float> out, int root,
                            const CompressOptions& options,
@@ -602,9 +406,32 @@ void compressed_reduce_sum(Comm& comm, std::span<float> carrier,
     throw std::invalid_argument(
         "simmpi: compressed_reduce_sum needs an active compression mode");
   }
-  AsyncReduce h =
-      start_reduce_sum(comm, carrier, out, root, 0, &options, &state);
-  h.wait();
+  if (comm.rank() == root && out.size() != carrier.size()) {
+    throw std::length_error("simmpi: reduce out/in size mismatch");
+  }
+  BGQHF_SPAN("collective", "reduce");
+  util::Timer t;
+  const std::size_t raw_bytes = carrier.size() * sizeof(float);
+  Payload mine = compress(carrier, options, state);
+  std::size_t wire = mine.size();
+  if (comm.rank() != root) {
+    comm.coll_send_payload(std::move(mine), root, kTagCompressedReduce);
+  } else {
+    // Fold the blobs in rank order (the root's own at its slot): fixed
+    // order, so compressed aggregation is bitwise deterministic and
+    // SerialCompute can mirror it exactly.
+    std::fill(out.begin(), out.end(), 0.0f);
+    for (int r = 0; r < comm.size(); ++r) {
+      if (r == root) {
+        decode_add(blob_span(mine), out);
+        continue;
+      }
+      const Message m = comm.coll_recv(r, kTagCompressedReduce);
+      wire += m.size_bytes();
+      decode_add(blob_span(m.payload), out);
+    }
+  }
+  comm.stats().add_op_wire(CollOp::kReduce, raw_bytes, wire, t.seconds());
 }
 
 CompressedTotal compressed_allreduce_blob(Comm& comm,

@@ -1,10 +1,10 @@
-// Gradient compression for the collective engine: top-k dropping with
-// error-feedback residuals, and 1-bit quantization with per-chunk scales.
+// Gradient compression for the collective engine: top-k dropping and
+// bfloat16 bodies, both with error-feedback residuals.
 //
 // The paper's bottleneck is master-side gradient traffic; after the
 // algorithmic collective rewrites the remaining multiplier is sending
-// fewer bytes (Strom 2015 / Seide 2014 / Dryden 2016 lineage). Both codecs
-// here are lossy per call but unbiased over time through error feedback:
+// fewer bytes (Strom 2015 / Dryden 2016 lineage). The codecs here are
+// lossy per call but unbiased over time through error feedback:
 // the *carrier* buffer a rank compresses holds contribution + residual on
 // entry, and whatever the decoder will NOT reconstruct stays behind in the
 // carrier as the next call's residual. With top-k the selected entries are
@@ -16,16 +16,14 @@
 //   WireHeader { magic 'BQCZ', mode u8, pad[3], total_values u64, aux u64 }
 //   mode kRaw    aux = 0             payload: total f32 (passthrough)
 //   mode kTopK   aux = k             payload: k u32 indices, then k f32
-//   mode kOneBit aux = chunk_values  payload: ceil(total/chunk) pairs of
-//                                    f32 {pos_scale, neg_scale}, then
-//                                    ceil(total/32) u32 sign words
 //   mode kBf16   aux = 0             payload: total u16 bfloat16 (dense)
 //   mode kTopK16 aux = k             payload: k u32 indices, then k u16
 //                                    bfloat16 values
+//   Mode byte 2 (a retired 1-bit body) is rejected like any unknown mode.
 //
 // The two bf16 body types halve (dense) or shrink (top-k values) the wire
 // payload; the rounding error v - bf16(v) stays behind in the carrier, so
-// bf16 bodies ride the same error-feedback contract as top-k/1-bit.
+// bf16 bodies ride the same error-feedback contract as top-k.
 // Decoders widen back to fp32 and every fold accumulates in fp32.
 //
 // Every compressed collective keeps a *fixed* combine order (blobs fold in
@@ -34,7 +32,6 @@
 // same contract the exact tree reductions honour via PairwiseFold.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -49,13 +46,12 @@ namespace bgqhf::simmpi {
 enum class CompressMode {
   kOff = 0,  // exact payloads (today's bitwise path)
   kTopK,     // threshold top-k value dropping, error feedback
-  kOneBit,   // 1-bit sign quantization, per-chunk scale pair
   kBf16,     // dense bfloat16 payloads, rounding error fed back
 };
 
 const char* to_string(CompressMode m);
-/// "", "off" -> kOff; "topk" -> kTopK; "onebit" -> kOneBit; "bf16" ->
-/// kBf16; anything else throws std::invalid_argument (typos must be loud).
+/// "", "off" -> kOff; "topk" -> kTopK; "bf16" -> kBf16; anything else
+/// throws std::invalid_argument (typos must be loud).
 CompressMode parse_compress_mode(const std::string& s);
 
 struct CompressOptions {
@@ -63,27 +59,24 @@ struct CompressOptions {
   /// Target fraction of values a top-k pass keeps (the adaptive threshold
   /// steers the realized fraction toward this between calls).
   double topk_fraction = 0.01;
-  /// Values per 1-bit quantization chunk (one {pos,neg} scale pair each).
-  std::size_t chunk_values = 4096;
   /// Vectors shorter than this ship raw (passthrough): scalar stats and
   /// tiny layers are not worth a header + index stream.
   std::size_t min_values = 1024;
   /// bf16 wire bodies, derived from BGQHF_PRECISION=bf16: upgrades kOff to
   /// dense bf16 payloads and kTopK to bf16 value streams (kTopK16 bodies).
-  /// kOneBit already ships 1 bit/value and is unchanged. Composes with the
-  /// error-feedback carriers: the bf16 rounding error stays behind as
-  /// residual, and folds still accumulate in fp32.
+  /// Composes with the error-feedback carriers: the bf16 rounding error
+  /// stays behind as residual, and folds still accumulate in fp32.
   bool bf16_wire = false;
 
   bool active() const { return mode != CompressMode::kOff || bf16_wire; }
 
-  /// BGQHF_COMPRESS / BGQHF_COMPRESS_TOPK / BGQHF_COMPRESS_CHUNK (plus
-  /// BGQHF_PRECISION for bf16_wire) via util::RuntimeEnv.
+  /// BGQHF_COMPRESS / BGQHF_COMPRESS_TOPK (plus BGQHF_PRECISION for
+  /// bf16_wire) via util::RuntimeEnv.
   static CompressOptions from_env();
 };
 
-/// Per-stream compression state: the adaptive top-k threshold, pack
-/// workspaces, the root's downlink residual (allreduce), and wire-byte
+/// Per-stream compression state: the adaptive top-k threshold, selection
+/// scratch, the root's downlink residual (allreduce), and wire-byte
 /// accounting. One state per (rank, logical stream) — e.g. one per layer
 /// segment — persisted across iterations; the error-feedback contract is
 /// only honest if the same state sees every call of its stream.
@@ -119,18 +112,7 @@ class CompressState {
   friend Payload compress(std::span<float>, const CompressOptions&,
                           CompressState&);
 
-  /// The two pack workspaces alternate between calls, so in the overlapped
-  /// pipeline the blob in flight for layer k and the one being packed for
-  /// layer k+1 never share a buffer (the payload takes ownership on send).
-  std::vector<std::byte>& next_workspace() {
-    std::vector<std::byte>& ws = pack_[which_];
-    which_ ^= 1;
-    return ws;
-  }
-
   double threshold_ = 0.0;  // 0 = estimate from data on first call
-  std::array<std::vector<std::byte>, 2> pack_;
-  int which_ = 0;
   std::vector<std::uint32_t> idx_;  // top-k selection scratch
   std::vector<float> val_;
   std::vector<float> residual_;  // allreduce downlink carrier (root)
@@ -146,8 +128,8 @@ class CompressState {
 
 /// Compress `carrier` (contribution + residual) into a wire blob; on
 /// return the carrier holds the new residual (top-k: unselected entries
-/// untouched, selected zeroed; 1-bit: value minus reconstruction; raw
-/// passthrough: zeroed). Deterministic in (carrier contents, state).
+/// untouched, selected zeroed; bf16: the rounding error; raw passthrough:
+/// zeroed). Deterministic in (carrier contents, state).
 Payload compress(std::span<float> carrier, const CompressOptions& options,
                  CompressState& state);
 
@@ -160,62 +142,18 @@ void decode_add(std::span<const std::byte> blob, std::span<float> acc);
 /// out = decode(blob) (dense overwrite; top-k zero-fills the gaps).
 void decode_overwrite(std::span<const std::byte> blob, std::span<float> out);
 
-// ---- compressed / nonblocking collectives ----
+// ---- compressed collectives ----
 //
 // Reserved collective tags below communicator.h's (base - 1 ... base - 5).
 inline constexpr int kTagCompressedUp = kCollectiveTagBase - 12;
 inline constexpr int kTagCompressedDown = kCollectiveTagBase - 13;
-/// Async reduce streams: stream s uses kTagAsyncReduceBase - s, so
-/// segment reduces started out of order still match up by tag.
-inline constexpr int kTagAsyncReduceBase = kCollectiveTagBase - 64;
-inline constexpr int kMaxAsyncStreams = 256;
-
-/// Nonblocking reduce-to-root handle (start_reduce_sum). Senders complete
-/// at start (buffered sends); the root folds worker partials in wait().
-/// Exact mode folds with PairwiseFold over rank-order slots — bitwise
-/// identical to the blocking tree reduce — and compressed mode folds the
-/// decoded blobs in the same rank order.
-class AsyncReduce {
- public:
-  AsyncReduce() = default;
-
-  /// Complete the reduce. On the root, `out` (given at start) holds the
-  /// fold; elsewhere a no-op. Idempotent.
-  void wait();
-  bool pending() const { return pending_; }
-
- private:
-  friend AsyncReduce start_reduce_sum(Comm&, std::span<float>,
-                                      std::span<float>, int, int,
-                                      const CompressOptions*,
-                                      CompressState*);
-  Comm* comm_ = nullptr;
-  int root_ = 0;
-  int tag_ = 0;
-  std::span<const float> mine_{};
-  std::span<float> out_{};
-  Payload own_blob_;  // root's own compressed contribution
-  const CompressOptions* options_ = nullptr;
-  bool compressed_ = false;
-  bool pending_ = false;
-  std::size_t wire_sent_ = 0;
-};
-
-/// Start a nonblocking sum-reduce of `mine` to `root` on `stream`.
-/// Non-roots pack (compress when `options` is non-null and active) and
-/// send immediately; the carrier is updated to its residual before this
-/// returns, so the caller may keep accumulating into it. The root stashes
-/// its own (compressed) contribution and receives in wait(); `out` (root
-/// only) must stay valid until then. Exact mode (`options` null or kOff)
-/// sends raw floats and folds bitwise-identically to reduce_sum.
-AsyncReduce start_reduce_sum(Comm& comm, std::span<float> carrier,
-                             std::span<float> out, int root, int stream,
-                             const CompressOptions* options = nullptr,
-                             CompressState* state = nullptr);
+inline constexpr int kTagCompressedReduce = kCollectiveTagBase - 14;
 
 /// Blocking compressed reduce: every rank compresses its carrier (which
-/// becomes its residual); the root decodes the blobs in rank order into
-/// `out` (zeroed first). Requires options.active().
+/// becomes its residual), non-roots send their blob to `root`, and the
+/// root decodes the blobs in rank order into `out` (zeroed first; empty
+/// elsewhere). The fixed fold order keeps compressed runs bitwise
+/// deterministic. Requires options.active().
 void compressed_reduce_sum(Comm& comm, std::span<float> carrier,
                            std::span<float> out, int root,
                            const CompressOptions& options,

@@ -41,11 +41,6 @@ std::optional<Message> Mailbox::pop(int source, int tag, int context,
   }
 }
 
-std::optional<Message> Mailbox::try_pop(int source, int tag, int context) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return take(source, tag, context);
-}
-
 bool Mailbox::probe(int source, int tag, int context) const {
   std::lock_guard<std::mutex> lock(mu_);
   return std::any_of(queue_.begin(), queue_.end(), [&](const Message& m) {

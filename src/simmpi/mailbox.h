@@ -32,9 +32,6 @@ class Mailbox {
                              Clock::time_point deadline,
                              const std::atomic<bool>& revoked);
 
-  /// Non-blocking: return a matching message if one is queued.
-  std::optional<Message> try_pop(int source, int tag, int context);
-
   /// Non-destructive test for a matching message.
   bool probe(int source, int tag, int context) const;
 

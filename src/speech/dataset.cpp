@@ -94,4 +94,26 @@ Dataset build_full_dataset(DataSource& source, const Normalizer* norm,
   return build_dataset(source, all, norm, context);
 }
 
+Dataset concat_datasets(std::span<const Dataset> parts) {
+  if (parts.empty()) {
+    throw std::invalid_argument("concat_datasets: no parts");
+  }
+  std::size_t rows = 0;
+  for (const Dataset& p : parts) rows += p.num_frames();
+  Dataset all;
+  all.x = blas::Matrix<float>(rows, parts.front().x.cols());
+  all.offsets.push_back(0);
+  std::size_t at = 0;
+  for (const Dataset& p : parts) {
+    std::copy(p.x.data(), p.x.data() + p.x.size(),
+              all.x.data() + at * all.x.cols());
+    all.labels.insert(all.labels.end(), p.labels.begin(), p.labels.end());
+    for (std::size_t u = 1; u < p.offsets.size(); ++u) {
+      all.offsets.push_back(at + p.offsets[u]);
+    }
+    at += p.num_frames();
+  }
+  return all;
+}
+
 }  // namespace bgqhf::speech

@@ -59,4 +59,9 @@ Dataset build_dataset(DataSource& source,
 Dataset build_full_dataset(DataSource& source, const Normalizer* norm,
                            std::size_t context);
 
+/// `parts` (e.g. build_shards' per-rank shards) as one dataset, in part
+/// order: the whole training or held-out set for single-dataset runs.
+/// `parts` must be non-empty.
+Dataset concat_datasets(std::span<const Dataset> parts);
+
 }  // namespace bgqhf::speech

@@ -6,7 +6,10 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
+
+extern char** environ;
 
 namespace bgqhf::util {
 
@@ -90,39 +93,68 @@ std::vector<std::string> Config::unused_keys() const {
 
 namespace {
 
-std::string env_string(const char* name) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? std::string() : std::string(v);
-}
-
-/// Unset or empty is off; a misspelling throws rather than reading as on.
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return false;
-  const std::string s(v);
-  if (s.empty() || s == "0" || s == "false" || s == "no" || s == "off") {
-    return false;
+/// Reads BGQHF_* knobs and remembers every name it was asked for, so the
+/// variables nobody reads can be rejected by the same list of reads.
+class EnvReader {
+ public:
+  std::string string(const char* name) {
+    const char* v = get(name);
+    return v == nullptr ? std::string() : std::string(v);
   }
-  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
-  throw ConfigError(name, s, "0|1|false|true|no|yes|off|on");
-}
 
-/// Unset or empty reads as 0; anything else must parse in full as a T
-/// (an unsigned integer or a number), or ConfigError names the knob.
-template <typename T>
-T env_number(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return 0;
-  const char* end = v + std::strlen(v);
-  T parsed{};
-  const auto [ptr, ec] = std::from_chars(v, end, parsed);
-  if (ec != std::errc() || ptr != end) {
-    throw ConfigError(name, v,
-                      std::is_floating_point_v<T> ? "a number"
-                                                  : "an unsigned integer");
+  /// Unset or empty is off; a misspelling throws rather than reading as on.
+  bool flag(const char* name) {
+    const char* v = get(name);
+    if (v == nullptr) return false;
+    const std::string s(v);
+    if (s.empty() || s == "0" || s == "false" || s == "no" || s == "off") {
+      return false;
+    }
+    if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
+    throw ConfigError(name, s, "0|1|false|true|no|yes|off|on");
   }
-  return parsed;
-}
+
+  /// Unset or empty reads as 0; anything else must parse in full as a T
+  /// (an unsigned integer or a number), or ConfigError names the knob.
+  template <typename T>
+  T number(const char* name) {
+    const char* v = get(name);
+    if (v == nullptr || *v == '\0') return 0;
+    const char* end = v + std::strlen(v);
+    T parsed{};
+    const auto [ptr, ec] = std::from_chars(v, end, parsed);
+    if (ec != std::errc() || ptr != end) {
+      throw ConfigError(name, v,
+                        std::is_floating_point_v<T> ? "a number"
+                                                    : "an unsigned integer");
+    }
+    return parsed;
+  }
+
+  /// Throw ConfigError naming the first BGQHF_* variable in the process
+  /// environment that no read above asked for.
+  void reject_unread() const {
+    for (char** e = environ; *e != nullptr; ++e) {
+      const std::string_view entry(*e);
+      if (!entry.starts_with("BGQHF_")) continue;
+      const std::size_t eq = entry.find('=');
+      const std::string name(entry.substr(0, eq));
+      if (read_.count(name) != 0) continue;
+      throw ConfigError(
+          name,
+          eq == std::string_view::npos ? "" : std::string(entry.substr(eq + 1)),
+          "unset: no BGQHF_* knob has this name");
+    }
+  }
+
+ private:
+  const char* get(const char* name) {
+    read_.insert(name);
+    return std::getenv(name);
+  }
+
+  std::set<std::string> read_;
+};
 
 std::mutex& runtime_env_mutex() {
   static std::mutex* mu = new std::mutex();
@@ -139,28 +171,28 @@ std::unique_ptr<RuntimeEnv>& runtime_env_slot() {
 
 RuntimeEnv RuntimeEnv::from_process_env() {
   RuntimeEnv env;
-  env.force_kernel = env_string("BGQHF_FORCE_KERNEL");
-  env.precision = env_string("BGQHF_PRECISION");
-  env.compress = env_string("BGQHF_COMPRESS");
-  env.compress_topk = env_number<double>("BGQHF_COMPRESS_TOPK");
-  env.compress_chunk = env_number<std::uint64_t>("BGQHF_COMPRESS_CHUNK");
-  env.overlap = env_flag("BGQHF_OVERLAP");
-  env.trace = env_flag("BGQHF_TRACE");
-  env.trace_file = env_string("BGQHF_TRACE_FILE");
-  env.serve_batch = env_number<std::uint64_t>("BGQHF_SERVE_BATCH");
-  env.serve_timeout_us = env_number<std::uint64_t>("BGQHF_SERVE_TIMEOUT_US");
-  env.serve_replicas = env_number<std::uint64_t>("BGQHF_SERVE_REPLICAS");
-  env.serve_slo_us = env_number<std::uint64_t>("BGQHF_SERVE_SLO_US");
-  env.serve_tenant_rate = env_number<std::uint64_t>("BGQHF_SERVE_TENANT_RATE");
-  env.serve_fault_seed = env_number<std::uint64_t>("BGQHF_SERVE_FAULT_SEED");
-  env.data_dir = env_string("BGQHF_DATA_DIR");
-  env.prefetch_depth = env_number<std::uint64_t>("BGQHF_PREFETCH_DEPTH");
-  env.hf_lambda0 = env_number<double>("BGQHF_HF_LAMBDA0");
-  env.hf_cg_iters = env_number<std::uint64_t>("BGQHF_HF_CG_ITERS");
-  env.hf_resample = env_number<double>("BGQHF_HF_RESAMPLE");
-  env.ltfb_populations = env_number<std::uint64_t>("BGQHF_LTFB_POPULATIONS");
-  env.ltfb_round_iters = env_number<std::uint64_t>("BGQHF_LTFB_ROUND_ITERS");
-  env.ltfb_seed = env_number<std::uint64_t>("BGQHF_LTFB_SEED");
+  EnvReader read;
+  env.force_kernel = read.string("BGQHF_FORCE_KERNEL");
+  env.precision = read.string("BGQHF_PRECISION");
+  env.compress = read.string("BGQHF_COMPRESS");
+  env.compress_topk = read.number<double>("BGQHF_COMPRESS_TOPK");
+  env.trace = read.flag("BGQHF_TRACE");
+  env.trace_file = read.string("BGQHF_TRACE_FILE");
+  env.serve_batch = read.number<std::uint64_t>("BGQHF_SERVE_BATCH");
+  env.serve_timeout_us = read.number<std::uint64_t>("BGQHF_SERVE_TIMEOUT_US");
+  env.serve_replicas = read.number<std::uint64_t>("BGQHF_SERVE_REPLICAS");
+  env.serve_slo_us = read.number<std::uint64_t>("BGQHF_SERVE_SLO_US");
+  env.serve_tenant_rate = read.number<std::uint64_t>("BGQHF_SERVE_TENANT_RATE");
+  env.serve_fault_seed = read.number<std::uint64_t>("BGQHF_SERVE_FAULT_SEED");
+  env.data_dir = read.string("BGQHF_DATA_DIR");
+  env.prefetch_depth = read.number<std::uint64_t>("BGQHF_PREFETCH_DEPTH");
+  env.hf_lambda0 = read.number<double>("BGQHF_HF_LAMBDA0");
+  env.hf_cg_iters = read.number<std::uint64_t>("BGQHF_HF_CG_ITERS");
+  env.hf_resample = read.number<double>("BGQHF_HF_RESAMPLE");
+  env.ltfb_populations = read.number<std::uint64_t>("BGQHF_LTFB_POPULATIONS");
+  env.ltfb_round_iters = read.number<std::uint64_t>("BGQHF_LTFB_ROUND_ITERS");
+  env.ltfb_seed = read.number<std::uint64_t>("BGQHF_LTFB_SEED");
+  read.reject_unread();
   return env;
 }
 

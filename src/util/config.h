@@ -81,18 +81,12 @@ struct RuntimeEnv {
   /// blas::parse_precision, which throws ConfigError on anything else.
   std::string precision;
   /// BGQHF_COMPRESS — gradient-aggregation codec ("off"/"" = exact bitwise
-  /// path, "topk" = threshold top-k dropping, "onebit" = 1-bit sign
-  /// quantization). Parsed by simmpi::parse_compress_mode.
+  /// path, "topk" = threshold top-k dropping, "bf16" = dense bfloat16
+  /// bodies). Parsed by simmpi::parse_compress_mode.
   std::string compress;
   /// BGQHF_COMPRESS_TOPK — target kept fraction for topk mode
   /// (0 = keep the CompressOptions default of 0.01).
   double compress_topk = 0;
-  /// BGQHF_COMPRESS_CHUNK — values per 1-bit quantization chunk
-  /// (0 = keep the CompressOptions default of 4096).
-  std::uint64_t compress_chunk = 0;
-  /// BGQHF_OVERLAP — overlap per-layer gradient aggregation with the next
-  /// layer's backprop via nonblocking segment reduces.
-  bool overlap = false;
   /// BGQHF_TRACE — enable trace-span recording (obs::tracing_enabled()).
   bool trace = false;
   /// BGQHF_TRACE_FILE — default Chrome trace output path ("" = none).
@@ -147,7 +141,9 @@ struct RuntimeEnv {
   /// Cached process snapshot (first call reads the environment).
   static const RuntimeEnv& get();
 
-  /// Fresh, uncached read of the process environment.
+  /// Fresh, uncached read of the process environment. A BGQHF_* variable
+  /// that none of the knobs above reads throws ConfigError naming it, so a
+  /// misspelled or retired knob cannot silently change nothing.
   static RuntimeEnv from_process_env();
 
   /// Replace the cached snapshot (tests). Pair with reset_for_tests().

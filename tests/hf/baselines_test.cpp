@@ -98,8 +98,8 @@ TEST(Lbfgs, TrainsSpeechTask) {
   Shards shards = build_shards(cfg);
   std::vector<std::unique_ptr<Workload>> wl;
   wl.push_back(std::make_unique<SpeechWorkload>(
-      shards.net, std::move(shards.train[0]), std::move(shards.heldout[0]),
-      0,
+      shards.net, speech::concat_datasets(shards.train),
+      speech::concat_datasets(shards.heldout), 0,
       make_workload_options(cfg, shards.num_states, shards.advance_prob,
                             nullptr)));
   SerialCompute compute(std::move(wl));
@@ -195,8 +195,8 @@ TEST(Ksd, TrainsSpeechTask) {
   Shards shards = build_shards(cfg);
   std::vector<std::unique_ptr<Workload>> wl;
   wl.push_back(std::make_unique<SpeechWorkload>(
-      shards.net, std::move(shards.train[0]), std::move(shards.heldout[0]),
-      0,
+      shards.net, speech::concat_datasets(shards.train),
+      speech::concat_datasets(shards.heldout), 0,
       make_workload_options(cfg, shards.num_states, shards.advance_prob,
                             nullptr)));
   SerialCompute compute(std::move(wl));

@@ -2,8 +2,7 @@
 // codecs change the trajectory (bounded divergence, checked on the final
 // loss), but they must NOT change it differently in serial vs distributed
 // runs — the per-(slot, segment) error-feedback mirror keeps compressed
-// serial == compressed distributed bitwise. Overlap must change nothing
-// at all: it only reschedules when segment collectives start.
+// serial == compressed distributed bitwise.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -39,7 +38,6 @@ AggregationOptions compressed(simmpi::CompressMode mode) {
   AggregationOptions agg;
   agg.compress.mode = mode;
   agg.compress.topk_fraction = 0.25;
-  agg.compress.chunk_values = 64;
   agg.compress.min_values = 1;
   return agg;
 }
@@ -67,12 +65,6 @@ TEST_P(CompressedEquivalenceTest, TopkSerialBitwiseEqualsDistributed) {
   expect_bitwise_equal(train_serial(cfg), train_distributed(cfg));
 }
 
-TEST_P(CompressedEquivalenceTest, OnebitSerialBitwiseEqualsDistributed) {
-  TrainerConfig cfg = config(GetParam(), Criterion::kCrossEntropy);
-  cfg.aggregation = compressed(simmpi::CompressMode::kOneBit);
-  expect_bitwise_equal(train_serial(cfg), train_distributed(cfg));
-}
-
 TEST_P(CompressedEquivalenceTest, Bf16DenseSerialBitwiseEqualsDistributed) {
   // BGQHF_PRECISION=bf16 payloads: dense bf16 bodies with the rounding
   // error fed back. The serial mirror runs the same codec, so the
@@ -95,39 +87,6 @@ TEST_P(CompressedEquivalenceTest, Bf16TopkComposedSerialEqualsDistributed) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, CompressedEquivalenceTest,
                          ::testing::Values(1, 2, 3));
 
-TEST(CompressedEquivalence, OverlapAloneIsBitwiseIdenticalToBlocking) {
-  // Exact codec + overlapped segment reduces: PairwiseFold is
-  // element-independent, so the segmented async fold must reproduce the
-  // whole-vector blocking reduce bit for bit.
-  TrainerConfig cfg = config(2, Criterion::kCrossEntropy);
-  cfg.aggregation = {};  // exact, blocking
-  TrainerConfig overlapped = cfg;
-  overlapped.aggregation.overlap = true;
-  const TrainOutcome base = train_distributed(cfg);
-  const TrainOutcome over = train_distributed(overlapped);
-  expect_bitwise_equal(base, over);
-  // The overlapped run reports pipelined segments in its phase stats.
-  std::size_t total = 0;
-  std::size_t overlapped_segments = 0;
-  for (const auto& phases : over.worker_phases) {
-    total += phases.segments_total();
-    overlapped_segments += phases.segments_overlapped();
-  }
-  EXPECT_GT(total, 0u);
-  EXPECT_GT(overlapped_segments, 0u);
-}
-
-TEST(CompressedEquivalence, OverlapDoesNotChangeCompressedTrajectory) {
-  // Under compression the same invariant holds: overlap only moves the
-  // start of each segment's collective, never its arithmetic or the
-  // per-segment error-feedback state sequence.
-  TrainerConfig cfg = config(2, Criterion::kCrossEntropy);
-  cfg.aggregation = compressed(simmpi::CompressMode::kTopK);
-  TrainerConfig overlapped = cfg;
-  overlapped.aggregation.overlap = true;
-  expect_bitwise_equal(train_distributed(cfg), train_distributed(overlapped));
-}
-
 TEST(CompressedEquivalence, CompressedTrainingStillConverges) {
   // Bounded divergence: error feedback makes the lossy runs track the
   // exact one — same qualitative convergence, final held-out loss in the
@@ -136,8 +95,7 @@ TEST(CompressedEquivalence, CompressedTrainingStillConverges) {
   const TrainOutcome exact = train_distributed(exact_cfg);
   const double initial = exact.hf.iterations.front().heldout_before;
   for (const auto mode :
-       {simmpi::CompressMode::kTopK, simmpi::CompressMode::kOneBit,
-        simmpi::CompressMode::kBf16}) {
+       {simmpi::CompressMode::kTopK, simmpi::CompressMode::kBf16}) {
     TrainerConfig cfg = exact_cfg;
     cfg.aggregation = compressed(mode);
     const TrainOutcome lossy = train_distributed(cfg);
@@ -246,8 +204,7 @@ TEST(AggregationConfig, DefaultIsExactUnlessEnvSaysOtherwise) {
   // Under a plain environment the default TrainerConfig must take
   // today's bitwise-exact path. (Skipped when the suite itself runs with
   // the knob set, e.g. the compressed CI leg.)
-  if (std::getenv("BGQHF_COMPRESS") != nullptr ||
-      std::getenv("BGQHF_OVERLAP") != nullptr) {
+  if (std::getenv("BGQHF_COMPRESS") != nullptr) {
     GTEST_SKIP() << "aggregation knobs set in environment";
   }
   const TrainerConfig cfg;

@@ -126,14 +126,6 @@ TEST(FaultTolerance, RejectsActiveAggregationInsteadOfIgnoringIt) {
     EXPECT_EQ(e.knob(), "BGQHF_COMPRESS");
     EXPECT_EQ(e.value(), "topk");
   }
-  cfg.aggregation = {};
-  cfg.aggregation.overlap = true;
-  try {
-    (void)train_distributed(cfg);
-    ADD_FAILURE() << "FT with overlap must be rejected";
-  } catch (const util::ConfigError& e) {
-    EXPECT_EQ(e.knob(), "BGQHF_OVERLAP");
-  }
   // train_over rejects on every rank, before any message moves.
   const Shards shards = build_shards(cfg);
   TrainOutcome out;
@@ -143,9 +135,9 @@ TEST(FaultTolerance, RejectsActiveAggregationInsteadOfIgnoringIt) {
     simmpi::run_ranks(world, [&](simmpi::Comm& comm) {
       train_over(comm, cfg, shards, nullptr, out);
     });
-    ADD_FAILURE() << "train_over must reject FT with overlap";
+    ADD_FAILURE() << "train_over must reject FT with compression";
   } catch (const std::exception& e) {
-    EXPECT_NE(std::string(e.what()).find("BGQHF_OVERLAP"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("BGQHF_COMPRESS"), std::string::npos)
         << e.what();
   }
   EXPECT_EQ(world.total_stats().p2p_messages(), 0u);

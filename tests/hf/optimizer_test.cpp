@@ -118,9 +118,10 @@ TEST(Optimizer, ThetaSizeMismatchThrows) {
   Shards shards = build_shards(cfg);
   std::vector<std::unique_ptr<Workload>> wl;
   wl.push_back(std::make_unique<SpeechWorkload>(
-      shards.net, std::move(shards.train[0]), std::move(shards.heldout[0]),
-      0, make_workload_options(cfg, shards.num_states, shards.advance_prob,
-                               nullptr)));
+      shards.net, speech::concat_datasets(shards.train),
+      speech::concat_datasets(shards.heldout), 0,
+      make_workload_options(cfg, shards.num_states, shards.advance_prob,
+                            nullptr)));
   SerialCompute compute(std::move(wl));
   HfOptimizer opt(cfg.hf);
   std::vector<float> wrong(3);
@@ -130,8 +131,8 @@ TEST(Optimizer, ThetaSizeMismatchThrows) {
 TEST(Workload, CurvatureProductRequiresFreshPreparation) {
   TrainerConfig cfg = small_config();
   Shards shards = build_shards(cfg);
-  SpeechWorkload wl(shards.net, std::move(shards.train[0]),
-                    std::move(shards.heldout[0]), 0,
+  SpeechWorkload wl(shards.net, speech::concat_datasets(shards.train),
+                    speech::concat_datasets(shards.heldout), 0,
                     make_workload_options(cfg, shards.num_states,
                                           shards.advance_prob, nullptr));
   std::vector<float> theta(wl.num_params(), 0.01f);
@@ -147,11 +148,11 @@ TEST(Workload, CurvatureSampleSizeTracksFraction) {
   TrainerConfig cfg = small_config();
   cfg.hf.hyper.curvature_fraction = 0.5;
   Shards shards = build_shards(cfg);
-  const std::size_t total = shards.train[0].num_frames();
-  SpeechWorkload wl(shards.net, std::move(shards.train[0]),
-                    std::move(shards.heldout[0]), 0,
+  SpeechWorkload wl(shards.net, speech::concat_datasets(shards.train),
+                    speech::concat_datasets(shards.heldout), 0,
                     make_workload_options(cfg, shards.num_states,
                                           shards.advance_prob, nullptr));
+  const std::size_t total = wl.train_frames();
   std::vector<float> theta(wl.num_params(), 0.01f);
   wl.set_params(theta);
   wl.prepare_curvature(7);
@@ -162,8 +163,8 @@ TEST(Workload, CurvatureSampleSizeTracksFraction) {
 TEST(Workload, CurvatureResamplesWithSeed) {
   TrainerConfig cfg = small_config();
   Shards shards = build_shards(cfg);
-  SpeechWorkload wl(shards.net, std::move(shards.train[0]),
-                    std::move(shards.heldout[0]), 0,
+  SpeechWorkload wl(shards.net, speech::concat_datasets(shards.train),
+                    speech::concat_datasets(shards.heldout), 0,
                     make_workload_options(cfg, shards.num_states,
                                           shards.advance_prob, nullptr));
   std::vector<float> theta(wl.num_params(), 0.01f);

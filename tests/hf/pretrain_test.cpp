@@ -27,7 +27,8 @@ Data make_data(std::uint64_t seed = 111) {
   cfg.context = 1;
   cfg.heldout_every_kth = 4;
   Shards shards = build_shards(cfg);
-  return Data{std::move(shards.train[0]), std::move(shards.heldout[0]),
+  return Data{speech::concat_datasets(shards.train),
+              speech::concat_datasets(shards.heldout),
               speech::stacked_dim(10, 1), 5};
 }
 
@@ -117,8 +118,8 @@ TEST(Pretrain, PretrainedInitAcceleratesHf) {
   Shards shards = build_shards(cfg);
   std::vector<std::unique_ptr<Workload>> wl;
   wl.push_back(std::make_unique<SpeechWorkload>(
-      shards.net, std::move(shards.train[0]), std::move(shards.heldout[0]),
-      0,
+      shards.net, speech::concat_datasets(shards.train),
+      speech::concat_datasets(shards.heldout), 0,
       make_workload_options(cfg, shards.num_states, shards.advance_prob,
                             nullptr)));
   SerialCompute compute(std::move(wl));

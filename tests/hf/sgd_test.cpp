@@ -25,8 +25,9 @@ SgdSetup make_setup(std::uint64_t seed = 51) {
   cfg.hidden = {12};
   cfg.heldout_every_kth = 4;
   Shards shards = build_shards(cfg);
-  return SgdSetup{std::move(shards.net), std::move(shards.train[0]),
-                  std::move(shards.heldout[0])};
+  return SgdSetup{std::move(shards.net),
+                  speech::concat_datasets(shards.train),
+                  speech::concat_datasets(shards.heldout)};
 }
 
 TEST(Sgd, ReducesHeldoutLoss) {

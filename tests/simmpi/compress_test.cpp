@@ -40,19 +40,11 @@ CompressOptions topk(double fraction) {
   return o;
 }
 
-CompressOptions onebit(std::size_t chunk) {
-  CompressOptions o;
-  o.mode = CompressMode::kOneBit;
-  o.chunk_values = chunk;
-  o.min_values = 1;
-  return o;
-}
-
 TEST(CompressMode_, ParseAndToString) {
   EXPECT_EQ(parse_compress_mode(""), CompressMode::kOff);
   EXPECT_EQ(parse_compress_mode("off"), CompressMode::kOff);
   EXPECT_EQ(parse_compress_mode("topk"), CompressMode::kTopK);
-  EXPECT_EQ(parse_compress_mode("onebit"), CompressMode::kOneBit);
+  EXPECT_THROW(parse_compress_mode("onebit"), std::invalid_argument);
   EXPECT_EQ(parse_compress_mode("bf16"), CompressMode::kBf16);
   EXPECT_THROW(parse_compress_mode("zstd"), std::invalid_argument);
   EXPECT_STREQ(to_string(CompressMode::kTopK), "topk");
@@ -216,39 +208,6 @@ TEST(CompressCodec, TopkRatioConvergesTowardTarget) {
   EXPECT_LT(state.total_wire_bytes(), state.total_raw_bytes());
 }
 
-TEST(CompressCodec, OnebitResidualIsExactlyValueMinusReconstruction) {
-  const std::size_t n = 4096;
-  const std::vector<float> orig = random_values(n, 11);
-  std::vector<float> carrier = orig;
-  CompressState state;
-  const Payload blob = compress(carrier, onebit(512), state);
-  std::vector<float> out(n);
-  decode_overwrite(as_blob(blob), out);
-  for (std::size_t i = 0; i < n; ++i) {
-    // The residual write-back and this subtraction are the same float op.
-    ASSERT_EQ(carrier[i], orig[i] - out[i]) << i;
-  }
-  // ~1 bit + per-chunk scales: far below 32 bits/value.
-  EXPECT_LT(state.last_wire_bytes() * 4, state.last_raw_bytes());
-}
-
-TEST(CompressCodec, OnebitTwoLevelSignalIsLossless) {
-  // A chunk whose positives are all one value and negatives another is
-  // represented exactly by the {pos, neg} scale pair.
-  const std::size_t n = 1024;
-  std::vector<float> orig(n);
-  for (std::size_t i = 0; i < n; ++i) orig[i] = (i % 3 == 0) ? -4.0f : 2.0f;
-  std::vector<float> carrier = orig;
-  CompressState state;
-  const Payload blob = compress(carrier, onebit(128), state);
-  std::vector<float> out(n);
-  decode_overwrite(as_blob(blob), out);
-  for (std::size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(out[i], orig[i]) << i;
-    ASSERT_EQ(carrier[i], 0.0f) << i;
-  }
-}
-
 TEST(CompressCodec, DecodeAddAccumulates) {
   const std::vector<float> orig = random_values(2048, 13);
   std::vector<float> carrier = orig;
@@ -279,6 +238,12 @@ TEST(CompressCodec, MalformedBlobsAreRejected) {
 
   std::vector<float> wrong_size(255);
   EXPECT_THROW(decode_add(bytes, wrong_size), std::length_error);
+
+  // Mode byte 2 is the retired 1-bit body: unknown, like any other.
+  std::vector<std::byte> retired_mode = bytes;
+  retired_mode[4] = std::byte{2};
+  EXPECT_THROW(decoded_values(retired_mode), std::invalid_argument);
+  EXPECT_THROW(decode_add(retired_mode, out), std::invalid_argument);
 }
 
 // ---- bf16 wire bodies ----

@@ -1,7 +1,5 @@
-// Contracts for the nonblocking / compressed collectives: the exact async
-// path is bitwise identical to the blocking tree reduce (so overlap is a
-// pure scheduling change), and the compressed paths fold in fixed rank
-// order so every run — and every rank, for allreduce — agrees bitwise.
+// Contracts for the compressed collectives: they fold in fixed rank order
+// so every run — and every rank, for allreduce — agrees bitwise.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -32,80 +30,6 @@ CompressOptions topk(double fraction) {
   o.topk_fraction = fraction;
   o.min_values = 1;
   return o;
-}
-
-class AsyncReduceSizeTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AsyncReduceSizeTest, ExactAsyncBitwiseEqualsBlockingReduce) {
-  const int size = GetParam();
-  for (const int root : {0, size - 1}) {
-    run_world(size, [root](Comm& comm) {
-      const std::size_t n = 257;  // odd length, exercises fold tails
-      const std::vector<float> mine = rank_values(comm.rank(), n, 5);
-
-      std::vector<float> blocking = mine;
-      comm.reduce_sum(blocking, root);
-
-      std::vector<float> carrier = mine;
-      std::vector<float> out(n, -7.0f);
-      AsyncReduce h = start_reduce_sum(comm, carrier, out, root, 0);
-      h.wait();
-      EXPECT_FALSE(h.pending());
-      h.wait();  // idempotent
-
-      if (comm.rank() == root) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(out[i], blocking[i]) << "i=" << i << " root=" << root;
-        }
-      }
-    });
-  }
-}
-
-TEST_P(AsyncReduceSizeTest, StreamsStartedOutOfOrderStillMatchUp) {
-  const int size = GetParam();
-  run_world(size, [](Comm& comm) {
-    const std::size_t n = 96;
-    std::vector<std::vector<float>> mine;
-    std::vector<std::vector<float>> blocking;
-    for (int s = 0; s < 3; ++s) {
-      mine.push_back(rank_values(comm.rank(), n, 40 + s));
-      blocking.push_back(mine.back());
-      comm.reduce_sum(blocking.back(), 0);
-    }
-    // Start streams 2, 1, 0 but wait 0, 1, 2: the per-stream tags keep
-    // the segments from cross-talking even though sends interleave.
-    std::vector<std::vector<float>> carriers = mine;
-    std::vector<std::vector<float>> outs(3, std::vector<float>(n));
-    std::vector<AsyncReduce> handles(3);
-    for (int s = 2; s >= 0; --s) {
-      handles[s] = start_reduce_sum(comm, carriers[s], outs[s], 0, s);
-    }
-    for (int s = 0; s < 3; ++s) handles[s].wait();
-    if (comm.rank() == 0) {
-      for (int s = 0; s < 3; ++s) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(outs[s][i], blocking[s][i]) << "stream " << s;
-        }
-      }
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, AsyncReduceSizeTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 8));
-
-TEST(AsyncReduce, RejectsBadStreamAndMissingState) {
-  run_world(1, [](Comm& comm) {
-    std::vector<float> v(8, 1.0f);
-    std::vector<float> out(8);
-    EXPECT_THROW(start_reduce_sum(comm, v, out, 0, -1), std::out_of_range);
-    EXPECT_THROW(start_reduce_sum(comm, v, out, 0, kMaxAsyncStreams),
-                 std::out_of_range);
-    const CompressOptions opts = topk(0.5);
-    EXPECT_THROW(start_reduce_sum(comm, v, out, 0, 0, &opts, nullptr),
-                 std::invalid_argument);
-  });
 }
 
 TEST(CompressedReduce, FractionOneEqualsRankOrderSumExactly) {
@@ -148,6 +72,76 @@ TEST(CompressedReduce, RecordsWireBytesBelowRaw) {
   });
 }
 
+class CompressedReduceSizeTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompressedReduceSizeTest, AnyRootFoldsInRankOrder) {
+  // Fraction 1.0 ships every entry, so the root's total is the rank-order
+  // sum 0..P-1 whichever rank the root is.
+  const int size = GetParam();
+  for (const int root : {0, size - 1}) {
+    run_world(size, [root, size](Comm& comm) {
+      const std::size_t n = 257;  // odd length
+      std::vector<float> carrier = rank_values(comm.rank(), n, 5);
+      std::vector<float> out(comm.rank() == root ? n : 0, -7.0f);
+      CompressState state;
+      compressed_reduce_sum(comm, carrier, out, root, topk(1.0), state);
+      if (comm.rank() != root) return;
+      std::vector<float> expect(n, 0.0f);
+      for (int r = 0; r < size; ++r) {
+        const std::vector<float> v = rank_values(r, n, 5);
+        for (std::size_t i = 0; i < n; ++i) expect[i] += v[i];
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], expect[i]) << "i=" << i << " root=" << root;
+      }
+    });
+  }
+}
+
+TEST_P(CompressedReduceSizeTest, BackToBackReducesKeepTheirOrder) {
+  // Every compressed reduce rides one tag; consecutive segments must
+  // still pair up by FIFO order.
+  const int size = GetParam();
+  run_world(size, [size](Comm& comm) {
+    const std::size_t n = 96;
+    std::vector<std::vector<float>> outs(3, std::vector<float>(n));
+    std::vector<CompressState> states(3);
+    for (int s = 0; s < 3; ++s) {
+      std::vector<float> carrier = rank_values(comm.rank(), n, 40 + s);
+      compressed_reduce_sum(comm, carrier, outs[s], 0, topk(1.0), states[s]);
+    }
+    if (comm.rank() != 0) return;
+    for (int s = 0; s < 3; ++s) {
+      std::vector<float> expect(n, 0.0f);
+      for (int r = 0; r < size; ++r) {
+        const std::vector<float> v = rank_values(r, n, 40 + s);
+        for (std::size_t i = 0; i < n; ++i) expect[i] += v[i];
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(outs[s][i], expect[i]) << "segment " << s;
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(WorldSizes, CompressedReduceSizeTest,
+                         ::testing::Values(1, 2, 3, 5));
+
+TEST(CompressedReduce, RejectsInactiveOptionsAndShortRootOutput) {
+  run_world(1, [](Comm& comm) {
+    std::vector<float> v(8, 1.0f);
+    std::vector<float> out(8);
+    CompressState state;
+    EXPECT_THROW(compressed_reduce_sum(comm, v, out, 0, CompressOptions{},
+                                       state),
+                 std::invalid_argument);
+    std::vector<float> short_out(7);
+    EXPECT_THROW(
+        compressed_reduce_sum(comm, v, short_out, 0, topk(0.5), state),
+        std::length_error);
+  });
+}
+
 class CompressedAllreduceSizeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompressedAllreduceSizeTest, EveryRankGetsTheSameBitwiseResult) {
@@ -174,27 +168,6 @@ TEST_P(CompressedAllreduceSizeTest, EveryRankGetsTheSameBitwiseResult) {
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, CompressedAllreduceSizeTest,
                          ::testing::Values(1, 2, 4, 5));
-
-TEST(CompressedAllreduce, OnebitConstantInputIsExact) {
-  // All-positive constant chunks quantize losslessly (scale == value), so
-  // uplink and downlink are both exact: out == P * c on every rank.
-  const int size = 4;
-  run_world(size, [size](Comm& comm) {
-    const std::size_t n = 1024;
-    CompressOptions opts;
-    opts.mode = CompressMode::kOneBit;
-    opts.chunk_values = 128;
-    opts.min_values = 1;
-    std::vector<float> carrier(n, 1.0f);
-    std::vector<float> out(n);
-    CompressState state;
-    compressed_allreduce_sum(comm, carrier, out, opts, state);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], static_cast<float>(size)) << i;
-      ASSERT_EQ(carrier[i], 0.0f) << i;  // residual fully consumed
-    }
-  });
-}
 
 TEST(CompressedAllreduce, Bf16WireHalvesTrafficAndIsExactOnBf16Values) {
   // BGQHF_PRECISION=bf16 with compression off upgrades the collectives to

@@ -127,10 +127,7 @@ TEST(SplitTest, CompressedReduceInsideSplitGroup) {
     }
     CompressState state;
     std::vector<float> out(n, 0.0f);
-    AsyncReduce red =
-        start_reduce_sum(sub, std::span<float>(carrier), std::span<float>(out),
-                         0, 0, &opts, &state);
-    red.wait();
+    compressed_reduce_sum(sub, carrier, out, 0, opts, state);
     if (sub.rank() == 0) {
       // Sums are identical in both groups (per-group ranks 0,1,2): the
       // dense bf16 payloads decode to the same bits either side.

@@ -215,36 +215,50 @@ TEST(RuntimeEnvFlags, AcceptsOnlyTheBooleanSpellings) {
       {"off", false},  {"1", true},    {"true", true},   {"yes", true},
       {"on", true}};
   for (const auto& [value, expected] : cases) {
-    ASSERT_EQ(setenv("BGQHF_OVERLAP", value, 1), 0);
-    EXPECT_EQ(RuntimeEnv::from_process_env().overlap, expected) << value;
+    ASSERT_EQ(setenv("BGQHF_TRACE", value, 1), 0);
+    EXPECT_EQ(RuntimeEnv::from_process_env().trace, expected) << value;
   }
-  unsetenv("BGQHF_OVERLAP");
-  EXPECT_FALSE(RuntimeEnv::from_process_env().overlap);
+  unsetenv("BGQHF_TRACE");
+  EXPECT_FALSE(RuntimeEnv::from_process_env().trace);
 }
 
 TEST(RuntimeEnvFlags, MisspelledFlagThrowsInsteadOfEnabling) {
   // "flase" used to read as on: anything but the listed spellings was true.
-  ASSERT_EQ(setenv("BGQHF_OVERLAP", "flase", 1), 0);
+  ASSERT_EQ(setenv("BGQHF_TRACE", "flase", 1), 0);
   RuntimeEnv::reset_for_tests();  // next get() re-reads the environment
   try {
     RuntimeEnv::get();
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
-    EXPECT_EQ(e.knob(), "BGQHF_OVERLAP");
+    EXPECT_EQ(e.knob(), "BGQHF_TRACE");
     EXPECT_EQ(e.value(), "flase");
   }
-  unsetenv("BGQHF_OVERLAP");
+  unsetenv("BGQHF_TRACE");
   ASSERT_EQ(setenv("BGQHF_TRACE", "enabled", 1), 0);
   EXPECT_THROW(RuntimeEnv::from_process_env(), ConfigError);
   unsetenv("BGQHF_TRACE");
 
   // An injected snapshot bypasses parsing entirely, as before.
   RuntimeEnv env;
-  env.overlap = true;
+  env.trace = true;
   RuntimeEnv::set_for_tests(env);
-  EXPECT_TRUE(RuntimeEnv::get().overlap);
+  EXPECT_TRUE(RuntimeEnv::get().trace);
   RuntimeEnv::reset_for_tests();
-  EXPECT_FALSE(RuntimeEnv::get().overlap);
+  EXPECT_FALSE(RuntimeEnv::get().trace);
+}
+
+TEST(RuntimeEnvKnobs, UnknownKnobNameThrowsNamingIt) {
+  // A retired or misspelled knob must not be silently ignored.
+  ASSERT_EQ(setenv("BGQHF_OVERLAP", "1", 1), 0);
+  try {
+    RuntimeEnv::from_process_env();
+    ADD_FAILURE() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.knob(), "BGQHF_OVERLAP");
+    EXPECT_EQ(e.value(), "1");
+  }
+  unsetenv("BGQHF_OVERLAP");
+  EXPECT_NO_THROW(RuntimeEnv::from_process_env());
 }
 
 }  // namespace
