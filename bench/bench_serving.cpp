@@ -8,25 +8,13 @@
 // the same cells a production dashboard would read, cross-checked against
 // the load generator's exact client-side sample.
 //
-// The overload scenarios exercise the ReplicaSet router: a 2x-nominal
-// open-loop storm (half batch class) against two replicas, with and
-// without a deterministic mid-run replica kill. The gates are the
-// robustness acceptance bar: interactive goodput stays >= 70% of
-// single-replica nominal, interactive p99 holds the latency SLO, every
-// rejection is typed (per-cause counters from the obs registry balance
-// against submissions), and the kill fires at the exact scheduled request.
-//
 //   bench_serving              human-readable tables
 //   bench_serving --json       machine-readable BENCH_serve.json body
 //   bench_serving ci=1         train -> checkpoint -> serve -> replay a
 //                              canned trace; exit 1 unless every request
 //                              completed (zero rejects, zero failures).
 //                              Honors --trace/--metrics-json (ObsCli).
-//   bench_serving overload=1   the 2x-overload + replica-kill gates only
-//                              (the CI overload-soak leg).
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,9 +25,7 @@
 #include "nn/network.h"
 #include "serve/engine.h"
 #include "serve/loadgen.h"
-#include "serve/router.h"
 #include "speech/features.h"
-#include "util/config.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -127,298 +113,6 @@ SweepPoint run_point(const std::shared_ptr<const serve::ModelRuntime>& model,
   return point;
 }
 
-// ---- overload + replica-kill scenarios ----
-
-/// Per-cause rejection counters snapshotted from the obs registry after a
-/// router run (the BENCH_serve.json "rejects" objects).
-struct RejectCauses {
-  std::uint64_t overloaded = 0;
-  std::uint64_t deadline = 0;
-  std::uint64_t shed_batch = 0;
-  std::uint64_t shed_interactive = 0;
-  std::uint64_t tenant = 0;
-  std::uint64_t unavailable = 0;
-  std::uint64_t shutdown = 0;
-  std::uint64_t failover_retries = 0;
-  std::uint64_t replica_kills = 0;
-
-  static RejectCauses collect() {
-    const obs::Registry reg = obs::collect_global();
-    obs::Schema& s = obs::Schema::global();
-    RejectCauses c;
-    // Router-level count (all live queues full, once per request) — the
-    // engine's serve.rejects.overloaded counts per-replica probes.
-    c.overloaded = reg.counter(s.counter("serve.rejects.all_replicas_full"));
-    c.deadline = reg.counter(s.counter("serve.rejects.deadline"));
-    c.shed_batch = reg.counter(s.counter("serve.rejects.shed_batch"));
-    c.shed_interactive =
-        reg.counter(s.counter("serve.rejects.shed_interactive"));
-    c.tenant = reg.counter(s.counter("serve.rejects.tenant"));
-    c.unavailable =
-        reg.counter(s.counter("serve.rejects.replica_unavailable"));
-    c.shutdown = reg.counter(s.counter("serve.rejects.shutdown"));
-    c.failover_retries = reg.counter(s.counter("serve.failover.retries"));
-    c.replica_kills = reg.counter(s.counter("serve.replica.kills"));
-    return c;
-  }
-
-  std::string json() const {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"overloaded\": %llu, \"deadline\": %llu, "
-                  "\"shed_batch\": %llu, \"shed_interactive\": %llu, "
-                  "\"tenant\": %llu, \"replica_unavailable\": %llu, "
-                  "\"shutdown\": %llu}",
-                  static_cast<unsigned long long>(overloaded),
-                  static_cast<unsigned long long>(deadline),
-                  static_cast<unsigned long long>(shed_batch),
-                  static_cast<unsigned long long>(shed_interactive),
-                  static_cast<unsigned long long>(tenant),
-                  static_cast<unsigned long long>(unavailable),
-                  static_cast<unsigned long long>(shutdown));
-    return buf;
-  }
-};
-
-struct OverloadResult {
-  double nominal_rps = 0.0;  // single-replica saturation throughput
-  double offered_rps = 0.0;  // 2x nominal
-  serve::LoadGenReport report;
-  RejectCauses causes;
-  std::uint64_t slo_us = 0;
-  double goodput_rps = 0.0;    // completed interactive / wall seconds
-  double goodput_ratio = 0.0;  // goodput / nominal
-  // Kill scenario only:
-  bool kill_scheduled = false;
-  std::size_t kill_after = 0;
-  serve::ServeFaultLog kill_log;
-
-  bool goodput_pass() const { return goodput_ratio >= 0.7; }
-  bool slo_pass() const {
-    return report.interactive_p99_us <= static_cast<double>(slo_us);
-  }
-  /// Every submission is accounted by a typed outcome: completions plus
-  /// per-cause rejections, nothing untyped, nothing lost.
-  bool typed_pass() const {
-    return report.failed == 0 &&
-           report.submitted == report.completed + report.rejected_deadline +
-                                   report.rejected_shutdown +
-                                   report.failover_exhausted;
-  }
-  bool kill_pass() const {
-    return !kill_scheduled ||
-           (kill_log.killed && kill_log.killed_at_request == kill_after);
-  }
-  bool pass() const {
-    return goodput_pass() && slo_pass() && typed_pass() && kill_pass();
-  }
-};
-
-serve::RouterOptions overload_router_options() {
-  serve::RouterOptions opts = serve::RouterOptions::from_env();
-  opts.replicas = 2;
-  opts.serve.max_batch_frames = 256;
-  opts.serve.batch_timeout_us = 200;
-  // Bounded queue = bounded queueing delay (~queue/nominal seconds worst
-  // case, keeping the p99-at-SLO gate honest) and a bounded stranded set
-  // when a replica dies mid-run: every queued request fails typed and
-  // retries one at a time, so the failover tail is O(queue).
-  opts.serve.queue_capacity = 256;
-  opts.serve.threads = 1;
-  // SLO sized to the queue bound (~queue/nominal of queueing delay plus
-  // scoring); BGQHF_SERVE_SLO_US still wins when set.
-  if (util::RuntimeEnv::get().serve_slo_us == 0) opts.slo_us = 20'000;
-  // Shed early relative to the SLO: batch drops when the windowed p99
-  // burns a quarter of the budget, everything at 90% — the gate is
-  // interactive p99 <= SLO, so the controller must act decisively while
-  // the budget is still mostly intact (a full bounded queue parks the
-  // p99 near queue/nominal, well under the SLO, and a trip threshold
-  // above that level would never fire).
-  opts.shed_batch_burn = 0.25;
-  opts.shed_all_burn = 0.9;
-  // Sticky shedding: once batch is shed, re-admit it only when the p99
-  // falls to well under a tenth of the SLO — a storm is not over just
-  // because shedding made one 2ms window look healthy.
-  opts.shed_release = 0.3;
-  // Batch may only occupy the first quarter of a replica's queue: the
-  // burn controller reacts per tick, this bound per request, so a batch
-  // flood between ticks cannot evict interactive via queue-full rejects.
-  opts.batch_queue_fraction = 0.25;
-  opts.control_interval_us = 2'000;
-  return opts;
-}
-
-/// Unpaced saturation probe: everything submitted at t=0, the generator
-/// idle while the workers drain. Fast but optimistic — it only scales the
-/// paced nominal measurement below.
-double saturation_rps(
-    const std::shared_ptr<const serve::ModelRuntime>& model) {
-  serve::RouterOptions opts = overload_router_options();
-  opts.replicas = 1;
-  serve::LoadGenOptions load;
-  load.num_requests = 3000;
-  load.rate_rps = 0.0;
-  load.seed = 42;
-  opts.serve.queue_capacity = load.num_requests + 8;
-  serve::ReplicaSet set(model, opts);
-  const serve::LoadGenReport r = serve::run_load(set, load);
-  return r.requests_per_s;
-}
-
-/// Single-replica nominal: the completion rate a saturating *paced* open
-/// loop sustains — the generator thread competes for the CPU exactly as
-/// it will during the storm, so the storm's goodput ratio compares like
-/// with like (the unpaced probe alone overstates nominal on small boxes).
-double measure_nominal(
-    const std::shared_ptr<const serve::ModelRuntime>& model) {
-  const double raw = saturation_rps(model);
-  serve::RouterOptions opts = overload_router_options();
-  opts.replicas = 1;
-  serve::LoadGenOptions load;
-  load.rate_rps = 2.0 * raw;  // comfortably past capacity
-  load.num_requests = static_cast<std::size_t>(
-      std::min(std::max(0.5 * raw, 2000.0), 40000.0));
-  load.seed = 42;
-  serve::ReplicaSet set(model, opts);
-  const serve::LoadGenReport r = serve::run_load(set, load);
-  return r.requests_per_s;
-}
-
-OverloadResult run_overload(
-    const std::shared_ptr<const serve::ModelRuntime>& model,
-    bool kill_one_replica) {
-  OverloadResult result;
-  result.nominal_rps = measure_nominal(model);
-  result.offered_rps = 2.0 * result.nominal_rps;
-
-  serve::RouterOptions opts = overload_router_options();
-  result.slo_us = opts.slo_us;
-
-  serve::LoadGenOptions load;
-  load.rate_rps = result.offered_rps;
-  // ~1.2 s of 2x storm, capped so a fast machine stays in CI budget.
-  load.num_requests = static_cast<std::size_t>(std::min(
-      std::max(2.4 * result.nominal_rps, 2000.0), 40000.0));
-  load.batch_fraction = 0.5;
-  load.seed = 42;
-
-  serve::ServeFaultConfig faults;
-  if (kill_one_replica) {
-    const util::RuntimeEnv& env = util::RuntimeEnv::get();
-    faults.seed = env.serve_fault_seed > 0 ? env.serve_fault_seed : 42;
-    // Replica 0 sees roughly half the trace; dying at its (num/8)th
-    // arrival lands the kill about a quarter into the storm.
-    result.kill_scheduled = true;
-    result.kill_after = std::max<std::size_t>(load.num_requests / 8, 1);
-    faults.kills = {{0, result.kill_after}};
-  }
-
-  obs::clear_global();
-  {
-    serve::ReplicaSet set(model, opts, faults);
-    result.report = serve::run_load(set, load);
-    if (kill_one_replica && set.faults() != nullptr) {
-      result.kill_log = set.faults()->log(0);
-    }
-    set.drain();
-  }
-  result.causes = RejectCauses::collect();
-  obs::clear_global();
-
-  if (result.report.seconds > 0.0) {
-    result.goodput_rps = result.report.completed_interactive /
-                         result.report.seconds;
-  }
-  if (result.nominal_rps > 0.0) {
-    result.goodput_ratio = result.goodput_rps / result.nominal_rps;
-  }
-  return result;
-}
-
-void print_overload_json(const OverloadResult& r, const char* key,
-                         bool trailing_comma) {
-  std::printf("  \"%s\": {\n", key);
-  std::printf(
-      "    \"nominal_rps\": %.0f, \"offered_rps\": %.0f, "
-      "\"requests\": %zu, \"batch_fraction\": 0.5,\n",
-      r.nominal_rps, r.offered_rps, r.report.submitted +
-          r.report.rejected_overloaded + r.report.rejected_tenant +
-          r.report.rejected_shed_batch + r.report.rejected_shed_interactive +
-          r.report.rejected_unavailable + r.report.rejected_shutdown);
-  std::printf(
-      "    \"completed_interactive\": %zu, \"completed_batch\": %zu, "
-      "\"interactive_goodput_rps\": %.0f, \"goodput_vs_nominal\": %.2f,\n",
-      r.report.completed_interactive, r.report.completed_batch,
-      r.goodput_rps, r.goodput_ratio);
-  std::printf(
-      "    \"interactive_p99_us\": %.0f, \"slo_us\": %llu,\n",
-      r.report.interactive_p99_us,
-      static_cast<unsigned long long>(r.slo_us));
-  std::printf("    \"rejects\": %s,\n", r.causes.json().c_str());
-  if (r.kill_scheduled) {
-    std::printf(
-        "    \"kill\": {\"replica\": 0, \"scheduled_at_request\": %zu, "
-        "\"fired_at_request\": %zu, \"deterministic\": %s, "
-        "\"failover_retries\": %llu, \"stranded_shutdown\": %zu},\n",
-        r.kill_after, r.kill_log.killed_at_request,
-        r.kill_pass() ? "true" : "false",
-        static_cast<unsigned long long>(r.causes.failover_retries),
-        r.report.rejected_shutdown);
-  }
-  std::printf(
-      "    \"acceptance\": {\"goodput_ge_70pct_nominal\": %s, "
-      "\"interactive_p99_within_slo\": %s, \"typed_errors_only\": %s, "
-      "\"deterministic_kill\": %s, \"pass\": %s}\n  }%s\n",
-      r.goodput_pass() ? "true" : "false", r.slo_pass() ? "true" : "false",
-      r.typed_pass() ? "true" : "false", r.kill_pass() ? "true" : "false",
-      r.pass() ? "true" : "false", trailing_comma ? "," : "");
-}
-
-void print_overload_human(const OverloadResult& r, const char* title) {
-  bench::print_header(title);
-  std::printf(
-      "nominal %.0f req/s, offered %.0f req/s (50%% batch class)\n",
-      r.nominal_rps, r.offered_rps);
-  std::printf(
-      "interactive: completed %zu, goodput %.0f req/s (%.0f%% of "
-      "nominal), p99 %.0f us (SLO %llu us)\n",
-      r.report.completed_interactive, r.goodput_rps,
-      100.0 * r.goodput_ratio, r.report.interactive_p99_us,
-      static_cast<unsigned long long>(r.slo_us));
-  std::printf(
-      "totals: submitted %zu, completed %zu (batch %zu), wall %.3f s, "
-      "failover_exhausted %zu\n",
-      r.report.submitted, r.report.completed, r.report.completed_batch,
-      r.report.seconds, r.report.failover_exhausted);
-  std::printf(
-      "rejects by cause: overloaded %llu, deadline %llu, shed_batch %llu, "
-      "shed_interactive %llu, shutdown %llu, untyped failures %zu\n",
-      static_cast<unsigned long long>(r.causes.overloaded),
-      static_cast<unsigned long long>(r.causes.deadline),
-      static_cast<unsigned long long>(r.causes.shed_batch),
-      static_cast<unsigned long long>(r.causes.shed_interactive),
-      static_cast<unsigned long long>(r.causes.shutdown), r.report.failed);
-  if (r.kill_scheduled) {
-    std::printf(
-        "replica 0 killed at its request %zu (scheduled %zu), failover "
-        "retries %llu\n",
-        r.kill_log.killed_at_request, r.kill_after,
-        static_cast<unsigned long long>(r.causes.failover_retries));
-  }
-  std::printf("gates: %s\n", r.pass() ? "PASS" : "FAIL");
-}
-
-/// The CI overload-soak leg: both scenarios, hard exit status.
-int run_overload_ci() {
-  const auto model = sweep_model();
-  const OverloadResult storm = run_overload(model, /*kill=*/false);
-  print_overload_human(storm, "overload soak: 2x nominal, 2 replicas");
-  const OverloadResult kill = run_overload(model, /*kill=*/true);
-  print_overload_human(
-      kill, "overload soak: 2x nominal, replica 0 killed mid-run");
-  return storm.pass() && kill.pass() ? 0 : 1;
-}
-
 /// Saturation sweep: threads x {single-request, batched}. Returns the
 /// points in (threads, policy) order: single first, batched second.
 std::vector<SweepPoint> run_sweep(
@@ -478,22 +172,13 @@ int run_json() {
   }
   std::printf("},\n");
 
-  const OverloadResult storm = run_overload(model, /*kill=*/false);
-  print_overload_json(storm, "goodput_under_2x_overload",
-                      /*trailing_comma=*/true);
-  const OverloadResult kill = run_overload(model, /*kill=*/true);
-  print_overload_json(kill, "kill_one_replica", /*trailing_comma=*/true);
-
+  const bool pass = min_speedup >= 3.0;
   std::printf(
       "  \"acceptance\": {\"criterion\": \"dynamic batching >= 3x "
-      "single-request throughput at equal thread count; overload + "
-      "replica-kill gates above all pass\", "
-      "\"min_speedup\": %.2f, \"overload_pass\": %s, "
-      "\"kill_pass\": %s, \"pass\": %s}\n}\n",
-      min_speedup, storm.pass() ? "true" : "false",
-      kill.pass() ? "true" : "false",
-      min_speedup >= 3.0 && storm.pass() && kill.pass() ? "true" : "false");
-  return min_speedup >= 3.0 && storm.pass() && kill.pass() ? 0 : 1;
+      "single-request throughput at equal thread count\", "
+      "\"min_speedup\": %.2f, \"pass\": %s}\n}\n",
+      min_speedup, pass ? "true" : "false");
+  return pass ? 0 : 1;
 }
 
 /// CI gate: really train a tiny model, write its checkpoint, serve it,
@@ -570,7 +255,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "ci=1") {
       return run_ci(bench::ObsCli::from_args(argc, argv));
     }
-    if (std::string(argv[i]) == "overload=1") return run_overload_ci();
   }
 
   const auto model = sweep_model();
@@ -607,10 +291,6 @@ int main(int argc, char** argv) {
       "(obs histogram), client-side p99 %.0f us\n",
       paced.report.completed, paced.obs_p50_us, paced.obs_p99_us,
       paced.report.latency_p99_us);
-  print_overload_human(run_overload(model, /*kill=*/false),
-                       "overload: 2x nominal, 2 replicas");
-  print_overload_human(run_overload(model, /*kill=*/true),
-                       "overload: 2x nominal, replica 0 killed mid-run");
 
   std::printf(
       "\nBatching amortizes streaming the weight matrices: every batch\n"

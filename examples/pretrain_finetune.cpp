@@ -25,9 +25,7 @@ struct Variant {
   double accuracy;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace bgqhf;
 
   const util::Config cfg = util::Config::from_args(argc, argv);
@@ -103,4 +101,17 @@ int main(int argc, char** argv) {
       "converges all three\n(the paper's observation that second-order "
       "fine-tuning is robust to init).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or unknown BGQHF_* knob ends the run with one line naming
+  // it, not an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const bgqhf::util::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

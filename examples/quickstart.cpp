@@ -17,7 +17,9 @@
 #include "util/logging.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bgqhf;
 
   const util::Config cfg = util::Config::from_args(argc, argv);
@@ -65,4 +67,17 @@ int main(int argc, char** argv) {
       100.0 * outcome.hf.final_heldout_accuracy, outcome.num_params,
       outcome.seconds);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or unknown BGQHF_* knob ends the run with one line naming
+  // it, not an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const bgqhf::util::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

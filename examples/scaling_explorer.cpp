@@ -14,7 +14,9 @@
 #include "util/config.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bgqhf;
 
   const util::Config cfg = util::Config::from_args(argc, argv);
@@ -87,4 +89,17 @@ int main(int argc, char** argv) {
   print_side("master (rank 0)", report.master);
   print_side("average worker", report.worker);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or unknown BGQHF_* knob ends the run with one line naming
+  // it, not an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const bgqhf::util::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

@@ -34,9 +34,7 @@ bgqhf::hf::TrainerConfig base_config(const bgqhf::util::Config& cfg) {
   return trainer;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace bgqhf;
 
   const util::Config cfg = util::Config::from_args(argc, argv);
@@ -76,4 +74,17 @@ int main(int argc, char** argv) {
       100.0 * seq.hf.final_heldout_accuracy, seq_seconds,
       seq_seconds / ce_seconds);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or unknown BGQHF_* knob ends the run with one line naming
+  // it, not an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const bgqhf::util::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

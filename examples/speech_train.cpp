@@ -17,7 +17,9 @@
 #include "util/config.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace bgqhf;
 
   const util::Config cfg = util::Config::from_args(argc, argv);
@@ -80,4 +82,17 @@ int main(int argc, char** argv) {
       serial.hf.final_heldout_loss,
       100.0 * distributed.hf.final_heldout_accuracy);
   return diffs == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or unknown BGQHF_* knob ends the run with one line naming
+  // it, not an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const bgqhf::util::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

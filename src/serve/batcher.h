@@ -26,8 +26,6 @@ class DynamicBatcher {
   /// queue is closed and fully drained — the worker should exit.
   std::vector<Request> next_batch();
 
-  const ServeOptions& options() const noexcept { return options_; }
-
  private:
   RequestQueue& queue_;
   ServeOptions options_;

@@ -47,21 +47,19 @@ double us_since(Clock::time_point start, Clock::time_point now) {
 }  // namespace
 
 Engine::Engine(std::shared_ptr<const ModelRuntime> model,
-               ServeOptions options, WorkerFault fault_hook)
-    : options_(options),
-      queue_(options.queue_capacity),
-      batcher_(queue_, options),
-      fault_hook_(std::move(fault_hook)) {
+               ServeOptions options)
+    : queue_(options.queue_capacity),
+      batcher_(queue_, options) {
   if (model == nullptr) {
     throw std::invalid_argument("Engine: null model");
   }
-  if (options_.threads == 0) {
+  if (options.threads == 0) {
     throw std::invalid_argument("Engine: needs at least one worker thread");
   }
   installed_ = Installed{std::move(model), 1};
   obs::global_set(engine_metrics().model_version, 1.0);
-  workers_.reserve(options_.threads);
-  for (std::size_t i = 0; i < options_.threads; ++i) {
+  workers_.reserve(options.threads);
+  for (std::size_t i = 0; i < options.threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -70,45 +68,30 @@ Engine::~Engine() { stop(); }
 
 std::future<Response> Engine::submit(blas::Matrix<float> features,
                                      std::chrono::microseconds deadline) {
+  const EngineMetrics& m = engine_metrics();
+  if (features.rows() == 0) {
+    throw std::invalid_argument("serve: request carries no frames");
+  }
+  if (features.cols() != input_dim()) {
+    throw std::invalid_argument(
+        "serve: request feature dim " + std::to_string(features.cols()) +
+        " != model input dim " + std::to_string(input_dim()));
+  }
   Request r;
+  r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   r.features = std::move(features);
   if (deadline > std::chrono::microseconds::zero()) {
     r.deadline = Clock::now() + deadline;
   }
   std::future<Response> fut = r.reply.get_future();
-  switch (try_submit(r)) {
-    case SubmitStatus::kAccepted:
-      return fut;
-    case SubmitStatus::kOverloaded:
-      throw Overloaded(options_.queue_capacity);
-    case SubmitStatus::kStopped:
-      throw EngineStopped();
-  }
-  throw EngineStopped();  // unreachable
-}
-
-Engine::SubmitStatus Engine::try_submit(Request& r) {
-  const EngineMetrics& m = engine_metrics();
-  if (r.frames() == 0) {
-    throw std::invalid_argument("serve: request carries no frames");
-  }
-  if (r.features.cols() != input_dim()) {
-    throw std::invalid_argument(
-        "serve: request feature dim " + std::to_string(r.features.cols()) +
-        " != model input dim " + std::to_string(input_dim()));
-  }
-  if (r.id == 0) r.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   obs::global_add(m.requests);
-  switch (queue_.try_push(r)) {
-    case RequestQueue::PushResult::kOk:
-      return SubmitStatus::kAccepted;
-    case RequestQueue::PushResult::kFull:
-      obs::global_add(m.rejects_overloaded);
-      return SubmitStatus::kOverloaded;
-    case RequestQueue::PushResult::kClosed:
-      return SubmitStatus::kStopped;
+  try {
+    queue_.push(std::move(r));
+  } catch (const Overloaded&) {
+    obs::global_add(m.rejects_overloaded);
+    throw;
   }
-  return SubmitStatus::kStopped;  // unreachable
+  return fut;
 }
 
 std::uint64_t Engine::swap_model(std::shared_ptr<const ModelRuntime> next) {
@@ -140,22 +123,11 @@ std::uint64_t Engine::swap_checkpoint(const std::string& path) {
   return swap_model(ModelRuntime::from_checkpoint(path, model()->network()));
 }
 
-void Engine::stop(CloseMode mode) {
+void Engine::stop() {
   std::lock_guard<std::mutex> lock(stop_mu_);
-  if (stopped_.load(std::memory_order_relaxed)) {
-    // A reject-mode stop after a drain-mode stop still sheds whatever the
-    // workers have not popped yet (close is idempotent per mode).
-    if (mode == CloseMode::kReject) queue_.close(mode);
-    return;
-  }
-  stopped_.store(true, std::memory_order_relaxed);
-  queue_.close(mode);
+  queue_.close();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-}
-
-bool Engine::stopped() const {
-  return stopped_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Engine::model_version() const {
@@ -191,9 +163,6 @@ void Engine::worker_loop() {
     util::Timer timer;
     try {
       BGQHF_SPAN("serve", "score_batch");
-      // Fault injection point: a seeded stall (sleep) or wedge (throw)
-      // lands here, where a real scoring failure would.
-      if (fault_hook_) fault_hook_();
       blas::ConstMatrixView<float> in;
       if (batch.size() == 1) {
         // Single-request batch: score straight from its feature matrix.

@@ -16,7 +16,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -34,15 +33,8 @@ namespace bgqhf::serve {
 
 class Engine {
  public:
-  /// Test/fault-injection hook run by a worker once per batch, before
-  /// scoring. May sleep (a stalled replica) or throw (a wedged scorer —
-  /// the batch fails typed and the health layer counts the error). Must
-  /// be thread-safe; workers call it concurrently.
-  using WorkerFault = std::function<void()>;
-
   /// Start `options.threads` scoring workers over `model`.
-  Engine(std::shared_ptr<const ModelRuntime> model, ServeOptions options,
-         WorkerFault fault_hook = nullptr);
+  Engine(std::shared_ptr<const ModelRuntime> model, ServeOptions options);
   ~Engine();  // stop()
 
   Engine(const Engine&) = delete;
@@ -57,18 +49,6 @@ class Engine {
       blas::Matrix<float> features,
       std::chrono::microseconds deadline = std::chrono::microseconds::zero());
 
-  /// Outcome of a non-throwing admission attempt (router failover path).
-  enum class SubmitStatus { kAccepted, kOverloaded, kStopped };
-
-  /// Non-throwing admission of an already-built request whose reply
-  /// future the caller already holds (r.reply.get_future() before the
-  /// first attempt). Stamps the id on kAccepted; on kOverloaded/kStopped
-  /// `r` is left intact (features and promise untouched) so the replica
-  /// router can offer it to another engine without copying. Still throws
-  /// std::invalid_argument on a feature dimension mismatch — that is a
-  /// caller bug, not load.
-  SubmitStatus try_submit(Request& r);
-
   /// Atomically install `next` as the serving model; returns the new model
   /// version. Throws std::invalid_argument if its input/output dimensions
   /// differ from the current model (clients' feature shapes would break).
@@ -79,23 +59,13 @@ class Engine {
   /// file; the current model keeps serving when the load fails.
   std::uint64_t swap_checkpoint(const std::string& path);
 
-  /// Stop admitting and join the workers. kDrain (default) scores
-  /// everything already queued first — the graceful path; kReject fails
-  /// still-queued requests with the typed Shutdown error (replica kill:
-  /// stranded requests surface immediately so a router can fail them
-  /// over instead of waiting on a dead queue). In-flight batches finish
-  /// either way. Idempotent; the destructor calls stop().
-  void stop(CloseMode mode = CloseMode::kDrain);
-
-  /// True once stop() has begun: the engine no longer admits requests.
-  bool stopped() const;
+  /// Stop admitting, score everything already queued, and join the
+  /// workers. Idempotent; the destructor calls stop().
+  void stop();
 
   std::uint64_t model_version() const;
   std::shared_ptr<const ModelRuntime> model() const;
   std::size_t input_dim() const { return model()->input_dim(); }
-  std::size_t output_dim() const { return model()->output_dim(); }
-  const ServeOptions& options() const noexcept { return options_; }
-  std::size_t queue_depth() const { return queue_.size(); }
 
  private:
   struct Installed {
@@ -106,18 +76,15 @@ class Engine {
   Installed snapshot() const;
   void worker_loop();
 
-  ServeOptions options_;
   RequestQueue queue_;
   DynamicBatcher batcher_;
-  WorkerFault fault_hook_;
 
   mutable std::mutex model_mu_;
   Installed installed_;
 
   std::atomic<std::uint64_t> next_id_{1};
   std::vector<std::thread> workers_;
-  std::atomic<bool> stopped_{false};
-  std::mutex stop_mu_;
+  std::mutex stop_mu_;  // serializes stop(); guards workers_ after start
 };
 
 }  // namespace bgqhf::serve

@@ -1,13 +1,11 @@
-// Typed serving-path errors and the request priority taxonomy.
+// Typed serving-path errors.
 //
 // The engine never fails a request with a bare std::runtime_error: every
 // rejection is a distinct type so callers (the load generator, the CI
-// replay gate, the admission/router layer) can count and branch on the
-// cause without parsing what() text. Overloaded is the backpressure
-// signal — the bounded queue refused admission instead of growing without
-// limit and melting tail latency for everyone already queued. The router
-// layer adds its own causes on top: per-tenant rate limiting, SLO-driven
-// load shedding (batch class first), shutdown, and replica exhaustion.
+// replay gate) can count and branch on the cause without parsing what()
+// text. Overloaded is the backpressure signal — the bounded queue refused
+// admission instead of growing without limit and melting tail latency for
+// everyone already queued.
 #pragma once
 
 #include <cstddef>
@@ -15,16 +13,6 @@
 #include <string>
 
 namespace bgqhf::serve {
-
-/// Request priority class. Interactive requests are user-facing (a person
-/// is waiting on the answer); batch requests are offline scoring that
-/// tolerates delay. Under SLO pressure the router sheds batch first, so
-/// interactive goodput degrades last.
-enum class Priority { kInteractive, kBatch };
-
-inline const char* to_string(Priority p) {
-  return p == Priority::kInteractive ? "interactive" : "batch";
-}
 
 /// Base of every serving rejection.
 class ServeError : public std::runtime_error {
@@ -58,61 +46,6 @@ class DeadlineExceeded : public ServeError {
 class EngineStopped : public ServeError {
  public:
   EngineStopped() : ServeError("serve: engine stopped") {}
-};
-
-/// The request was queued when its engine shut down (reject-mode close:
-/// replica kill or hard drain). Distinct from EngineStopped — the request
-/// was *admitted* and then stranded, so the router's failover layer may
-/// transparently resubmit it to a surviving replica.
-class Shutdown : public ServeError {
- public:
-  Shutdown() : ServeError("serve: request stranded by engine shutdown") {}
-};
-
-/// Admission control: the tenant exhausted its token bucket. Per-tenant
-/// rate limiting keeps one hot tenant from starving everyone else's SLO.
-class TenantRateLimited : public ServeError {
- public:
-  explicit TenantRateLimited(const std::string& tenant)
-      : ServeError("serve: tenant '" + tenant + "' over its rate limit"),
-        tenant_(tenant) {}
-
-  const std::string& tenant() const noexcept { return tenant_; }
-
- private:
-  std::string tenant_;
-};
-
-/// SLO burn-rate shedding: the router is deliberately dropping this
-/// priority class to protect tail latency for the classes still admitted.
-/// Carries the class so dashboards can tell shed-batch from shed-all.
-class LoadShed : public ServeError {
- public:
-  explicit LoadShed(Priority priority)
-      : ServeError(std::string("serve: ") + serve::to_string(priority) +
-                   " class shed by SLO burn-rate control"),
-        priority_(priority) {}
-
-  Priority priority() const noexcept { return priority_; }
-
- private:
-  Priority priority_;
-};
-
-/// Every replica is dead or ejected: the request cannot be placed at all.
-/// Clients should treat this like Overloaded (back off and retry) — the
-/// health layer rejoins recovered replicas via half-open probes.
-class ReplicaUnavailable : public ServeError {
- public:
-  explicit ReplicaUnavailable(std::size_t replicas)
-      : ServeError("serve: no healthy replica among " +
-                   std::to_string(replicas)),
-        replicas_(replicas) {}
-
-  std::size_t replicas() const noexcept { return replicas_; }
-
- private:
-  std::size_t replicas_;
 };
 
 }  // namespace bgqhf::serve

@@ -17,10 +17,6 @@ std::vector<TimedRequest> generate_trace(const LoadGenOptions& options,
   }
   util::Rng arrivals(options.seed);
   util::Rng content = arrivals.fork(1);
-  // Class tags come from their own stream: a trace generated with
-  // batch_fraction == 0 is byte-identical to one generated before classes
-  // existed, and flipping the fraction never moves an arrival time.
-  util::Rng classes = arrivals.fork(2);
   std::vector<TimedRequest> trace;
   trace.reserve(options.num_requests);
   double t = 0.0;
@@ -32,13 +28,6 @@ std::vector<TimedRequest> generate_trace(const LoadGenOptions& options,
       t += -std::log(u) / options.rate_rps;
     }
     r.arrival_s = t;
-    if (options.batch_fraction > 0.0 &&
-        classes.next_double() < options.batch_fraction) {
-      r.cls = Priority::kBatch;
-    }
-    if (options.num_tenants > 1) {
-      r.tenant = "t" + std::to_string(i % options.num_tenants);
-    }
     const std::size_t frames =
         options.min_frames +
         static_cast<std::size_t>(content.below(
@@ -59,7 +48,6 @@ LoadGenReport replay_trace(Engine& engine, std::vector<TimedRequest> trace,
   LoadGenReport report;
   std::vector<std::future<Response>> futures;
   futures.reserve(trace.size());
-  std::size_t frames_submitted = 0;
 
   const Clock::time_point start = Clock::now();
   for (TimedRequest& r : trace) {
@@ -68,12 +56,10 @@ LoadGenReport replay_trace(Engine& engine, std::vector<TimedRequest> trace,
                     std::chrono::duration<double>(r.arrival_s));
     // Open loop: hold to the schedule even if the engine is behind.
     std::this_thread::sleep_until(due);
-    const std::size_t frames = r.features.rows();
     try {
       futures.push_back(engine.submit(
           std::move(r.features), std::chrono::microseconds(deadline_us)));
       ++report.submitted;
-      frames_submitted += frames;
     } catch (const Overloaded&) {
       ++report.rejected_overloaded;
     }
@@ -117,114 +103,8 @@ LoadGenReport replay_trace(Engine& engine, std::vector<TimedRequest> trace,
   return report;
 }
 
-LoadGenReport replay_trace(ReplicaSet& set, std::vector<TimedRequest> trace,
-                           std::uint64_t deadline_us) {
-  LoadGenReport report;
-  struct Routed {
-    RoutedFuture fut;
-    Priority cls;
-    Routed(RoutedFuture f, Priority c) : fut(std::move(f)), cls(c) {}
-  };
-  std::vector<Routed> routed;
-  routed.reserve(trace.size());
-  std::size_t frames_submitted = 0;
-
-  const Clock::time_point start = Clock::now();
-  for (TimedRequest& r : trace) {
-    const Clock::time_point due =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(r.arrival_s));
-    std::this_thread::sleep_until(due);
-    const std::size_t frames = r.features.rows();
-    try {
-      routed.emplace_back(
-          set.submit(std::move(r.features), r.cls, r.tenant,
-                     std::chrono::microseconds(deadline_us)),
-          r.cls);
-      ++report.submitted;
-      frames_submitted += frames;
-      (r.cls == Priority::kBatch ? report.submitted_batch
-                                 : report.submitted_interactive)++;
-    } catch (const Overloaded&) {
-      ++report.rejected_overloaded;
-    } catch (const TenantRateLimited&) {
-      ++report.rejected_tenant;
-    } catch (const LoadShed& e) {
-      (e.priority() == Priority::kBatch ? report.rejected_shed_batch
-                                        : report.rejected_shed_interactive)++;
-    } catch (const ReplicaUnavailable&) {
-      ++report.rejected_unavailable;
-    } catch (const Shutdown&) {
-      ++report.rejected_shutdown;
-    }
-  }
-
-  std::vector<double> latencies;
-  std::vector<double> interactive;
-  latencies.reserve(routed.size());
-  std::size_t frames_completed = 0;
-  for (Routed& r : routed) {
-    try {
-      const Response resp = r.fut.get();
-      ++report.completed;
-      frames_completed += resp.logits.rows();
-      latencies.push_back(resp.total_us);
-      if (r.cls == Priority::kBatch) {
-        ++report.completed_batch;
-      } else {
-        ++report.completed_interactive;
-        interactive.push_back(resp.total_us);
-      }
-    } catch (const DeadlineExceeded&) {
-      ++report.rejected_deadline;
-    } catch (const Shutdown&) {
-      // Admitted, stranded by a kill, and failover could not rescue it
-      // (retries exhausted or drain in progress) — still a typed error.
-      ++report.rejected_shutdown;
-    } catch (const Overloaded&) {
-      // Stranded by a kill, failed over, and every survivor's queue was
-      // full — the failover path's own backpressure, typed like the rest.
-      ++report.failover_exhausted;
-    } catch (const ReplicaUnavailable&) {
-      ++report.failover_exhausted;
-    } catch (...) {
-      ++report.failed;
-    }
-  }
-  report.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (report.seconds > 0.0) {
-    report.requests_per_s = report.completed / report.seconds;
-    report.frames_per_s = frames_completed / report.seconds;
-  }
-  const auto quantile = [](std::vector<double>& v, double q) {
-    const std::size_t idx = std::min(
-        v.size() - 1, static_cast<std::size_t>(q * (v.size() - 1) + 0.5));
-    return v[idx];
-  };
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    double sum = 0.0;
-    for (const double v : latencies) sum += v;
-    report.latency_mean_us = sum / latencies.size();
-    report.latency_p50_us = quantile(latencies, 0.50);
-    report.latency_p99_us = quantile(latencies, 0.99);
-  }
-  if (!interactive.empty()) {
-    std::sort(interactive.begin(), interactive.end());
-    report.interactive_p50_us = quantile(interactive, 0.50);
-    report.interactive_p99_us = quantile(interactive, 0.99);
-  }
-  return report;
-}
-
 LoadGenReport run_load(Engine& engine, const LoadGenOptions& options) {
   return replay_trace(engine, generate_trace(options, engine.input_dim()),
-                      options.deadline_us);
-}
-
-LoadGenReport run_load(ReplicaSet& set, const LoadGenOptions& options) {
-  return replay_trace(set, generate_trace(options, set.input_dim()),
                       options.deadline_us);
 }
 

@@ -11,12 +11,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "blas/matrix.h"
 #include "serve/engine.h"
-#include "serve/router.h"
 
 namespace bgqhf::serve {
 
@@ -31,20 +29,12 @@ struct LoadGenOptions {
   /// Relative deadline applied to every request (0 = none).
   std::uint64_t deadline_us = 0;
   std::uint64_t seed = 1;
-  /// Fraction of requests tagged batch-class (the sheddable class). Drawn
-  /// from its own fork of the seed, so arrival times and feature content
-  /// are byte-identical whether or not classes are in play.
-  double batch_fraction = 0.0;
-  /// Requests are spread round-robin over this many tenants ("t0".."tN").
-  std::size_t num_tenants = 1;
 };
 
 /// One precomputed request of a canned trace.
 struct TimedRequest {
   double arrival_s = 0.0;  // offset from trace start
   blas::Matrix<float> features;
-  Priority cls = Priority::kInteractive;
-  std::string tenant = "t0";
 };
 
 /// Deterministically expand options into a request trace for a model with
@@ -66,29 +56,6 @@ struct LoadGenReport {
   double latency_mean_us = 0.0;
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
-
-  // Router replay only (zero on the single-engine path): per-class and
-  // per-cause breakdown — every rejection is a typed error, so each one
-  // lands in exactly one bucket and submitted always balances against
-  // completed + the rejection counts + failed.
-  std::size_t submitted_interactive = 0;
-  std::size_t submitted_batch = 0;
-  std::size_t completed_interactive = 0;
-  std::size_t completed_batch = 0;
-  std::size_t rejected_shed_batch = 0;
-  std::size_t rejected_shed_interactive = 0;
-  std::size_t rejected_tenant = 0;
-  std::size_t rejected_unavailable = 0;
-  std::size_t rejected_shutdown = 0;
-  /// Admitted, stranded by a replica death, and the hedged failover hit
-  /// backpressure on every survivor (typed Overloaded/ReplicaUnavailable
-  /// surfaced at get()). Separate from the submit-time reject counts so
-  /// submitted always balances: submitted == completed +
-  /// rejected_deadline + rejected_shutdown + failover_exhausted + failed.
-  std::size_t failover_exhausted = 0;
-  /// Interactive-class latency tail — the SLO gate's subject.
-  double interactive_p50_us = 0.0;
-  double interactive_p99_us = 0.0;
 };
 
 /// Replay `trace` against the engine open-loop and wait for every
@@ -96,15 +63,7 @@ struct LoadGenReport {
 LoadGenReport replay_trace(Engine& engine, std::vector<TimedRequest> trace,
                            std::uint64_t deadline_us);
 
-/// Replay against a ReplicaSet, routing each request with its class and
-/// tenant tags. Typed rejections (shed, tenant rate, overload, replica
-/// exhaustion, shutdown) are counted per cause, never retried by the
-/// generator — the router's own hedged failover is the only retry layer.
-LoadGenReport replay_trace(ReplicaSet& set, std::vector<TimedRequest> trace,
-                           std::uint64_t deadline_us);
-
 /// generate_trace + replay_trace in one call.
 LoadGenReport run_load(Engine& engine, const LoadGenOptions& options);
-LoadGenReport run_load(ReplicaSet& set, const LoadGenOptions& options);
 
 }  // namespace bgqhf::serve

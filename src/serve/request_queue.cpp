@@ -1,7 +1,5 @@
 #include "serve/request_queue.h"
 
-#include <exception>
-
 #include "serve/error.h"
 
 namespace bgqhf::serve {
@@ -9,21 +7,10 @@ namespace bgqhf::serve {
 RequestQueue::RequestQueue(std::size_t capacity) : capacity_(capacity) {}
 
 void RequestQueue::push(Request r) {
-  switch (try_push(r)) {
-    case PushResult::kOk:
-      return;
-    case PushResult::kFull:
-      throw Overloaded(capacity_);
-    case PushResult::kClosed:
-      throw EngineStopped();
-  }
-}
-
-RequestQueue::PushResult RequestQueue::try_push(Request& r) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return PushResult::kClosed;
-    if (pending_.size() >= capacity_) return PushResult::kFull;
+    if (closed_) throw EngineStopped();
+    if (pending_.size() >= capacity_) throw Overloaded(capacity_);
     r.enqueued = Clock::now();
     pending_frames_ += r.frames();
     pending_.push_back(std::move(r));
@@ -31,7 +18,6 @@ RequestQueue::PushResult RequestQueue::try_push(Request& r) {
   // Wake every waiting worker: one may be waiting for the queue to become
   // non-empty while another waits for the frame threshold.
   cv_.notify_all();
-  return PushResult::kOk;
 }
 
 std::vector<Request> RequestQueue::pop_batch(std::size_t max_batch_frames,
@@ -68,22 +54,12 @@ std::vector<Request> RequestQueue::pop_batch(std::size_t max_batch_frames,
   }
 }
 
-void RequestQueue::close(CloseMode mode) {
-  std::deque<Request> stranded;
+void RequestQueue::close() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
-    if (mode == CloseMode::kReject) {
-      // Fail the promises outside the lock: a future's continuation must
-      // not run under the queue mutex.
-      stranded.swap(pending_);
-      pending_frames_ = 0;
-    }
   }
   cv_.notify_all();
-  for (Request& r : stranded) {
-    r.reply.set_exception(std::make_exception_ptr(Shutdown()));
-  }
 }
 
 std::size_t RequestQueue::size() const {

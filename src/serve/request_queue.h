@@ -20,33 +20,13 @@
 
 namespace bgqhf::serve {
 
-/// What happens to already-queued requests when the queue closes.
-enum class CloseMode {
-  /// Graceful shutdown: queued requests stay poppable and get scored;
-  /// workers exit once the queue is drained.
-  kDrain,
-  /// Hard shutdown (replica kill, emergency stop): queued requests'
-  /// promises fail immediately with the typed Shutdown error — never
-  /// silently dropped, never left hanging — and workers see an empty
-  /// closed queue. In-flight batches (already popped) still finish.
-  kReject,
-};
-
 class RequestQueue {
  public:
   explicit RequestQueue(std::size_t capacity);
 
-  /// Outcome of a non-throwing admission attempt.
-  enum class PushResult { kOk, kFull, kClosed };
-
   /// Enqueue a request (stamps Request::enqueued). Throws Overloaded when
   /// the queue holds `capacity` requests, EngineStopped after close().
   void push(Request r);
-
-  /// Non-throwing admission: on kOk the request was moved in (stamped);
-  /// on kFull/kClosed `r` is left intact so the caller (the replica
-  /// router) can offer it to another queue without copying the features.
-  PushResult try_push(Request& r);
 
   /// Block until at least one request is pending, then return a batch:
   /// requests are popped in FIFO order until the batch reaches
@@ -57,14 +37,11 @@ class RequestQueue {
                                  std::chrono::microseconds timeout);
 
   /// Stop admitting (push() throws EngineStopped) and wake every waiter.
-  /// kDrain (default) leaves already-queued requests poppable so workers
-  /// drain them gracefully; kReject fails each queued request's promise
-  /// with Shutdown and empties the queue. Idempotent; a later kReject
-  /// close upgrades a kDrain close (rejecting whatever is still queued).
-  void close(CloseMode mode = CloseMode::kDrain);
+  /// Already-queued requests stay poppable, so workers drain them before
+  /// pop_batch() reports closed-and-drained. Idempotent.
+  void close();
 
   std::size_t size() const;
-  std::size_t capacity() const noexcept { return capacity_; }
   bool closed() const;
 
  private:

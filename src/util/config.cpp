@@ -180,10 +180,6 @@ RuntimeEnv RuntimeEnv::from_process_env() {
   env.trace_file = read.string("BGQHF_TRACE_FILE");
   env.serve_batch = read.number<std::uint64_t>("BGQHF_SERVE_BATCH");
   env.serve_timeout_us = read.number<std::uint64_t>("BGQHF_SERVE_TIMEOUT_US");
-  env.serve_replicas = read.number<std::uint64_t>("BGQHF_SERVE_REPLICAS");
-  env.serve_slo_us = read.number<std::uint64_t>("BGQHF_SERVE_SLO_US");
-  env.serve_tenant_rate = read.number<std::uint64_t>("BGQHF_SERVE_TENANT_RATE");
-  env.serve_fault_seed = read.number<std::uint64_t>("BGQHF_SERVE_FAULT_SEED");
   env.data_dir = read.string("BGQHF_DATA_DIR");
   env.prefetch_depth = read.number<std::uint64_t>("BGQHF_PREFETCH_DEPTH");
   env.hf_lambda0 = read.number<double>("BGQHF_HF_LAMBDA0");

@@ -97,18 +97,6 @@ struct RuntimeEnv {
   /// BGQHF_SERVE_TIMEOUT_US — serving batcher's max wait for a full batch,
   /// in microseconds (0 = keep the ServeOptions default).
   std::uint64_t serve_timeout_us = 0;
-  /// BGQHF_SERVE_REPLICAS — replica count for the serving ReplicaSet
-  /// (0 = keep the RouterOptions default).
-  std::uint64_t serve_replicas = 0;
-  /// BGQHF_SERVE_SLO_US — serving latency SLO in microseconds, the p99 the
-  /// burn-rate shedder measures against (0 = keep the default).
-  std::uint64_t serve_slo_us = 0;
-  /// BGQHF_SERVE_TENANT_RATE — per-tenant admission rate in requests/s
-  /// (0 = unlimited).
-  std::uint64_t serve_tenant_rate = 0;
-  /// BGQHF_SERVE_FAULT_SEED — seed for the serving fault injector when a
-  /// bench/CI leg arms it (0 = the bench's own default).
-  std::uint64_t serve_fault_seed = 0;
   /// BGQHF_DATA_DIR — directory of a sharded corpus store (index.bgqsx +
   /// *.bgqs shards). When set, the trainer streams utterances out of core
   /// through ShardedSource instead of generating the corpus in RAM.

@@ -5,8 +5,6 @@
 // serial == compressed distributed bitwise.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "hf/distributed_sgd.h"
 #include "hf/trainer.h"
 
@@ -201,14 +199,12 @@ TEST(Bf16Wire, ShrinksSgdTrafficAloneAndComposedWithTopk) {
 }
 
 TEST(AggregationConfig, DefaultIsExactUnlessEnvSaysOtherwise) {
-  // Under a plain environment the default TrainerConfig must take
-  // today's bitwise-exact path. (Skipped when the suite itself runs with
-  // the knob set, e.g. the compressed CI leg.)
-  if (std::getenv("BGQHF_COMPRESS") != nullptr) {
-    GTEST_SKIP() << "aggregation knobs set in environment";
-  }
+  // The default TrainerConfig takes the bitwise-exact path unless the
+  // environment resolves a codec: BGQHF_COMPRESS, or BGQHF_PRECISION=bf16
+  // (bf16 wire bodies). Under a plain environment both sides are false.
   const TrainerConfig cfg;
-  EXPECT_FALSE(cfg.aggregation.active());
+  EXPECT_EQ(cfg.aggregation.active(),
+            simmpi::CompressOptions::from_env().active());
 }
 
 }  // namespace

@@ -228,26 +228,6 @@ TEST(Engine, SwapUnderConcurrentLoadWithFullQueueTearsNothing) {
   }
 }
 
-TEST(Engine, RejectStopShedsQueuedRequestsTyped) {
-  ServeOptions options = quick_options();
-  options.batch_timeout_us = 50'000;  // requests sit queued when stop() hits
-  options.max_batch_frames = 1 << 20;
-  options.threads = 1;
-  auto model = make_model(1);
-  Engine engine(model, options);
-  std::vector<std::future<Response>> futures;
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    futures.push_back(
-        engine.submit(make_features(1, model->input_dim(), 60 + i)));
-  }
-  engine.stop(CloseMode::kReject);
-  EXPECT_TRUE(engine.stopped());
-  // Every queued request fails fast with the typed stranded error.
-  for (auto& fut : futures) EXPECT_THROW(fut.get(), Shutdown);
-  EXPECT_THROW(engine.submit(make_features(1, model->input_dim(), 99)),
-               EngineStopped);
-}
-
 TEST(Engine, StopDrainsQueuedRequests) {
   ServeOptions options = quick_options();
   options.batch_timeout_us = 50'000;  // requests sit queued when stop() hits

@@ -2,10 +2,8 @@
 // exact outcomes on them) and the report must account for every request.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 
-#include "obs/registry.h"
 #include "serve/engine.h"
 #include "serve/loadgen.h"
 #include "util/rng.h"
@@ -93,101 +91,6 @@ TEST(LoadGen, BadFrameRangeThrows) {
   options.min_frames = 4;
   options.max_frames = 2;
   EXPECT_THROW(generate_trace(options, 3), std::invalid_argument);
-}
-
-TEST(LoadGen, ClassTagsDoNotPerturbArrivalsOrContent) {
-  LoadGenOptions options;
-  options.num_requests = 32;
-  options.rate_rps = 500.0;
-  options.min_frames = 1;
-  options.max_frames = 4;
-  options.seed = 77;
-  const auto plain = generate_trace(options, 5);
-  options.batch_fraction = 0.5;
-  options.num_tenants = 3;
-  const auto tagged = generate_trace(options, 5);
-  // Class/tenant tags ride a separate rng fork: the schedule and features
-  // stay byte-identical, only the tags change.
-  ASSERT_EQ(plain.size(), tagged.size());
-  std::size_t batch = 0;
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].arrival_s, tagged[i].arrival_s);
-    ASSERT_EQ(plain[i].features.rows(), tagged[i].features.rows());
-    ASSERT_EQ(
-        0, std::memcmp(plain[i].features.data(), tagged[i].features.data(),
-                       plain[i].features.size() * sizeof(float)));
-    EXPECT_EQ(plain[i].cls, Priority::kInteractive);
-    if (tagged[i].cls == Priority::kBatch) ++batch;
-    EXPECT_EQ(tagged[i].tenant, "t" + std::to_string(i % 3));
-  }
-  EXPECT_GT(batch, 0u);
-  EXPECT_LT(batch, tagged.size());
-  // And the tagging itself replays deterministically.
-  const auto again = generate_trace(options, 5);
-  for (std::size_t i = 0; i < tagged.size(); ++i) {
-    EXPECT_EQ(tagged[i].cls, again[i].cls);
-  }
-}
-
-TEST(LoadGen, RouterReplayAccountsEveryRequestPerClass) {
-  RouterOptions opts;
-  opts.replicas = 2;
-  opts.serve.max_batch_frames = 16;
-  opts.serve.batch_timeout_us = 200;
-  opts.serve.queue_capacity = 1024;
-  opts.serve.threads = 1;
-  opts.control_interval_us = 0;
-  ReplicaSet set(make_model(), opts);
-
-  LoadGenOptions load;
-  load.num_requests = 96;
-  load.rate_rps = 0.0;
-  load.min_frames = 1;
-  load.max_frames = 3;
-  load.seed = 5;
-  load.batch_fraction = 0.4;
-  const LoadGenReport report = run_load(set, load);
-  EXPECT_EQ(report.submitted, 96u);
-  EXPECT_EQ(report.completed, 96u);
-  EXPECT_EQ(report.submitted_interactive + report.submitted_batch, 96u);
-  EXPECT_EQ(report.completed_interactive, report.submitted_interactive);
-  EXPECT_EQ(report.completed_batch, report.submitted_batch);
-  EXPECT_GT(report.completed_batch, 0u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_GT(report.interactive_p99_us, 0.0);
-  EXPECT_LE(report.interactive_p50_us, report.interactive_p99_us);
-}
-
-TEST(LoadGen, RouterReplayCountsShedClassesSeparately) {
-  RouterOptions opts;
-  opts.replicas = 1;
-  opts.serve.threads = 1;
-  opts.control_interval_us = 0;
-  ReplicaSet set(make_model(), opts);
-  // Force shed-batch by hand (no control thread to undo it). The first
-  // tick anchors the window; two quiet ticks decay any shed level
-  // inherited from earlier tests' histogram samples.
-  const obs::HistogramId latency =
-      obs::Schema::global().histogram("serve.latency_us");
-  set.control_tick();
-  set.control_tick();
-  set.control_tick();
-  ASSERT_EQ(set.shed_level(), ShedLevel::kNone);
-  for (int i = 0; i < 32; ++i) obs::global_observe(latency, 75'000.0);
-  set.control_tick();
-  ASSERT_EQ(set.shed_level(), ShedLevel::kShedBatch);
-
-  LoadGenOptions load;
-  load.num_requests = 40;
-  load.batch_fraction = 0.5;
-  load.seed = 9;
-  const LoadGenReport report = run_load(set, load);
-  EXPECT_GT(report.rejected_shed_batch, 0u);
-  EXPECT_EQ(report.rejected_shed_interactive, 0u);
-  EXPECT_EQ(report.completed, report.completed_interactive);
-  EXPECT_EQ(report.completed_batch, 0u);
-  EXPECT_EQ(report.submitted,
-            report.completed + report.rejected_deadline + report.failed);
 }
 
 TEST(LoadGen, UncontendedReplayCompletesEverythingWithZeroRejects) {

@@ -134,64 +134,17 @@ TEST(RequestQueue, PushWakesBlockedPopper) {
   EXPECT_EQ(batch[0].id, 7u);
 }
 
-TEST(RequestQueue, RejectCloseFailsQueuedRequestsTyped) {
-  RequestQueue q(8);
-  Request a = make_request(1, 1);
-  Request b = make_request(2, 1);
-  std::future<Response> fa = a.reply.get_future();
-  std::future<Response> fb = b.reply.get_future();
-  q.push(std::move(a));
-  q.push(std::move(b));
-  q.close(CloseMode::kReject);
-  // Queued requests fail immediately with the typed Shutdown error — no
-  // silent drop, no hang waiting on a dead queue.
-  EXPECT_THROW(fa.get(), Shutdown);
-  EXPECT_THROW(fb.get(), Shutdown);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.pop_batch(100, microseconds(0)).empty());
-}
-
 TEST(RequestQueue, DrainCloseKeepsQueuedRequestsPoppable) {
   RequestQueue q(8);
   Request a = make_request(1, 1);
   std::future<Response> fa = a.reply.get_future();
   q.push(std::move(a));
-  q.close(CloseMode::kDrain);
-  // Drain mode: the queued request is still there for a worker to score.
+  q.close();
+  // Close drains: the queued request is still there for a worker to score.
   const auto batch = q.pop_batch(100, microseconds(0));
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(fa.wait_for(std::chrono::seconds(0)),
             std::future_status::timeout);
-}
-
-TEST(RequestQueue, RejectCloseAfterDrainCloseShedsTheBacklog) {
-  RequestQueue q(8);
-  Request a = make_request(1, 1);
-  std::future<Response> fa = a.reply.get_future();
-  q.push(std::move(a));
-  q.close(CloseMode::kDrain);
-  // Escalation drain -> reject (a kill landing during shutdown): whatever
-  // no worker popped yet is shed typed.
-  q.close(CloseMode::kReject);
-  EXPECT_THROW(fa.get(), Shutdown);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(RequestQueue, TryPushLeavesRequestIntactOnBackpressure) {
-  RequestQueue q(1);
-  q.push(make_request(1, 1));
-  Request r = make_request(2, 3);
-  std::future<Response> fut = r.reply.get_future();
-  EXPECT_EQ(q.try_push(r), RequestQueue::PushResult::kFull);
-  // The request survives rejection: features and promise are untouched,
-  // so a router can offer the same request to another queue.
-  EXPECT_EQ(r.frames(), 3u);
-  EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);
-  RequestQueue q2(4);
-  EXPECT_EQ(q2.try_push(r), RequestQueue::PushResult::kOk);
-  q.close();
-  EXPECT_EQ(q.try_push(r), RequestQueue::PushResult::kClosed);
 }
 
 TEST(RequestQueue, CloseWakesBlockedPopper) {

@@ -249,16 +249,19 @@ TEST(RuntimeEnvFlags, MisspelledFlagThrowsInsteadOfEnabling) {
 
 TEST(RuntimeEnvKnobs, UnknownKnobNameThrowsNamingIt) {
   // A retired or misspelled knob must not be silently ignored.
-  ASSERT_EQ(setenv("BGQHF_OVERLAP", "1", 1), 0);
-  try {
-    RuntimeEnv::from_process_env();
-    ADD_FAILURE() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_EQ(e.knob(), "BGQHF_OVERLAP");
-    EXPECT_EQ(e.value(), "1");
+  for (const char* name : {"BGQHF_OVERLAP", "BGQHF_SERVE_REPLICAS"}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(setenv(name, "1", 1), 0);
+    try {
+      RuntimeEnv::from_process_env();
+      ADD_FAILURE() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.knob(), name);
+      EXPECT_EQ(e.value(), "1");
+    }
+    unsetenv(name);
+    EXPECT_NO_THROW(RuntimeEnv::from_process_env());
   }
-  unsetenv("BGQHF_OVERLAP");
-  EXPECT_NO_THROW(RuntimeEnv::from_process_env());
 }
 
 }  // namespace
