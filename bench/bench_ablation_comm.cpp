@@ -8,10 +8,11 @@
 // impact.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "bgq/comm_model.h"
 #include "figures_common.h"
 
-int main() {
+static int bench_main() {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -63,3 +64,5 @@ int main() {
   std::printf("%s", prefetch.render().c_str());
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

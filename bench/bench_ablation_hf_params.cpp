@@ -7,6 +7,7 @@
 // plus the total CG iterations spent (the dominant cost driver).
 #include <cstdio>
 
+#include "bench_main.h"
 #include "hf/trainer.h"
 #include "util/table.h"
 
@@ -55,7 +56,7 @@ void print(const char* title, const char* knob,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bgqhf::util::Table;
 
   {
@@ -95,3 +96,5 @@ int main() {
       "choices.\n");
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

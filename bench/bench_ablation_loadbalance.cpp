@@ -6,11 +6,12 @@
 // more apparent when the training data is scaled to larger sizes".
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 #include "speech/corpus.h"
 #include "speech/partition.h"
 
-int main() {
+static int bench_main() {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -54,3 +55,5 @@ int main() {
   std::printf("%s", modeled.render().c_str());
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

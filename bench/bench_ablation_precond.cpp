@@ -7,11 +7,12 @@
 // deferred.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "hf/trainer.h"
 #include "util/table.h"
 #include "util/timer.h"
 
-int main() {
+static int bench_main() {
   using namespace bgqhf;
 
   hf::TrainerConfig cfg;
@@ -48,3 +49,5 @@ int main() {
   std::printf("%s", table.render().c_str());
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_main.h"
 #include "speech/source.h"
 #include "speech/store/writer.h"
 #include "util/checksum.h"
@@ -121,7 +122,7 @@ void print_pass_json(const char* key, const PassResult& r, bool trailing) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   const bool json = argc > 1 && std::string(argv[1]) == "--json";
   const util::Config cfg =
       util::Config::from_args(json ? argc - 1 : argc,
@@ -216,4 +217,8 @@ int main(int argc, char** argv) {
                 hidden * 100.0);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

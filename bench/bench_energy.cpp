@@ -7,9 +7,10 @@
 // time-to-solution.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 
-int main() {
+static int bench_main() {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -62,3 +63,5 @@ int main() {
       x.energy_kwh / b.energy_kwh);
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

@@ -9,11 +9,12 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_main.h"
 #include "figures_common.h"
 #include "hf/trainer.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
   const ObsCli obs_cli = ObsCli::from_args(argc, argv);
@@ -81,4 +82,8 @@ int main(int argc, char** argv) {
       "data fraction, not with protocol corruption.\n");
   obs_cli.finish(run_metrics);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

@@ -6,9 +6,10 @@
 // 4096-4-16, which is better than 1024-1-64.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -53,4 +54,8 @@ int main(int argc, char** argv) {
   std::printf("%s", scaling.render().c_str());
   csv.save(scaling, "fig1a_scaling");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

@@ -6,9 +6,10 @@
 // hours can be trained using this configuration in 6.3 hours."
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -41,4 +42,8 @@ int main(int argc, char** argv) {
       100.0 * (t4096 / two_racks.total_seconds - 1.0),
       two_racks.total_hours());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

@@ -8,9 +8,10 @@
 // percentage of the data for this part of the computation".
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
   const ObsCli obs_cli = ObsCli::from_args(argc, argv);
@@ -60,4 +61,8 @@ int main(int argc, char** argv) {
   std::printf("%s", phase_table(workers_total).render().c_str());
   obs_cli.finish(run_registry(out));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

@@ -6,10 +6,11 @@
 // ranks; the CG loop's bcast/reduce pairs dominate collective volume.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 #include "hf/trainer.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
   const ObsCli obs_cli = ObsCli::from_args(argc, argv);
@@ -41,4 +42,8 @@ int main(int argc, char** argv) {
   std::printf("%s", phase_table(out.master_phases).render().c_str());
   obs_cli.finish(run_registry(out));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

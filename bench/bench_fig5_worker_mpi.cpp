@@ -7,10 +7,11 @@
 // shard receive.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 #include "hf/trainer.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
   const ObsCli obs_cli = ObsCli::from_args(argc, argv);
@@ -51,4 +52,8 @@ int main(int argc, char** argv) {
   }
   obs_cli.finish(run_metrics);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

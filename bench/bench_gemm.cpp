@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "bench_main.h"
 #include "blas/dispatch.h"
 #include "blas/gemm.h"
 #include "blas/precision.h"
@@ -305,7 +306,7 @@ BENCHMARK(BM_SgemmUnfusedForward)
     ->Args({256, 440, 2048})
     ->Unit(benchmark::kMicrosecond);
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json", 6) == 0) {
       const char* path = argv[i][6] == '=' ? argv[i] + 7 : nullptr;
@@ -316,4 +317,8 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

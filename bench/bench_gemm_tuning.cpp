@@ -3,6 +3,7 @@
 // multiply and report the best configuration for this host.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "blas/gemm.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -45,7 +46,7 @@ double measure_gflops(const GemmBlocking& blocking) {
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bgqhf::util::Table;
   std::printf("\n=== SGEMM cache-blocking sweep (512^3 forward shape) ===\n");
   Table table({"MC", "KC", "NC", "GFLOP/s"});
@@ -70,3 +71,5 @@ int main() {
               best_blocking.mc, best_blocking.kc, best_blocking.nc, best);
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

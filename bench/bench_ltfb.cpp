@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "bench_main.h"
 #include "blas/matrix.h"
 #include "figures_common.h"
 #include "hf/checkpoint.h"
@@ -336,7 +337,7 @@ int run_human() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]) == "--json") return run_json();
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "ci=1") {
@@ -344,4 +345,8 @@ int main(int argc, char** argv) {
     }
   }
   return run_human();
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

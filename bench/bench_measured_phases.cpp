@@ -8,10 +8,11 @@
 // does not.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "hf/trainer.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace bgqhf;
 
   hf::TrainerConfig base;
@@ -60,3 +61,5 @@ int main() {
       "scale.\n");
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

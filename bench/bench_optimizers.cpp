@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_main.h"
 #include "figures_common.h"
 #include "hf/ksd.h"
 #include "hf/lbfgs.h"
@@ -108,7 +109,7 @@ Entry run_sgd() {
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   using bgqhf::util::Table;
   std::printf("\n=== Optimizer comparison (identical task + init) ===\n");
   Table table({"optimizer", "final held-out CE", "accuracy", "wall (s)",
@@ -125,3 +126,5 @@ int main() {
       "thousands of ranks (Sec. II/IV).\n");
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

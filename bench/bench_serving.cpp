@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_main.h"
 #include "figures_common.h"
 #include "hf/checkpoint.h"
 #include "hf/trainer.h"
@@ -248,7 +249,7 @@ int run_ci(const bench::ObsCli& obs_cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   if (argc > 1 && std::string(argv[1]) == "--json") return run_json();
   for (int i = 1; i < argc; ++i) {
@@ -297,4 +298,8 @@ int main(int argc, char** argv) {
       "reads the model once, so req/s scales with how full the batcher\n"
       "can keep its batches (see mean batch column).\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

@@ -12,6 +12,7 @@
 //      choose HF for BG/Q.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "bgq/sgd_model.h"
 #include "figures_common.h"
 #include "hf/async_sgd.h"
@@ -20,7 +21,7 @@
 #include "hf/trainer.h"
 #include "util/timer.h"
 
-int main() {
+static int bench_main() {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -151,3 +152,5 @@ int main() {
       bgq_limit, xeon_limit);
   return 0;
 }
+
+int main() { return bgqhf::bench::guarded_main(bench_main); }

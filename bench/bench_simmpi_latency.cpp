@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_main.h"
 #include "simmpi/communicator.h"
 #include "simmpi/compress.h"
 #include "util/table.h"
@@ -266,7 +267,7 @@ int run_json() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   if (argc > 1 && std::string(argv[1]) == "--json") return run_json();
 
@@ -336,4 +337,8 @@ int main(int argc, char** argv) {
       "\n(shared-memory message passing on this host; the BG/Q numbers in "
       "the figure\nbenches come from the analytic model, not from these)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

@@ -8,9 +8,10 @@
 // Frequency adjustment multiplies by the clock ratio 2.9 GHz / 1.6 GHz.
 #include <cstdio>
 
+#include "bench_main.h"
 #include "figures_common.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   using namespace bgqhf;
   using namespace bgqhf::bench;
 
@@ -64,4 +65,8 @@ int main(int argc, char** argv) {
   csv.save(measured, "table1_measured");
   obs_cli.finish(run_metrics);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

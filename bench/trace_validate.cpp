@@ -10,9 +10,10 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_main.h"
 #include "obs/export_chrome.h"
 
-int main(int argc, char** argv) {
+static int bench_main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr, "usage: %s <trace.json> [more.json ...]\n", argv[0]);
     return 2;
@@ -40,4 +41,8 @@ int main(int argc, char** argv) {
                 path.c_str(), summary.num_events, pids.c_str(), cats.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return bgqhf::bench::guarded_main([&] { return bench_main(argc, argv); });
 }

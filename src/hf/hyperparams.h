@@ -25,8 +25,8 @@ struct HyperParams {
   double lambda0 = 1.0;
   /// Truncated-CG iteration budget per outer iteration.
   std::size_t cg_max_iters = 250;
-  /// Fraction of local utterances resampled for each CG call (the paper's
-  /// ~1-3% curvature sample).
+  /// Fraction of each shard's training frames resampled for each CG call
+  /// (the paper's ~1-3% curvature sample), in (0, 1].
   double curvature_fraction = 0.02;
   /// Lambda multipliers on poor / good model agreement (the paper's 3/2
   /// and 2/3; see damping.h for the sign-convention discussion).

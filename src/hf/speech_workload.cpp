@@ -1,7 +1,9 @@
 #include "hf/speech_workload.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "hf/aggregate.h"
 #include "nn/backprop.h"
@@ -22,6 +24,17 @@ SpeechWorkload::SpeechWorkload(nn::Network net, speech::Dataset train,
     throw std::invalid_argument(
         "SpeechWorkload: transition model does not match output dim");
   }
+  set_curvature_fraction(options_.curvature_fraction);
+}
+
+void SpeechWorkload::set_curvature_fraction(double fraction) {
+  // Also rejects NaN, which would reach an undefined float-to-size_t cast.
+  if (!(fraction > 0.0 && fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "SpeechWorkload: curvature_fraction must be in (0, 1], got " +
+        std::to_string(fraction));
+  }
+  options_.curvature_fraction = fraction;
 }
 
 void SpeechWorkload::set_params(std::span<const float> theta) {
@@ -123,39 +136,98 @@ nn::BatchLoss SpeechWorkload::gradient_sequence(std::span<float> grad,
   return total;
 }
 
+std::vector<SpeechWorkload::RowRange> SpeechWorkload::sample_curvature_rows(
+    std::uint64_t seed) const {
+  std::vector<RowRange> ranges;
+  const std::size_t frames = train_.num_frames();
+  if (frames == 0) return ranges;
+  // At most `frames`, since the fraction is at most 1.
+  const std::size_t budget = std::max<std::size_t>(
+      1, static_cast<std::size_t>(options_.curvature_fraction *
+                                      static_cast<double>(frames) +
+                                  0.5));
+  util::Rng rng = util::Rng(seed).fork(shard_id_);
+  if (options_.criterion == Criterion::kCrossEntropy) {
+    // Frames are independent under CE: sample exactly the budget.
+    for (const std::size_t f : rng.sample_without_replacement(frames, budget)) {
+      ranges.emplace_back(f, f + 1);
+    }
+    return ranges;
+  }
+  // Forward-backward needs whole utterances: take them in seeded random
+  // order (a partial Fisher-Yates shuffle) until the budget is met.
+  std::vector<std::size_t> order(train_.num_utterances());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::size_t sampled = 0;
+  for (std::size_t i = 0; sampled < budget; ++i) {
+    std::swap(order[i], order[i + rng.below(order.size() - i)]);
+    const std::size_t u = order[i];
+    ranges.emplace_back(train_.offsets[u], train_.offsets[u + 1]);
+    sampled += train_.utt_frames(u);
+  }
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+SpeechWorkload::CurvatureBatch SpeechWorkload::pack_curvature_block(
+    std::span<const RowRange> ranges) const {
+  CurvatureBatch batch;
+  for (const auto& [begin, end] : ranges) {
+    for (std::size_t r = begin; r < end; ++r) batch.rows.push_back(r);
+  }
+  const std::size_t rows = batch.rows.size();
+  const std::size_t cols = train_.x.cols();
+  batch.x = blas::Matrix<float>(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::copy_n(train_.x.data() + batch.rows[i] * cols, cols,
+                batch.x.data() + i * cols);
+  }
+  batch.cache = net_.forward(batch.x.view(), options_.pool);
+  const std::size_t states = net_.output_dim();
+  batch.probs = blas::Matrix<float>(rows, states);
+  if (options_.criterion == Criterion::kCrossEntropy) {
+    nn::softmax_rows(batch.cache.logits(), batch.probs.view());
+    return batch;
+  }
+  std::size_t first = 0;
+  for (const auto& [begin, end] : ranges) {
+    const std::size_t len = end - begin;
+    const nn::SequenceStats stats = nn::forward_backward(
+        batch.cache.logits().block(first, 0, len, states),
+        options_.transitions);
+    std::copy_n(stats.gamma.data(), len * states,
+                batch.probs.data() + first * states);
+    first += len;
+  }
+  return batch;
+}
+
 void SpeechWorkload::prepare_curvature(std::uint64_t seed) {
   curvature_.clear();
   curvature_frames_ = 0;
-  const std::size_t num_utts = train_.num_utterances();
-  if (num_utts == 0) {
-    curvature_version_ = params_version_;
-    return;
-  }
-  const std::size_t k = std::max<std::size_t>(
-      1, static_cast<std::size_t>(options_.curvature_fraction *
-                                      static_cast<double>(num_utts) +
-                                  0.5));
-  util::Rng rng = util::Rng(seed).fork(shard_id_);
-  const std::vector<std::size_t> sampled =
-      rng.sample_without_replacement(num_utts, k);
-
-  for (const std::size_t u : sampled) {
-    CurvatureBatch batch;
-    batch.x = train_.utt_x(u);
-    batch.cache = net_.forward(batch.x, options_.pool);
-    if (options_.criterion == Criterion::kCrossEntropy) {
-      batch.probs =
-          blas::Matrix<float>(batch.x.rows, net_.output_dim());
-      nn::softmax_rows(batch.cache.logits(), batch.probs.view());
-    } else {
-      const nn::SequenceStats stats =
-          nn::forward_backward(batch.cache.logits(), options_.transitions);
-      batch.probs = stats.gamma;
-    }
-    curvature_frames_ += batch.x.rows;
-    curvature_.push_back(std::move(batch));
+  const auto ranges = sample_curvature_rows(seed);
+  // Whole ranges, greedily, into blocks of at most batch_frames rows; an
+  // utterance longer than that gets a block of its own.
+  for (auto first = ranges.begin(); first != ranges.end();) {
+    auto last = first;
+    std::size_t rows = 0;
+    do {
+      rows += last->second - last->first;
+      ++last;
+    } while (last != ranges.end() &&
+             rows + (last->second - last->first) <= options_.batch_frames);
+    curvature_.push_back(pack_curvature_block({first, last}));
+    curvature_frames_ += rows;
+    first = last;
   }
   curvature_version_ = params_version_;
+}
+
+std::vector<std::span<const std::size_t>> SpeechWorkload::curvature_blocks()
+    const {
+  std::vector<std::span<const std::size_t>> blocks;
+  for (const CurvatureBatch& batch : curvature_) blocks.push_back(batch.rows);
+  return blocks;
 }
 
 void SpeechWorkload::curvature_product(std::span<const float> v,
@@ -170,7 +242,7 @@ void SpeechWorkload::curvature_product(std::span<const float> v,
   }
   for (const CurvatureBatch& batch : curvature_) {
     nn::accumulate_gn_product_with_distribution(
-        net_, batch.x, batch.cache, batch.probs.view(), v, out_accum,
+        net_, batch.x.view(), batch.cache, batch.probs.view(), v, out_accum,
         options_.pool);
   }
 }

@@ -1,8 +1,10 @@
 #include "util/config.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -131,6 +133,16 @@ class EnvReader {
     return parsed;
   }
 
+  /// number<double>, but finite and in [0, max]: NaN, infinities and
+  /// negatives are malformed, not "keep the default".
+  double bounded(const char* name, double max, const char* expected) {
+    const double v = number<double>(name);
+    if (!std::isfinite(v) || v < 0 || v > max) {
+      throw ConfigError(name, get(name), expected);
+    }
+    return v;
+  }
+
   /// Throw ConfigError naming the first BGQHF_* variable in the process
   /// environment that no read above asked for.
   void reject_unread() const {
@@ -182,9 +194,12 @@ RuntimeEnv RuntimeEnv::from_process_env() {
   env.serve_timeout_us = read.number<std::uint64_t>("BGQHF_SERVE_TIMEOUT_US");
   env.data_dir = read.string("BGQHF_DATA_DIR");
   env.prefetch_depth = read.number<std::uint64_t>("BGQHF_PREFETCH_DEPTH");
-  env.hf_lambda0 = read.number<double>("BGQHF_HF_LAMBDA0");
+  env.hf_lambda0 = read.bounded("BGQHF_HF_LAMBDA0",
+                                std::numeric_limits<double>::max(),
+                                "a finite number >= 0");
   env.hf_cg_iters = read.number<std::uint64_t>("BGQHF_HF_CG_ITERS");
-  env.hf_resample = read.number<double>("BGQHF_HF_RESAMPLE");
+  env.hf_resample = read.bounded("BGQHF_HF_RESAMPLE", 1.0,
+                                 "0 or a finite fraction in (0, 1]");
   env.ltfb_populations = read.number<std::uint64_t>("BGQHF_LTFB_POPULATIONS");
   env.ltfb_round_iters = read.number<std::uint64_t>("BGQHF_LTFB_ROUND_ITERS");
   env.ltfb_seed = read.number<std::uint64_t>("BGQHF_LTFB_SEED");

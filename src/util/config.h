@@ -106,14 +106,16 @@ struct RuntimeEnv {
   /// Malformed values throw ConfigError.
   std::uint64_t prefetch_depth = 0;
   /// BGQHF_HF_LAMBDA0 — initial Levenberg-Marquardt damping for the HF
-  /// optimizer (0 = keep the hf::HyperParams default of 1.0).
+  /// optimizer (0 = keep the hf::HyperParams default of 1.0). Anything
+  /// but a finite number >= 0 throws ConfigError.
   double hf_lambda0 = 0;
   /// BGQHF_HF_CG_ITERS — truncated-CG iteration budget per outer HF
   /// iteration (0 = keep the default of 250). Malformed values throw
   /// ConfigError.
   std::uint64_t hf_cg_iters = 0;
-  /// BGQHF_HF_RESAMPLE — fraction of local utterances resampled for each
-  /// curvature batch (0 = keep the default of 0.02).
+  /// BGQHF_HF_RESAMPLE — fraction of each shard's training frames
+  /// resampled for each curvature batch (0 = keep the default of 0.02).
+  /// Anything but 0 or a finite value in (0, 1] throws ConfigError.
   double hf_resample = 0;
   /// BGQHF_LTFB_POPULATIONS — number of concurrent trainer populations in
   /// the LTFB tournament (0 = keep the LtfbOptions default). Malformed

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "hf/serial_compute.h"
 #include "hf/speech_workload.h"
 #include "hf/trainer.h"
+#include "nn/loss.h"
+#include "util/rng.h"
 
 namespace bgqhf::hf {
 namespace {
@@ -160,6 +165,20 @@ TEST(Workload, CurvatureSampleSizeTracksFraction) {
   EXPECT_LT(wl.curvature_frames(), total);
 }
 
+std::vector<float> curvature_product_of(SpeechWorkload& wl,
+                                        std::span<const float> v) {
+  std::vector<float> out(wl.num_params(), 0.0f);
+  wl.curvature_product(v, out);
+  return out;
+}
+
+std::vector<float> random_direction(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
 TEST(Workload, CurvatureResamplesWithSeed) {
   TrainerConfig cfg = small_config();
   Shards shards = build_shards(cfg);
@@ -167,12 +186,187 @@ TEST(Workload, CurvatureResamplesWithSeed) {
                     speech::concat_datasets(shards.heldout), 0,
                     make_workload_options(cfg, shards.num_states,
                                           shards.advance_prob, nullptr));
-  std::vector<float> theta(wl.num_params(), 0.01f);
-  wl.set_params(theta);
+  const std::vector<float> v = random_direction(wl.num_params(), 3);
   wl.prepare_curvature(1);
-  const std::size_t frames_seed1 = wl.curvature_frames();
+  const std::vector<float> seed1 = curvature_product_of(wl, v);
   wl.prepare_curvature(1);
-  EXPECT_EQ(wl.curvature_frames(), frames_seed1);  // deterministic in seed
+  EXPECT_EQ(curvature_product_of(wl, v), seed1);  // deterministic in seed
+  wl.prepare_curvature(2);
+  EXPECT_NE(curvature_product_of(wl, v), seed1);  // a fresh sample
+}
+
+TEST(Workload, CurvatureFractionOutsideUnitIntervalThrows) {
+  TrainerConfig cfg = small_config();
+  Shards shards = build_shards(cfg);
+  const auto make = [&](double fraction) {
+    SpeechWorkloadOptions opts = make_workload_options(
+        cfg, shards.num_states, shards.advance_prob, nullptr);
+    opts.curvature_fraction = fraction;
+    return SpeechWorkload(shards.net, shards.train[0], shards.heldout[0], 0,
+                          opts);
+  };
+  SpeechWorkload wl = make(1.0);
+  for (const double bad : {0.0, -0.5, 1.5, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(make(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(wl.set_curvature_fraction(bad), std::invalid_argument)
+        << bad;
+  }
+  wl.set_curvature_fraction(0.25);
+}
+
+// A corpus of many short utterances, sampled into several packed blocks.
+TrainerConfig sample_config(Criterion criterion) {
+  TrainerConfig cfg = small_config();
+  cfg.corpus.hours = 0.01;  // ~3600 frames
+  cfg.corpus.mean_utt_seconds = 0.3;
+  cfg.criterion = criterion;
+  cfg.batch_frames = 96;
+  cfg.hf.hyper.curvature_fraction = 0.15;
+  return cfg;
+}
+
+// The training shards of a `ranks`-rank job over one corpus: build_shards
+// cuts it into workers + 1 frame-balanced shards, and one rank trains on
+// all of it.
+struct Job {
+  Shards shards;
+  std::vector<speech::Dataset> train;
+};
+
+Job job_of(TrainerConfig cfg, std::size_t ranks) {
+  cfg.workers = ranks == 1 ? 1 : static_cast<int>(ranks) - 1;
+  Job job{build_shards(cfg), {}};
+  if (ranks == 1) {
+    job.train.push_back(speech::concat_datasets(job.shards.train));
+  } else {
+    job.train = job.shards.train;
+  }
+  return job;
+}
+
+std::size_t budget_of(double fraction, std::size_t frames) {
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(fraction * frames)));
+}
+
+bool is_utterance_boundary(const speech::Dataset& ds, std::size_t row) {
+  return std::binary_search(ds.offsets.begin(), ds.offsets.end(), row);
+}
+
+TEST(Workload, CurvatureSampleMeetsTheFrameBudgetAtAnyShardCount) {
+  for (const Criterion criterion :
+       {Criterion::kCrossEntropy, Criterion::kSequence}) {
+    const TrainerConfig cfg = sample_config(criterion);
+    const double fraction = cfg.hf.hyper.curvature_fraction;
+    for (std::size_t ranks = 1; ranks <= 4; ++ranks) {
+      SCOPED_TRACE(testing::Message()
+                   << "ranks=" << ranks << " sequence="
+                   << (criterion == Criterion::kSequence));
+      const Job job = job_of(cfg, ranks);
+      std::size_t job_frames = 0;
+      std::size_t job_sample = 0;
+      for (std::size_t s = 0; s < ranks; ++s) {
+        const speech::Dataset& shard = job.train[s];
+        std::size_t longest = 0;
+        for (std::size_t u = 0; u < shard.num_utterances(); ++u) {
+          longest = std::max(longest, shard.utt_frames(u));
+        }
+        ASSERT_LE(longest, cfg.batch_frames);  // every utterance fits a block
+        SpeechWorkload wl(job.shards.net, shard, job.shards.heldout[0], s,
+                          make_workload_options(cfg, job.shards.num_states,
+                                                job.shards.advance_prob,
+                                                nullptr));
+        wl.prepare_curvature(11);
+        const std::size_t budget = budget_of(fraction, shard.num_frames());
+        if (criterion == Criterion::kCrossEntropy) {
+          EXPECT_EQ(wl.curvature_frames(), budget);
+        } else {
+          EXPECT_GE(wl.curvature_frames(), budget);
+          EXPECT_LT(wl.curvature_frames(), budget + longest);
+        }
+        std::size_t packed = 0;
+        for (const auto block : wl.curvature_blocks()) {
+          EXPECT_LE(block.size(), cfg.batch_frames);
+          packed += block.size();
+          if (criterion == Criterion::kSequence) {
+            // Whole utterances: every run of consecutive rows starts and
+            // ends on an utterance boundary.
+            for (std::size_t i = 0; i < block.size(); ++i) {
+              if (i == 0 || block[i] != block[i - 1] + 1) {
+                EXPECT_TRUE(is_utterance_boundary(shard, block[i]));
+              }
+              if (i + 1 == block.size() || block[i + 1] != block[i] + 1) {
+                EXPECT_TRUE(is_utterance_boundary(shard, block[i] + 1));
+              }
+            }
+          }
+        }
+        EXPECT_EQ(packed, wl.curvature_frames());
+        job_frames += shard.num_frames();
+        job_sample += wl.curvature_frames();
+      }
+      if (criterion == Criterion::kCrossEntropy) {
+        const std::size_t target = static_cast<std::size_t>(
+            std::llround(fraction * static_cast<double>(job_frames)));
+        EXPECT_LE(std::max(job_sample, target) - std::min(job_sample, target),
+                  ranks);
+      }
+    }
+  }
+}
+
+// Packing changes how the sampled rows meet the GEMMs, not the product:
+// under CE it is the sum of one-frame products over the same rows, and
+// under the sequence criterion the sum of whole-utterance products.
+TEST(Workload, PackedCurvatureProductEqualsUnpackedSum) {
+  for (const Criterion criterion :
+       {Criterion::kCrossEntropy, Criterion::kSequence}) {
+    SCOPED_TRACE(criterion == Criterion::kSequence ? "sequence" : "ce");
+    const TrainerConfig cfg = sample_config(criterion);
+    const Job job = job_of(cfg, 1);
+    const speech::Dataset& train = job.train[0];
+    const SpeechWorkloadOptions opts = make_workload_options(
+        cfg, job.shards.num_states, job.shards.advance_prob, nullptr);
+    SpeechWorkload wl(job.shards.net, train, job.shards.heldout[0], 0, opts);
+    wl.prepare_curvature(5);
+    ASSERT_GT(wl.curvature_blocks().size(), 1u);
+    const std::vector<float> v = random_direction(wl.num_params(), 9);
+    const std::vector<float> packed = curvature_product_of(wl, v);
+
+    const nn::Network& net = wl.network();
+    std::vector<float> unpacked(wl.num_params(), 0.0f);
+    const auto add_rows = [&](std::size_t begin, std::size_t rows) {
+      const auto x = train.x.view().block(begin, 0, rows, train.x.cols());
+      const nn::ForwardCache cache = net.forward(x);
+      blas::Matrix<float> probs(rows, net.output_dim());
+      if (criterion == Criterion::kCrossEntropy) {
+        nn::softmax_rows(cache.logits(), probs.view());
+      } else {
+        probs = nn::forward_backward(cache.logits(), opts.transitions).gamma;
+      }
+      nn::accumulate_gn_product_with_distribution(net, x, cache,
+                                                  probs.view(), v, unpacked);
+    };
+    for (const auto block : wl.curvature_blocks()) {
+      for (const std::size_t row : block) {
+        if (criterion == Criterion::kCrossEntropy) {
+          add_rows(row, 1);
+        } else if (is_utterance_boundary(train, row)) {
+          const auto u = static_cast<std::size_t>(
+              std::lower_bound(train.offsets.begin(), train.offsets.end(),
+                               row) -
+              train.offsets.begin());
+          add_rows(row, train.utt_frames(u));
+        }
+      }
+    }
+    float scale = 0.0f;
+    for (const float g : unpacked) scale = std::max(scale, std::abs(g));
+    ASSERT_GT(scale, 0.0f);
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      ASSERT_NEAR(packed[i], unpacked[i], 1e-4f * scale) << "param " << i;
+    }
+  }
 }
 
 }  // namespace

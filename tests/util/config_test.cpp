@@ -160,6 +160,48 @@ TEST(RuntimeEnvHfKnobs, FromProcessEnvReadsHyperAndLtfbKnobs) {
   EXPECT_EQ(unset.ltfb_seed, 0u);
 }
 
+TEST(RuntimeEnvHfKnobs, ResampleFractionMustBeFiniteAndAtMostOne) {
+  // Each of these once reached a float-to-size_t cast (inf), was silently
+  // ignored (nan, -1) or asked for more frames than a shard holds (2).
+  for (const char* bad : {"inf", "-inf", "nan", "-1", "2", "1.5"}) {
+    ASSERT_EQ(setenv("BGQHF_HF_RESAMPLE", bad, 1), 0);
+    try {
+      RuntimeEnv::from_process_env();
+      ADD_FAILURE() << "expected ConfigError for " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.knob(), "BGQHF_HF_RESAMPLE");
+      EXPECT_EQ(e.value(), bad);
+    }
+  }
+  const std::pair<const char*, double> good[] = {
+      {"", 0.0}, {"0", 0.0}, {"0.05", 0.05}, {"1", 1.0}};
+  for (const auto& [value, expected] : good) {
+    ASSERT_EQ(setenv("BGQHF_HF_RESAMPLE", value, 1), 0);
+    EXPECT_EQ(RuntimeEnv::from_process_env().hf_resample, expected) << value;
+  }
+  unsetenv("BGQHF_HF_RESAMPLE");
+}
+
+TEST(RuntimeEnvHfKnobs, Lambda0MustBeFiniteAndNonNegative) {
+  for (const char* bad : {"inf", "nan", "-1", "-0.5"}) {
+    ASSERT_EQ(setenv("BGQHF_HF_LAMBDA0", bad, 1), 0);
+    try {
+      RuntimeEnv::from_process_env();
+      ADD_FAILURE() << "expected ConfigError for " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.knob(), "BGQHF_HF_LAMBDA0");
+      EXPECT_EQ(e.value(), bad);
+    }
+  }
+  const std::pair<const char*, double> good[] = {
+      {"", 0.0}, {"0", 0.0}, {"3.5", 3.5}, {"1e6", 1e6}};
+  for (const auto& [value, expected] : good) {
+    ASSERT_EQ(setenv("BGQHF_HF_LAMBDA0", value, 1), 0);
+    EXPECT_EQ(RuntimeEnv::from_process_env().hf_lambda0, expected) << value;
+  }
+  unsetenv("BGQHF_HF_LAMBDA0");
+}
+
 TEST(RuntimeEnvHfKnobs, MalformedLtfbPopulationsNamesTheKnob) {
   ASSERT_EQ(setenv("BGQHF_LTFB_POPULATIONS", "many", 1), 0);
   try {
