@@ -13,6 +13,7 @@
 #include "hf/serial_compute.h"
 #include "hf/trainer.h"
 #include "nn/rbm.h"
+#include "speech/source.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -43,12 +44,15 @@ int run(int argc, char** argv) {
   spec.num_states = 5;
   spec.mean_utt_seconds = 1.5;
   spec.seed = 19;
-  speech::Corpus corpus = speech::generate_corpus(spec);
-  speech::Corpus heldout_corpus = speech::split_heldout(corpus, 4);
-  const speech::Normalizer norm = speech::estimate_normalizer(corpus);
-  const speech::Dataset train = speech::build_full_dataset(corpus, &norm, 2);
+  speech::SourceOptions sopts;
+  sopts.heldout_every_kth = 4;
+  const speech::SourceSplit split =
+      speech::make_in_memory_split(speech::generate_corpus(spec), sopts);
+  const speech::Normalizer norm = speech::estimate_normalizer(*split.train);
+  const speech::Dataset train =
+      speech::build_full_dataset(*split.train, &norm, 2);
   const speech::Dataset held =
-      speech::build_full_dataset(heldout_corpus, &norm, 2);
+      speech::build_full_dataset(*split.heldout, &norm, 2);
   const std::vector<std::size_t> hidden{24, 16};
 
   // --- three initializations ---

@@ -125,7 +125,7 @@ Shards build_shards(const TrainerConfig& config) {
   }
   Shards shards;
   // Data staging flows through the DataSource API: held-out splitting and
-  // partition strategies fold into construction options, and the bytes
+  // the partition strategy fold into construction options, and the bytes
   // come either from an in-RAM generated corpus or, when a store directory
   // is configured (BGQHF_DATA_DIR), streamed out of core through the
   // prefetching ShardedSource. Both paths present identical utterance
@@ -133,9 +133,7 @@ Shards build_shards(const TrainerConfig& config) {
   // served the data.
   speech::SourceOptions sopts;
   sopts.heldout_every_kth = config.heldout_every_kth;
-  sopts.speaker_cmvn = config.speaker_cmvn;
   sopts.partition = config.partition;
-  sopts.heldout_partition = speech::PartitionStrategy::kNaiveEqualCount;
   sopts.prefetch_depth = config.data.prefetch_depth;
   speech::SourceSplit split =
       config.data.data_dir.empty()

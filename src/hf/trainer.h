@@ -59,9 +59,6 @@ struct TrainerConfig {
       speech::PartitionStrategy::kSortedBalanced;
   /// Every k-th utterance goes to the held-out set.
   std::size_t heldout_every_kth = 5;
-  /// Apply per-speaker CMVN before the global normalizer (standard speech
-  /// front-end; removes channel/speaker offsets).
-  bool speaker_cmvn = false;
   /// Network initialization before HF (pretraining runs at shard-building
   /// time, identically in serial and distributed runs).
   InitScheme init = InitScheme::kGlorot;

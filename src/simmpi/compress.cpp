@@ -105,20 +105,15 @@ CompressMode parse_compress_mode(const std::string& s) {
   if (s.empty() || s == "off") return CompressMode::kOff;
   if (s == "topk") return CompressMode::kTopK;
   if (s == "bf16") return CompressMode::kBf16;
-  throw std::invalid_argument("BGQHF_COMPRESS: unknown mode '" + s + "'");
+  throw util::ConfigError("BGQHF_COMPRESS", s, "off|topk|bf16");
 }
 
 CompressOptions CompressOptions::from_env() {
   const util::RuntimeEnv& env = util::RuntimeEnv::get();
   CompressOptions o;
   o.mode = parse_compress_mode(env.compress);
-  if (env.compress_topk != 0) {
-    if (env.compress_topk < 0 || env.compress_topk > 1) {
-      throw std::invalid_argument(
-          "BGQHF_COMPRESS_TOPK: fraction must be in (0, 1]");
-    }
-    o.topk_fraction = env.compress_topk;
-  }
+  // RuntimeEnv rejects anything but 0 or a finite fraction in (0, 1].
+  if (env.compress_topk != 0) o.topk_fraction = env.compress_topk;
   // bf16 mode narrows the gradient wire only: GEMM stays fp32 (on AVX-512
   // the fp32 kernel runs the same FMAs a bf16-storage one would, without
   // the widen), while the wire bodies halve the bytes per value.

@@ -51,7 +51,7 @@ enum class CompressMode {
 
 const char* to_string(CompressMode m);
 /// "", "off" -> kOff; "topk" -> kTopK; "bf16" -> kBf16; anything else
-/// throws std::invalid_argument (typos must be loud).
+/// throws util::ConfigError naming BGQHF_COMPRESS (typos must be loud).
 CompressMode parse_compress_mode(const std::string& s);
 
 struct CompressOptions {

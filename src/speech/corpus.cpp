@@ -93,24 +93,4 @@ Corpus generate_corpus(const CorpusSpec& spec) {
   return corpus;
 }
 
-Corpus split_heldout(Corpus& corpus, std::size_t every_kth) {
-  if (every_kth < 2) {
-    throw std::invalid_argument("split_heldout: every_kth must be >= 2");
-  }
-  Corpus held;
-  held.feature_dim = corpus.feature_dim;
-  held.num_states = corpus.num_states;
-  std::vector<Utterance> kept;
-  kept.reserve(corpus.utterances.size());
-  for (std::size_t i = 0; i < corpus.utterances.size(); ++i) {
-    if (i % every_kth == every_kth - 1) {
-      held.utterances.push_back(std::move(corpus.utterances[i]));
-    } else {
-      kept.push_back(std::move(corpus.utterances[i]));
-    }
-  }
-  corpus.utterances = std::move(kept);
-  return held;
-}
-
 }  // namespace bgqhf::speech

@@ -58,10 +58,6 @@ class CorpusGenerator {
   /// reached.
   std::optional<Utterance> next();
 
-  std::size_t feature_dim() const { return spec_.feature_dim; }
-  std::size_t num_states() const { return spec_.num_states; }
-  std::size_t frames_emitted() const { return frames_so_far_; }
-
  private:
   CorpusSpec spec_;
   std::vector<std::vector<float>> state_means_;
@@ -76,16 +72,6 @@ class CorpusGenerator {
 
 /// Generate a corpus from the spec (deterministic in spec.seed).
 Corpus generate_corpus(const CorpusSpec& spec);
-
-/// Split off a held-out set: every k-th utterance (round-robin by index) is
-/// moved to the returned corpus. Deterministic; used for the loss that
-/// drives HF's backtracking and damping.
-///
-/// Deprecated for trainer-style call sites: construct a DataSource with
-/// SourceOptions::heldout_every_kth instead (speech/source.h), which
-/// computes the same split without mutating a Corpus in place. Kept for
-/// standalone corpus manipulation.
-Corpus split_heldout(Corpus& corpus, std::size_t every_kth);
 
 /// Number of frames a spec implies (without generating), used by the
 /// performance model for the 50 h / 400 h workloads.

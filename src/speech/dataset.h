@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "blas/matrix.h"
-#include "speech/corpus.h"
 #include "speech/features.h"
 
 namespace bgqhf::speech {
@@ -34,23 +33,13 @@ struct Dataset {
   }
 };
 
-/// Build a dataset from the given utterances of `corpus` (all if `indices`
-/// is empty is NOT implied — pass the explicit list). Features are stacked
-/// with +/- context frames and normalized if `norm` != nullptr.
-Dataset build_dataset(const Corpus& corpus,
-                      std::span<const std::size_t> indices,
-                      const Normalizer* norm, std::size_t context);
-
-/// Build from every utterance of the corpus.
-Dataset build_full_dataset(const Corpus& corpus, const Normalizer* norm,
-                           std::size_t context);
-
 class DataSource;
 
-/// Build a dataset by streaming the given ordinals out of a DataSource —
-/// the same row-writing arithmetic as the Corpus overload, so at equal
-/// utterance content the resulting dataset is bitwise identical whether
-/// the bytes came from RAM or a sharded store.
+/// Build a dataset by streaming the given ordinals out of a DataSource, in
+/// the given order. Features are normalized by `norm` (if non-null), then
+/// stacked with +/- `context` frames, so at equal utterance content the
+/// dataset is bitwise identical whether the bytes came from RAM or a
+/// sharded store.
 Dataset build_dataset(DataSource& source,
                       std::span<const std::size_t> indices,
                       const Normalizer* norm, std::size_t context);

@@ -16,7 +16,7 @@ namespace bgqhf::speech {
 enum class DataFault {
   kIo,             // cannot open / short read / short write
   kCorrupt,        // CRC mismatch, truncated record, implausible counts
-  kBadMagic,       // not a BGQS1 shard / BGQSIDX index / BGQC corpus file
+  kBadMagic,       // not a BGQS1 shard / BGQSIDX index
   kBadVersion,     // written by an incompatible format revision
   kShapeMismatch,  // record or shard disagrees with the index/corpus shape
 };

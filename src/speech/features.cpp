@@ -1,7 +1,5 @@
 #include "speech/features.h"
 
-#include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace bgqhf::speech {
@@ -14,141 +12,6 @@ void Normalizer::apply(blas::MatrixView<float> m) const {
     float* row = m.data + r * m.ld;
     for (std::size_t c = 0; c < m.cols; ++c) {
       row[c] = (row[c] - mean[c]) * inv_std[c];
-    }
-  }
-}
-
-NormalizerAccumulator::NormalizerAccumulator(std::size_t feature_dim)
-    : sum_(feature_dim, 0.0), sumsq_(feature_dim, 0.0) {}
-
-void NormalizerAccumulator::add(const Utterance& utt) {
-  const std::size_t d = sum_.size();
-  if (utt.features.cols() != d) {
-    throw std::invalid_argument("NormalizerAccumulator: dimension mismatch");
-  }
-  for (std::size_t t = 0; t < utt.num_frames(); ++t) {
-    for (std::size_t c = 0; c < d; ++c) {
-      const double v = utt.features(t, c);
-      sum_[c] += v;
-      sumsq_[c] += v * v;
-    }
-  }
-  frames_ += utt.num_frames();
-}
-
-Normalizer NormalizerAccumulator::finish() const {
-  if (frames_ == 0) {
-    throw std::invalid_argument("estimate_normalizer: empty corpus");
-  }
-  const std::size_t d = sum_.size();
-  const double n = static_cast<double>(frames_);
-  Normalizer norm;
-  norm.mean.resize(d);
-  norm.inv_std.resize(d);
-  for (std::size_t c = 0; c < d; ++c) {
-    const double mean = sum_[c] / n;
-    const double var = std::max(1e-8, sumsq_[c] / n - mean * mean);
-    norm.mean[c] = static_cast<float>(mean);
-    norm.inv_std[c] = static_cast<float>(1.0 / std::sqrt(var));
-  }
-  return norm;
-}
-
-Normalizer estimate_normalizer(const Corpus& corpus) {
-  NormalizerAccumulator acc(corpus.feature_dim);
-  for (const auto& utt : corpus.utterances) acc.add(utt);
-  return acc.finish();
-}
-
-namespace {
-
-/// One delta pass: out(t, c) = regression slope of in(., c) around t.
-blas::Matrix<float> delta_pass(blas::ConstMatrixView<float> in,
-                               std::size_t window) {
-  const std::size_t T = in.rows;
-  const std::size_t D = in.cols;
-  blas::Matrix<float> out(T, D);
-  double denom = 0.0;
-  for (std::size_t k = 1; k <= window; ++k) {
-    denom += 2.0 * static_cast<double>(k) * static_cast<double>(k);
-  }
-  const auto clamp = [T](std::ptrdiff_t t) {
-    if (t < 0) return std::size_t{0};
-    if (t >= static_cast<std::ptrdiff_t>(T)) return T - 1;
-    return static_cast<std::size_t>(t);
-  };
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t c = 0; c < D; ++c) {
-      double acc = 0.0;
-      for (std::size_t k = 1; k <= window; ++k) {
-        const auto fwd = clamp(static_cast<std::ptrdiff_t>(t + k));
-        const auto bwd = clamp(static_cast<std::ptrdiff_t>(t) -
-                               static_cast<std::ptrdiff_t>(k));
-        acc += static_cast<double>(k) *
-               (static_cast<double>(in(fwd, c)) - in(bwd, c));
-      }
-      out(t, c) = static_cast<float>(acc / denom);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-blas::Matrix<float> append_deltas(blas::ConstMatrixView<float> features,
-                                  std::size_t window) {
-  if (window == 0) {
-    throw std::invalid_argument("append_deltas: window must be > 0");
-  }
-  const std::size_t T = features.rows;
-  const std::size_t D = features.cols;
-  const blas::Matrix<float> d1 = delta_pass(features, window);
-  const blas::Matrix<float> d2 = delta_pass(d1.view(), window);
-  blas::Matrix<float> out(T, 3 * D);
-  for (std::size_t t = 0; t < T; ++t) {
-    for (std::size_t c = 0; c < D; ++c) {
-      out(t, c) = features(t, c);
-      out(t, D + c) = d1(t, c);
-      out(t, 2 * D + c) = d2(t, c);
-    }
-  }
-  return out;
-}
-
-void apply_speaker_cmvn(Corpus& corpus) {
-  const std::size_t d = corpus.feature_dim;
-  // Pass 1: per-speaker sums.
-  std::map<int, std::vector<double>> sums, sumsqs;
-  std::map<int, std::size_t> counts;
-  for (const auto& utt : corpus.utterances) {
-    auto& sum = sums[utt.speaker];
-    auto& sumsq = sumsqs[utt.speaker];
-    if (sum.empty()) {
-      sum.assign(d, 0.0);
-      sumsq.assign(d, 0.0);
-    }
-    for (std::size_t t = 0; t < utt.num_frames(); ++t) {
-      for (std::size_t c = 0; c < d; ++c) {
-        const double v = utt.features(t, c);
-        sum[c] += v;
-        sumsq[c] += v * v;
-      }
-    }
-    counts[utt.speaker] += utt.num_frames();
-  }
-  // Pass 2: normalize in place with that speaker's statistics.
-  for (auto& utt : corpus.utterances) {
-    const auto& sum = sums[utt.speaker];
-    const auto& sumsq = sumsqs[utt.speaker];
-    const double n = static_cast<double>(counts[utt.speaker]);
-    for (std::size_t c = 0; c < d; ++c) {
-      const double mean = sum[c] / n;
-      const double var = std::max(1e-8, sumsq[c] / n - mean * mean);
-      const float m = static_cast<float>(mean);
-      const float inv = static_cast<float>(1.0 / std::sqrt(var));
-      for (std::size_t t = 0; t < utt.num_frames(); ++t) {
-        utt.features(t, c) = (utt.features(t, c) - m) * inv;
-      }
     }
   }
 }

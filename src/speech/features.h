@@ -3,14 +3,14 @@
 // Speech DNNs classify a frame from a window of +/- c neighbouring frames;
 // stacking turns a T x D utterance into T x D*(2c+1) network inputs (edge
 // frames clamp). Mean/variance normalization is computed once over the
-// training corpus and applied everywhere (including held-out data).
+// training data (estimate_normalizer in source.h) and applied everywhere,
+// including held-out data.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "blas/matrix.h"
-#include "speech/corpus.h"
 
 namespace bgqhf::speech {
 
@@ -23,47 +23,10 @@ struct Normalizer {
   void apply(blas::MatrixView<float> m) const;
 };
 
-/// Streaming normalizer estimation: per-dimension double sum / sum-of-
-/// squares folded utterance by utterance. Both the in-RAM corpus path and
-/// the out-of-core DataSource path drive this one accumulator, so feeding
-/// the same utterances in the same order yields a bit-identical Normalizer
-/// regardless of where the bytes came from.
-class NormalizerAccumulator {
- public:
-  explicit NormalizerAccumulator(std::size_t feature_dim);
-
-  void add(const Utterance& utt);
-
-  /// Throws std::invalid_argument when no frames were added.
-  Normalizer finish() const;
-
- private:
-  std::vector<double> sum_;
-  std::vector<double> sumsq_;
-  std::size_t frames_ = 0;
-};
-
-/// Estimate a normalizer over all frames of the corpus.
-Normalizer estimate_normalizer(const Corpus& corpus);
-
-/// Per-speaker cepstral mean/variance normalization (CMVN), the standard
-/// speech front-end step: each speaker's utterances are normalized by that
-/// speaker's own statistics, removing channel/speaker offsets before the
-/// global normalizer or the network sees the data. Applied in place.
-void apply_speaker_cmvn(Corpus& corpus);
-
 /// Stack +/- context frames around every frame of `features` (edge clamp).
 /// Result: features.rows() x features.cols()*(2*context+1).
 blas::Matrix<float> stack_context(blas::ConstMatrixView<float> features,
                                   std::size_t context);
-
-/// Append delta and delta-delta features (the classic speech front-end:
-/// static + first + second temporal derivatives). Deltas use the standard
-/// regression formula over +/- `window` frames with edge clamping:
-///   d_t = sum_k k * (x_{t+k} - x_{t-k}) / (2 * sum_k k^2).
-/// Result: T x 3*D (static | delta | delta-delta).
-blas::Matrix<float> append_deltas(blas::ConstMatrixView<float> features,
-                                  std::size_t window = 2);
 
 /// Input dimensionality after stacking.
 inline std::size_t stacked_dim(std::size_t feature_dim, std::size_t context) {

@@ -1,5 +1,7 @@
 #include "speech/source.h"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -16,39 +18,45 @@ std::vector<std::size_t> iota_ordinals(std::size_t n) {
   return all;
 }
 
-void validate_split_k(std::size_t every_kth) {
+struct OrdinalSplit {
+  std::vector<std::size_t> train;
+  std::vector<std::size_t> heldout;
+};
+
+/// The held-out rule, for every source: of `n` ordinals, i is held out
+/// iff i % k == k - 1 (k = 0 holds out nothing).
+OrdinalSplit split_ordinals(std::size_t n, std::size_t every_kth) {
   if (every_kth == 1) {
     throw std::invalid_argument(
         "SourceOptions: heldout_every_kth must be 0 (no split) or >= 2");
   }
+  OrdinalSplit split;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool held = every_kth != 0 && i % every_kth == every_kth - 1;
+    (held ? split.heldout : split.train).push_back(i);
+  }
+  return split;
 }
 
-/// The split rule split_heldout applied: ordinal i is held out iff
-/// i % k == k - 1.
-bool is_heldout(std::size_t ordinal, std::size_t every_kth) {
-  return every_kth != 0 && ordinal % every_kth == every_kth - 1;
+/// Split `n` ordinals and wrap each half as the view `make(ordinals,
+/// strategy)` builds: the training half partitions per options, the
+/// held-out half naively by count.
+template <typename MakeView>
+SourceSplit make_split(std::size_t n, const SourceOptions& options,
+                       const MakeView& make) {
+  OrdinalSplit ordinals = split_ordinals(n, options.heldout_every_kth);
+  SourceSplit split;
+  split.train = make(std::move(ordinals.train), options.partition);
+  if (options.heldout_every_kth != 0) {
+    split.heldout = make(std::move(ordinals.heldout),
+                         PartitionStrategy::kNaiveEqualCount);
+  }
+  return split;
 }
 
 }  // namespace
 
 // ---- DataSource ----
-
-UtteranceBatch DataSource::fetch(std::size_t begin, std::size_t end) {
-  if (begin > end || end > num_utterances()) {
-    throw std::out_of_range("DataSource::fetch: bad range [" +
-                            std::to_string(begin) + ", " +
-                            std::to_string(end) + ") of " +
-                            std::to_string(num_utterances()));
-  }
-  UtteranceBatch batch;
-  batch.begin = begin;
-  batch.utterances.reserve(end - begin);
-  std::vector<std::size_t> ordinals(end - begin);
-  std::iota(ordinals.begin(), ordinals.end(), begin);
-  for_each(ordinals,
-           [&](const Utterance& utt) { batch.utterances.push_back(utt); });
-  return batch;
-}
 
 void DataSource::visit(const std::function<void(const Utterance&)>& fn) {
   const std::vector<std::size_t> all = iota_ordinals(num_utterances());
@@ -66,23 +74,27 @@ Partition DataSource::partition(std::size_t workers) const {
 
 // ---- InMemorySource ----
 
-InMemorySource::InMemorySource(Corpus corpus, PartitionStrategy strategy)
-    : DataSource(strategy), corpus_(std::move(corpus)) {
-  lengths_.reserve(corpus_.utterances.size());
-  for (const auto& utt : corpus_.utterances) {
-    lengths_.push_back(utt.num_frames());
+InMemorySource::InMemorySource(std::shared_ptr<const Corpus> corpus,
+                               std::vector<std::size_t> corpus_ordinals,
+                               PartitionStrategy strategy)
+    : DataSource(strategy),
+      corpus_(std::move(corpus)),
+      corpus_ordinals_(std::move(corpus_ordinals)) {
+  lengths_.reserve(corpus_ordinals_.size());
+  for (const std::size_t ord : corpus_ordinals_) {
+    lengths_.push_back(corpus_->utterances.at(ord).num_frames());
   }
 }
 
 std::size_t InMemorySource::num_utterances() const {
-  return corpus_.utterances.size();
+  return corpus_ordinals_.size();
 }
 
 void InMemorySource::for_each(
     std::span<const std::size_t> ordinals,
     const std::function<void(const Utterance&)>& fn) {
   for (const std::size_t ord : ordinals) {
-    fn(corpus_.utterances.at(ord));
+    fn(corpus_->utterances[corpus_ordinals_.at(ord)]);
   }
 }
 
@@ -132,36 +144,17 @@ void ShardedSource::for_each(
 // ---- splits ----
 
 SourceSplit make_in_memory_split(Corpus corpus, const SourceOptions& options) {
-  validate_split_k(options.heldout_every_kth);
-  SourceSplit split;
-  if (options.heldout_every_kth == 0) {
-    if (options.speaker_cmvn) apply_speaker_cmvn(corpus);
-    split.train = std::make_unique<InMemorySource>(std::move(corpus),
-                                                   options.partition);
-    return split;
-  }
-  Corpus held = split_heldout(corpus, options.heldout_every_kth);
-  // CMVN within each half, after the split — per-speaker statistics are
-  // computed over each half independently, matching the seed trainer.
-  if (options.speaker_cmvn) {
-    apply_speaker_cmvn(corpus);
-    apply_speaker_cmvn(held);
-  }
-  split.train = std::make_unique<InMemorySource>(std::move(corpus),
-                                                 options.partition);
-  split.heldout = std::make_unique<InMemorySource>(
-      std::move(held), options.heldout_partition);
-  return split;
+  auto shared = std::make_shared<const Corpus>(std::move(corpus));
+  return make_split(
+      shared->utterances.size(), options,
+      [&](std::vector<std::size_t> ordinals, PartitionStrategy strategy) {
+        return std::make_unique<InMemorySource>(shared, std::move(ordinals),
+                                                strategy);
+      });
 }
 
 SourceSplit open_sharded_split(const std::string& dir,
                                const SourceOptions& options) {
-  validate_split_k(options.heldout_every_kth);
-  if (options.speaker_cmvn) {
-    throw std::invalid_argument(
-        "open_sharded_split: speaker_cmvn needs a second pass over the "
-        "store and is only supported by the in-memory source");
-  }
   auto index = std::make_shared<const store::CorpusIndex>(
       store::load_index(store::index_path(dir)));
 
@@ -171,25 +164,12 @@ SourceSplit open_sharded_split(const std::string& dir,
   copts.fault = options.io_fault;
   auto cache = std::make_shared<store::ShardCache>(dir, *index, copts);
 
-  std::vector<std::size_t> train_ords;
-  std::vector<std::size_t> held_ords;
-  for (std::size_t i = 0; i < index->entries.size(); ++i) {
-    if (is_heldout(i, options.heldout_every_kth)) {
-      held_ords.push_back(i);
-    } else {
-      train_ords.push_back(i);
-    }
-  }
-
-  SourceSplit split;
-  split.train = std::make_unique<ShardedSource>(
-      index, cache, std::move(train_ords), options.partition);
-  if (options.heldout_every_kth != 0) {
-    split.heldout = std::make_unique<ShardedSource>(
-        index, std::move(cache), std::move(held_ords),
-        options.heldout_partition);
-  }
-  return split;
+  return make_split(
+      index->entries.size(), options,
+      [&](std::vector<std::size_t> ordinals, PartitionStrategy strategy) {
+        return std::make_unique<ShardedSource>(index, cache,
+                                               std::move(ordinals), strategy);
+      });
 }
 
 // ---- helpers over the API ----
@@ -205,9 +185,37 @@ StoreConfig StoreConfig::from_env() {
 }
 
 Normalizer estimate_normalizer(DataSource& source) {
-  NormalizerAccumulator acc(source.feature_dim());
-  source.visit([&](const Utterance& utt) { acc.add(utt); });
-  return acc.finish();
+  const std::size_t d = source.feature_dim();
+  std::vector<double> sum(d, 0.0);
+  std::vector<double> sumsq(d, 0.0);
+  std::size_t frames = 0;
+  source.visit([&](const Utterance& utt) {
+    if (utt.features.cols() != d) {
+      throw std::invalid_argument("estimate_normalizer: dimension mismatch");
+    }
+    for (std::size_t t = 0; t < utt.num_frames(); ++t) {
+      for (std::size_t c = 0; c < d; ++c) {
+        const double v = utt.features(t, c);
+        sum[c] += v;
+        sumsq[c] += v * v;
+      }
+    }
+    frames += utt.num_frames();
+  });
+  if (frames == 0) {
+    throw std::invalid_argument("estimate_normalizer: empty corpus");
+  }
+  const double n = static_cast<double>(frames);
+  Normalizer norm;
+  norm.mean.resize(d);
+  norm.inv_std.resize(d);
+  for (std::size_t c = 0; c < d; ++c) {
+    const double mean = sum[c] / n;
+    const double var = std::max(1e-8, sumsq[c] / n - mean * mean);
+    norm.mean[c] = static_cast<float>(mean);
+    norm.inv_std[c] = static_cast<float>(1.0 / std::sqrt(var));
+  }
+  return norm;
 }
 
 }  // namespace bgqhf::speech

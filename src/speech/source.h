@@ -1,22 +1,19 @@
-// The DataSource API: one front door for training data, wherever it lives.
+// The DataSource API: the one way from utterances to training data.
 //
-// The trainer used to take a raw Corpus& and mutate it in place
-// (split_heldout, CMVN) before staging datasets — which hard-wired the
-// whole pipeline to an in-RAM corpus. DataSource inverts that: the trainer
-// sees an ordered collection of utterances with index-only metadata
-// (lengths, shapes) and pulls feature bytes on demand. Two implementations:
+// The trainer sees an ordered collection of utterances with index-only
+// metadata (lengths, shapes) and pulls feature bytes on demand. Both
+// implementations are views over chosen ordinals of one shared collection:
 //
-//   - InMemorySource wraps today's Corpus (the seed behaviour);
-//   - ShardedSource streams a BGQS1 store through the prefetching
+//   - InMemorySource over a generated Corpus held in RAM;
+//   - ShardedSource over a BGQS1 store, streamed through the prefetching
 //     ShardCache, never holding more than the prefetch window in RAM.
 //
-// Held-out splitting and partition-strategy selection fold into
-// construction options (SourceOptions), so call sites stop mutating
-// corpora. Both implementations present the *same utterance order* for the
-// same underlying data, and estimate_normalizer / build_dataset fold
-// per-utterance in that order — the paper's "no loss in accuracy" claim in
-// testable form: a ShardedSource run is bitwise identical to the in-RAM
-// run at equal seed.
+// The two factories below split a collection into train and held-out
+// views by one rule (split_ordinals in source.cpp), so both
+// present the *same utterance order* for the same underlying data, and
+// estimate_normalizer / build_dataset fold per-utterance in that order —
+// the paper's "no loss in accuracy" claim in testable form: a
+// ShardedSource run is bitwise identical to the in-RAM run at equal seed.
 #pragma once
 
 #include <cstddef>
@@ -34,28 +31,15 @@
 
 namespace bgqhf::speech {
 
-/// A fetched, owned range of utterances (fetch() copies out of whatever
-/// backing storage the source uses).
-struct UtteranceBatch {
-  std::size_t begin = 0;  // ordinal of utterances.front()
-  std::vector<Utterance> utterances;
-};
-
 /// Construction-time options shared by every DataSource factory.
 struct SourceOptions {
-  /// Every k-th utterance goes to the held-out set (the split the trainer
-  /// used to perform by mutating the corpus). 0 = no split: all data is
-  /// training data and SourceSplit.heldout is null. Values 1 are invalid.
+  /// Ordinal i goes to the held-out set iff i % k == k - 1. 0 = no split:
+  /// all data is training data and SourceSplit.heldout is null. Values 1
+  /// are invalid.
   std::size_t heldout_every_kth = 0;
-  /// Apply per-speaker CMVN within each split half. Only the in-memory
-  /// source supports this (streaming CMVN would need a second pass over
-  /// the store); open_sharded_split rejects it.
-  bool speaker_cmvn = false;
   /// Partition strategy baked into the training source (partition() uses
-  /// it), and the held-out source's strategy. Matches the trainer's seed
-  /// behaviour: balanced train shards, naive held-out shards.
+  /// it). The held-out source always partitions naively by count.
   PartitionStrategy partition = PartitionStrategy::kSortedBalanced;
-  PartitionStrategy heldout_partition = PartitionStrategy::kNaiveEqualCount;
   /// Sharded sources only: prefetch window and the deterministic slow-I/O
   /// hook (tests / datastore bench).
   std::size_t prefetch_depth = 2;
@@ -89,13 +73,10 @@ class DataSource {
 
   /// Visit the given ordinals, in the given order, without copying.
   /// The reference passed to `fn` is valid only during the call. This is
-  /// the zero-copy workhorse fetch()/visit()/build_dataset sit on; the
-  /// sharded implementation prefetches the implied shard plan first.
+  /// the zero-copy workhorse visit()/build_dataset sit on; the sharded
+  /// implementation prefetches the implied shard plan first.
   virtual void for_each(std::span<const std::size_t> ordinals,
                         const std::function<void(const Utterance&)>& fn) = 0;
-
-  /// Copy out the ordinal range [begin, end).
-  UtteranceBatch fetch(std::size_t begin, std::size_t end);
 
   /// Visit every utterance in ordinal order.
   void visit(const std::function<void(const Utterance&)>& fn);
@@ -105,7 +86,6 @@ class DataSource {
   /// Partition this source's utterances across `workers` using the
   /// strategy selected at construction — from lengths() only.
   Partition partition(std::size_t workers) const;
-  PartitionStrategy partition_strategy() const { return strategy_; }
 
  protected:
   explicit DataSource(PartitionStrategy strategy) : strategy_(strategy) {}
@@ -114,26 +94,26 @@ class DataSource {
   PartitionStrategy strategy_;
 };
 
-/// The seed path: a materialized Corpus behind the DataSource API.
+/// A view over selected ordinals of one in-RAM Corpus. The train and
+/// held-out halves of a split share the corpus.
 class InMemorySource final : public DataSource {
  public:
-  explicit InMemorySource(
-      Corpus corpus,
-      PartitionStrategy strategy = PartitionStrategy::kSortedBalanced);
+  InMemorySource(std::shared_ptr<const Corpus> corpus,
+                 std::vector<std::size_t> corpus_ordinals,
+                 PartitionStrategy strategy);
 
   std::size_t num_utterances() const override;
-  std::size_t feature_dim() const override { return corpus_.feature_dim; }
-  std::size_t num_states() const override { return corpus_.num_states; }
+  std::size_t feature_dim() const override { return corpus_->feature_dim; }
+  std::size_t num_states() const override { return corpus_->num_states; }
   const std::vector<std::size_t>& lengths() const override {
     return lengths_;
   }
   void for_each(std::span<const std::size_t> ordinals,
                 const std::function<void(const Utterance&)>& fn) override;
 
-  const Corpus& corpus() const { return corpus_; }
-
  private:
-  Corpus corpus_;
+  std::shared_ptr<const Corpus> corpus_;
+  std::vector<std::size_t> corpus_ordinals_;  // view ordinal -> utterance
   std::vector<std::size_t> lengths_;
 };
 
@@ -175,22 +155,21 @@ struct SourceSplit {
   std::unique_ptr<DataSource> heldout;
 };
 
-/// Split `corpus` per options (same every-k-th rule split_heldout used),
-/// apply CMVN within each half if requested, and wrap both halves as
-/// InMemorySources. Replaces the split_heldout + apply_speaker_cmvn
-/// call-site dance.
+/// Split `corpus` per options into two InMemorySource views over it.
+/// Throws std::invalid_argument when options.heldout_every_kth == 1.
 SourceSplit make_in_memory_split(Corpus corpus, const SourceOptions& options);
 
-/// Open the sharded store at `dir` and split it by the same every-k-th
-/// ordinal rule — from the index alone; no shard data is touched until
-/// utterances are fetched. Throws DataError on a missing/corrupt store and
-/// std::invalid_argument when options.speaker_cmvn is set.
+/// Open the sharded store at `dir` and split it by the same rule — from
+/// the index alone; no shard data is touched until utterances are
+/// fetched. Throws DataError on a missing/corrupt store and
+/// std::invalid_argument when options.heldout_every_kth == 1.
 SourceSplit open_sharded_split(const std::string& dir,
                                const SourceOptions& options);
 
 /// Estimate the global normalizer over every utterance of `source`, in
-/// ordinal order — the same fold estimate_normalizer(Corpus) performs, so
-/// both paths produce bit-identical normalizers for the same data.
+/// ordinal order: per-dimension double sums folded utterance by
+/// utterance, so the same utterances in the same order yield a
+/// bit-identical Normalizer whichever source served the bytes.
 Normalizer estimate_normalizer(DataSource& source);
 
 }  // namespace bgqhf::speech

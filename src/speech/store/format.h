@@ -13,8 +13,7 @@
 //   u64 feature_dim | u64 num_states | u64 num_records |
 //   records...
 //
-// Record framing (shared with the BGQC monolithic corpus container, which
-// since v2 is a thin wrapper over this record codec):
+// Record framing:
 //
 //   u32 payload_bytes | u32 crc32(payload) |
 //   payload: u64 id | i32 speaker | u32 reserved | u64 frames |

@@ -120,14 +120,6 @@ CorpusIndex ShardWriter::finish() {
   return index_;
 }
 
-CorpusIndex write_sharded_corpus(const Corpus& corpus, const std::string& dir,
-                                 WriterOptions options) {
-  ShardWriter writer(dir, corpus.feature_dim, corpus.num_states,
-                     std::move(options));
-  for (const Utterance& utt : corpus.utterances) writer.add(utt);
-  return writer.finish();
-}
-
 CorpusIndex generate_sharded_corpus(const CorpusSpec& spec,
                                     const std::string& dir,
                                     WriterOptions options) {

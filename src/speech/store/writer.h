@@ -2,9 +2,9 @@
 //
 // Streams utterances into rolling BGQS1 shard files and builds the
 // sample-list index as it goes; nothing but the current record buffer and
-// the index rows is ever resident, so converting or generating a
-// 400-hour-spec corpus runs in O(shard) memory. finish() seals the last
-// shard and atomically writes index.bgqsx.
+// the index rows is ever resident, so generating a 400-hour-spec corpus
+// runs in O(shard) memory. finish() seals the last shard and atomically
+// writes index.bgqsx.
 #pragma once
 
 #include <cstdio>
@@ -57,10 +57,6 @@ class ShardWriter {
   std::size_t bytes_written_ = 0;
   bool finished_ = false;
 };
-
-/// Write all of `corpus` into `dir` as a sharded store; returns the index.
-CorpusIndex write_sharded_corpus(const Corpus& corpus, const std::string& dir,
-                                 WriterOptions options = {});
 
 /// Stream-generate the spec's corpus straight into shards — the identical
 /// utterance sequence generate_corpus(spec) would produce, without ever

@@ -187,7 +187,8 @@ RuntimeEnv RuntimeEnv::from_process_env() {
   env.force_kernel = read.string("BGQHF_FORCE_KERNEL");
   env.precision = read.string("BGQHF_PRECISION");
   env.compress = read.string("BGQHF_COMPRESS");
-  env.compress_topk = read.number<double>("BGQHF_COMPRESS_TOPK");
+  env.compress_topk = read.bounded("BGQHF_COMPRESS_TOPK", 1.0,
+                                   "0 or a finite fraction in (0, 1]");
   env.trace = read.flag("BGQHF_TRACE");
   env.trace_file = read.string("BGQHF_TRACE_FILE");
   env.serve_batch = read.number<std::uint64_t>("BGQHF_SERVE_BATCH");

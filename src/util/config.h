@@ -82,10 +82,12 @@ struct RuntimeEnv {
   std::string precision;
   /// BGQHF_COMPRESS — gradient-aggregation codec ("off"/"" = exact bitwise
   /// path, "topk" = threshold top-k dropping, "bf16" = dense bfloat16
-  /// bodies). Parsed by simmpi::parse_compress_mode.
+  /// bodies). Parsed by simmpi::parse_compress_mode, which throws
+  /// ConfigError on anything else.
   std::string compress;
   /// BGQHF_COMPRESS_TOPK — target kept fraction for topk mode
-  /// (0 = keep the CompressOptions default of 0.01).
+  /// (0 = keep the CompressOptions default of 0.01). Anything but 0 or a
+  /// finite value in (0, 1] throws ConfigError.
   double compress_topk = 0;
   /// BGQHF_TRACE — enable trace-span recording (obs::tracing_enabled()).
   bool trace = false;

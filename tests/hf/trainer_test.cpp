@@ -185,39 +185,6 @@ TEST(Trainer, PhaseNamesMatchPaperFunctions) {
 namespace bgqhf::hf {
 namespace {
 
-TEST(Trainer, SpeakerCmvnOptionStillTrainsAndStaysEquivalent) {
-  TrainerConfig cfg = small_config(2);
-  cfg.speaker_cmvn = true;
-  cfg.hf.max_iterations = 3;
-  const TrainOutcome serial = train_serial(cfg);
-  const TrainOutcome distributed = train_distributed(cfg);
-  EXPECT_LT(serial.hf.final_heldout_loss,
-            serial.hf.iterations.front().heldout_before);
-  ASSERT_EQ(serial.theta.size(), distributed.theta.size());
-  for (std::size_t i = 0; i < serial.theta.size(); ++i) {
-    ASSERT_EQ(serial.theta[i], distributed.theta[i]);
-  }
-}
-
-TEST(Trainer, CmvnChangesTheData) {
-  TrainerConfig plain = small_config(1);
-  TrainerConfig cmvn = small_config(1);
-  cmvn.speaker_cmvn = true;
-  const Shards a = build_shards(plain);
-  const Shards b = build_shards(cmvn);
-  bool any_diff = false;
-  for (std::size_t i = 0; i < a.train[0].x.size() && !any_diff; ++i) {
-    any_diff = a.train[0].x.data()[i] != b.train[0].x.data()[i];
-  }
-  EXPECT_TRUE(any_diff);
-}
-
-}  // namespace
-}  // namespace bgqhf::hf
-
-namespace bgqhf::hf {
-namespace {
-
 TEST(Trainer, PretrainedInitSchemesTrainAndStayEquivalent) {
   for (const InitScheme init : {InitScheme::kLayerwise, InitScheme::kRbm}) {
     TrainerConfig cfg = small_config(2);

@@ -1,17 +1,17 @@
 // Full-pipeline integration test: the life of a production training run.
 //
-//   synthesize corpus -> stage to disk -> reload -> RBM pretraining ->
-//   distributed HF fine-tuning -> checkpoint -> reload checkpoint ->
-//   Viterbi decoding on held-out data
+//   synthesize corpus into a sharded store -> stream it back -> RBM
+//   pretraining -> distributed HF fine-tuning -> checkpoint -> reload
+//   checkpoint -> Viterbi decoding on held-out data
 //
 // Every boundary crossed here is a real module boundary; the test asserts
 // end-to-end properties (losses drop, decode quality beats chance, the
 // checkpoint round-trips the exact model) rather than re-testing units.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 
 #include "hf/serial_compute.h"
 #include "hf/sgd.h"
@@ -19,18 +19,19 @@
 #include "nn/rbm.h"
 #include "nn/sequence.h"
 #include "nn/serialize.h"
-#include "speech/corpus_io.h"
 #include "speech/dataset.h"
+#include "speech/source.h"
+#include "speech/store/writer.h"
 
 namespace bgqhf {
 namespace {
 
 class PipelineTest : public ::testing::Test {
  protected:
-  std::string corpus_path_ = ::testing::TempDir() + "bgqhf_pipe_corpus.bin";
+  std::string store_dir_ = ::testing::TempDir() + "bgqhf_pipe_store";
   std::string model_path_ = ::testing::TempDir() + "bgqhf_pipe_model.bin";
   void TearDown() override {
-    std::remove(corpus_path_.c_str());
+    std::filesystem::remove_all(store_dir_);
     std::remove(model_path_.c_str());
   }
 };
@@ -43,19 +44,22 @@ TEST_F(PipelineTest, EndToEnd) {
   spec.num_states = 5;
   spec.mean_utt_seconds = 1.5;
   spec.seed = 161;
-  const speech::Corpus generated = speech::generate_corpus(spec);
-  speech::save_corpus(generated, corpus_path_);
-  speech::Corpus corpus = speech::load_corpus(corpus_path_);
-  ASSERT_EQ(corpus.total_frames(), generated.total_frames());
+  std::filesystem::remove_all(store_dir_);
+  speech::store::generate_sharded_corpus(spec, store_dir_);
+  speech::SourceOptions sopts;
+  sopts.heldout_every_kth = 4;
+  const speech::SourceSplit split =
+      speech::open_sharded_split(store_dir_, sopts);
+  ASSERT_EQ(split.train->total_frames() + split.heldout->total_frames(),
+            speech::generate_corpus(spec).total_frames());
 
-  // ---- 2. split, normalize, build datasets ----
-  speech::Corpus heldout = speech::split_heldout(corpus, 4);
-  const speech::Normalizer norm = speech::estimate_normalizer(corpus);
+  // ---- 2. normalize, build datasets ----
+  const speech::Normalizer norm = speech::estimate_normalizer(*split.train);
   const std::size_t context = 1;
   const speech::Dataset train =
-      speech::build_full_dataset(corpus, &norm, context);
+      speech::build_full_dataset(*split.train, &norm, context);
   const speech::Dataset held =
-      speech::build_full_dataset(heldout, &norm, context);
+      speech::build_full_dataset(*split.heldout, &norm, context);
   ASSERT_GT(train.num_frames(), 0u);
   ASSERT_GT(held.num_frames(), 0u);
 
@@ -127,12 +131,15 @@ TEST_F(PipelineTest, WeightDecayShrinksParameterNorm) {
   spec.num_states = 4;
   spec.mean_utt_seconds = 1.0;
   spec.seed = 171;
-  speech::Corpus corpus = speech::generate_corpus(spec);
-  speech::Corpus heldout = speech::split_heldout(corpus, 4);
-  const speech::Normalizer norm = speech::estimate_normalizer(corpus);
-  const speech::Dataset train = speech::build_full_dataset(corpus, &norm, 1);
+  speech::SourceOptions sopts;
+  sopts.heldout_every_kth = 4;
+  const speech::SourceSplit split =
+      speech::make_in_memory_split(speech::generate_corpus(spec), sopts);
+  const speech::Normalizer norm = speech::estimate_normalizer(*split.train);
+  const speech::Dataset train =
+      speech::build_full_dataset(*split.train, &norm, 1);
   const speech::Dataset held =
-      speech::build_full_dataset(heldout, &norm, 1);
+      speech::build_full_dataset(*split.heldout, &norm, 1);
 
   auto train_with_decay = [&](double wd) {
     nn::Network net = nn::Network::mlp(train.x.cols(), {12}, 4);

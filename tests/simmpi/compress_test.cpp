@@ -44,9 +44,9 @@ TEST(CompressMode_, ParseAndToString) {
   EXPECT_EQ(parse_compress_mode(""), CompressMode::kOff);
   EXPECT_EQ(parse_compress_mode("off"), CompressMode::kOff);
   EXPECT_EQ(parse_compress_mode("topk"), CompressMode::kTopK);
-  EXPECT_THROW(parse_compress_mode("onebit"), std::invalid_argument);
+  EXPECT_THROW(parse_compress_mode("onebit"), util::ConfigError);
   EXPECT_EQ(parse_compress_mode("bf16"), CompressMode::kBf16);
-  EXPECT_THROW(parse_compress_mode("zstd"), std::invalid_argument);
+  EXPECT_THROW(parse_compress_mode("zstd"), util::ConfigError);
   EXPECT_STREQ(to_string(CompressMode::kTopK), "topk");
   EXPECT_STREQ(to_string(CompressMode::kBf16), "bf16");
 }

@@ -139,20 +139,6 @@ TEST(Corpus, FeaturesCarryClassSignal) {
   EXPECT_GT(min_sep, 3.0 * spec.noise_stddev);
 }
 
-TEST(Corpus, SplitHeldoutMovesEveryKth) {
-  Corpus corpus = generate_corpus(small_spec());
-  const std::size_t before = corpus.utterances.size();
-  const Corpus held = split_heldout(corpus, 3);
-  EXPECT_EQ(held.utterances.size(), before / 3);
-  EXPECT_EQ(corpus.utterances.size() + held.utterances.size(), before);
-  EXPECT_EQ(held.num_states, corpus.num_states);
-}
-
-TEST(Corpus, SplitHeldoutRejectsBadK) {
-  Corpus corpus = generate_corpus(small_spec());
-  EXPECT_THROW(split_heldout(corpus, 1), std::invalid_argument);
-}
-
 TEST(Corpus, InvalidSpecRejected) {
   CorpusSpec spec = small_spec();
   spec.num_states = 0;

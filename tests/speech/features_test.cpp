@@ -5,9 +5,15 @@
 #include <cmath>
 
 #include "speech/corpus.h"
+#include "speech/source.h"
 
 namespace bgqhf::speech {
 namespace {
+
+/// Every utterance of `corpus` behind the DataSource API, unsplit.
+std::unique_ptr<DataSource> whole(Corpus corpus) {
+  return make_in_memory_split(std::move(corpus), SourceOptions{}).train;
+}
 
 TEST(Features, StackedDimFormula) {
   EXPECT_EQ(stacked_dim(40, 0), 40u);
@@ -67,10 +73,10 @@ TEST(Features, NormalizerZeroMeanUnitVariance) {
   spec.num_states = 3;
   spec.seed = 9;
   Corpus corpus = generate_corpus(spec);
-  const Normalizer norm = estimate_normalizer(corpus);
+  const Normalizer norm = estimate_normalizer(*whole(corpus));
   // Apply to the whole corpus and re-estimate: should be ~N(0, 1).
   for (auto& u : corpus.utterances) norm.apply(u.features.view());
-  const Normalizer renorm = estimate_normalizer(corpus);
+  const Normalizer renorm = estimate_normalizer(*whole(corpus));
   for (std::size_t d = 0; d < spec.feature_dim; ++d) {
     EXPECT_NEAR(renorm.mean[d], 0.0f, 1e-3f);
     EXPECT_NEAR(renorm.inv_std[d], 1.0f, 1e-2f);
@@ -89,7 +95,7 @@ TEST(Features, NormalizerDimensionMismatchThrows) {
 TEST(Features, EmptyCorpusNormalizerThrows) {
   Corpus corpus;
   corpus.feature_dim = 4;
-  EXPECT_THROW(estimate_normalizer(corpus), std::invalid_argument);
+  EXPECT_THROW(estimate_normalizer(*whole(corpus)), std::invalid_argument);
 }
 
 TEST(Features, ConstantDimensionDoesNotBlowUp) {
@@ -101,170 +107,8 @@ TEST(Features, ConstantDimensionDoesNotBlowUp) {
   u.features.fill(3.0f);  // zero variance
   u.labels.assign(10, 0);
   corpus.utterances.push_back(std::move(u));
-  const Normalizer norm = estimate_normalizer(corpus);
+  const Normalizer norm = estimate_normalizer(*whole(std::move(corpus)));
   EXPECT_TRUE(std::isfinite(norm.inv_std[0]));
-}
-
-}  // namespace
-}  // namespace bgqhf::speech
-
-namespace bgqhf::speech {
-namespace {
-
-Corpus two_speaker_corpus() {
-  // Speaker 0: features around +5; speaker 1: around -3 (channel offsets).
-  Corpus corpus;
-  corpus.feature_dim = 3;
-  corpus.num_states = 2;
-  util::Rng rng(61);
-  for (int spk = 0; spk < 2; ++spk) {
-    for (int u = 0; u < 3; ++u) {
-      Utterance utt;
-      utt.speaker = spk;
-      utt.id = static_cast<std::uint64_t>(spk * 10 + u);
-      utt.features = blas::Matrix<float>(30, 3);
-      utt.labels.assign(30, 0);
-      const double offset = spk == 0 ? 5.0 : -3.0;
-      for (std::size_t t = 0; t < 30; ++t) {
-        for (std::size_t c = 0; c < 3; ++c) {
-          utt.features(t, c) =
-              static_cast<float>(offset + rng.normal(0.0, 1.0));
-        }
-      }
-      corpus.utterances.push_back(std::move(utt));
-    }
-  }
-  return corpus;
-}
-
-TEST(SpeakerCmvn, RemovesPerSpeakerOffsets) {
-  Corpus corpus = two_speaker_corpus();
-  apply_speaker_cmvn(corpus);
-  // After CMVN every speaker's pooled mean is ~0 and variance ~1.
-  for (int spk = 0; spk < 2; ++spk) {
-    double sum = 0, sumsq = 0;
-    std::size_t n = 0;
-    for (const auto& utt : corpus.utterances) {
-      if (utt.speaker != spk) continue;
-      for (std::size_t t = 0; t < utt.num_frames(); ++t) {
-        for (std::size_t c = 0; c < 3; ++c) {
-          sum += utt.features(t, c);
-          sumsq += static_cast<double>(utt.features(t, c)) *
-                   utt.features(t, c);
-          ++n;
-        }
-      }
-    }
-    const double mean = sum / n;
-    EXPECT_NEAR(mean, 0.0, 1e-4) << "speaker " << spk;
-    EXPECT_NEAR(sumsq / n - mean * mean, 1.0, 1e-3) << "speaker " << spk;
-  }
-}
-
-TEST(SpeakerCmvn, AlignsSpeakersWithDifferentChannels) {
-  Corpus corpus = two_speaker_corpus();
-  // Before: the two speakers' global means differ by ~8.
-  double m0 = 0, m1 = 0;
-  std::size_t n0 = 0, n1 = 0;
-  for (const auto& utt : corpus.utterances) {
-    for (std::size_t t = 0; t < utt.num_frames(); ++t) {
-      if (utt.speaker == 0) {
-        m0 += utt.features(t, 0);
-        ++n0;
-      } else {
-        m1 += utt.features(t, 0);
-        ++n1;
-      }
-    }
-  }
-  EXPECT_GT(std::abs(m0 / n0 - m1 / n1), 5.0);
-  apply_speaker_cmvn(corpus);
-  m0 = m1 = 0;
-  for (const auto& utt : corpus.utterances) {
-    for (std::size_t t = 0; t < utt.num_frames(); ++t) {
-      if (utt.speaker == 0) m0 += utt.features(t, 0);
-      else m1 += utt.features(t, 0);
-    }
-  }
-  EXPECT_LT(std::abs(m0 / n0 - m1 / n1), 0.01);
-}
-
-TEST(SpeakerCmvn, SyntheticCorpusStillLearnable) {
-  CorpusSpec spec;
-  spec.hours = 0.003;
-  spec.feature_dim = 6;
-  spec.num_states = 3;
-  spec.seed = 62;
-  Corpus corpus = generate_corpus(spec);
-  apply_speaker_cmvn(corpus);
-  for (const auto& utt : corpus.utterances) {
-    for (std::size_t i = 0; i < utt.features.size(); ++i) {
-      EXPECT_TRUE(std::isfinite(utt.features.data()[i]));
-    }
-  }
-}
-
-}  // namespace
-}  // namespace bgqhf::speech
-
-namespace bgqhf::speech {
-namespace {
-
-TEST(Deltas, ConstantSignalHasZeroDeltas) {
-  blas::Matrix<float> f(10, 2);
-  f.fill(3.0f);
-  const auto out = append_deltas(f.view(), 2);
-  ASSERT_EQ(out.cols(), 6u);
-  for (std::size_t t = 0; t < 10; ++t) {
-    EXPECT_FLOAT_EQ(out(t, 0), 3.0f);  // static passthrough
-    EXPECT_FLOAT_EQ(out(t, 2), 0.0f);  // delta
-    EXPECT_FLOAT_EQ(out(t, 4), 0.0f);  // delta-delta
-  }
-}
-
-TEST(Deltas, LinearRampHasConstantDeltaInInterior) {
-  blas::Matrix<float> f(20, 1);
-  for (std::size_t t = 0; t < 20; ++t) f(t, 0) = static_cast<float>(t);
-  const auto out = append_deltas(f.view(), 2);
-  // Interior frames (away from clamped edges): slope = 1 per frame.
-  for (std::size_t t = 4; t < 16; ++t) {
-    EXPECT_NEAR(out(t, 1), 1.0f, 1e-5) << t;
-    EXPECT_NEAR(out(t, 2), 0.0f, 1e-5) << t;  // delta-delta of a line
-  }
-}
-
-TEST(Deltas, QuadraticHasConstantDeltaDelta) {
-  blas::Matrix<float> f(30, 1);
-  for (std::size_t t = 0; t < 30; ++t) {
-    f(t, 0) = 0.5f * static_cast<float>(t) * static_cast<float>(t);
-  }
-  const auto out = append_deltas(f.view(), 2);
-  // d2/dt2 of 0.5 t^2 is 1; interior frames should see it.
-  for (std::size_t t = 8; t < 22; ++t) {
-    EXPECT_NEAR(out(t, 2), 1.0f, 1e-4) << t;
-  }
-}
-
-TEST(Deltas, OutputLayoutIsStaticDeltaDeltaDelta) {
-  blas::Matrix<float> f(5, 3);
-  f(2, 1) = 7.0f;
-  const auto out = append_deltas(f.view(), 1);
-  EXPECT_EQ(out.rows(), 5u);
-  EXPECT_EQ(out.cols(), 9u);
-  EXPECT_FLOAT_EQ(out(2, 1), 7.0f);  // static block preserved
-}
-
-TEST(Deltas, ZeroWindowRejected) {
-  blas::Matrix<float> f(4, 2);
-  EXPECT_THROW(append_deltas(f.view(), 0), std::invalid_argument);
-}
-
-TEST(Deltas, SingleFrameUtteranceIsSafe) {
-  blas::Matrix<float> f(1, 2);
-  f(0, 0) = 5.0f;
-  const auto out = append_deltas(f.view(), 2);
-  EXPECT_FLOAT_EQ(out(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ(out(0, 2), 0.0f);  // clamped edges -> zero slope
 }
 
 }  // namespace

@@ -80,24 +80,29 @@ TEST_F(SourceTest, PartitionComputedFromIndexMatchesInMemory) {
             sh.heldout->partition(2).assignment);
 }
 
-TEST_F(SourceTest, FetchReturnsIdenticalUtterances) {
+TEST_F(SourceTest, ForEachVisitsIdenticalUtterances) {
   SourceSplit mem =
       make_in_memory_split(generate_corpus(small_spec()), split_options());
   SourceSplit sh = open_sharded_split(dir_, split_options());
-  const std::size_t n = mem.train->num_utterances();
-  UtteranceBatch a = mem.train->fetch(0, n);
-  UtteranceBatch b = sh.train->fetch(0, n);
-  ASSERT_EQ(a.utterances.size(), b.utterances.size());
-  for (std::size_t u = 0; u < a.utterances.size(); ++u) {
-    EXPECT_EQ(a.utterances[u].id, b.utterances[u].id);
-    EXPECT_EQ(a.utterances[u].speaker, b.utterances[u].speaker);
-    ASSERT_EQ(a.utterances[u].labels, b.utterances[u].labels);
-    for (std::size_t i = 0; i < a.utterances[u].features.size(); ++i) {
-      ASSERT_EQ(a.utterances[u].features.data()[i],
-                b.utterances[u].features.data()[i]);
+  std::vector<Utterance> a;
+  mem.train->visit([&](const Utterance& utt) { a.push_back(utt); });
+  std::vector<Utterance> b;
+  sh.train->visit([&](const Utterance& utt) { b.push_back(utt); });
+  ASSERT_EQ(a.size(), mem.train->num_utterances());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t u = 0; u < a.size(); ++u) {
+    EXPECT_EQ(a[u].id, b[u].id);
+    EXPECT_EQ(a[u].speaker, b[u].speaker);
+    ASSERT_EQ(a[u].labels, b[u].labels);
+    for (std::size_t i = 0; i < a[u].features.size(); ++i) {
+      ASSERT_EQ(a[u].features.data()[i], b[u].features.data()[i]);
     }
   }
-  EXPECT_THROW(sh.train->fetch(0, n + 1), std::out_of_range);
+  const std::vector<std::size_t> past_end{a.size()};
+  for (DataSource* source : {mem.train.get(), sh.train.get()}) {
+    EXPECT_THROW(source->for_each(past_end, [](const Utterance&) {}),
+                 std::out_of_range);
+  }
 }
 
 TEST_F(SourceTest, NormalizerBitwiseEqualAcrossSources) {
@@ -110,12 +115,6 @@ TEST_F(SourceTest, NormalizerBitwiseEqualAcrossSources) {
   for (std::size_t c = 0; c < a.mean.size(); ++c) {
     EXPECT_EQ(a.mean[c], b.mean[c]);
     EXPECT_EQ(a.inv_std[c], b.inv_std[c]);
-  }
-  // And it matches the legacy corpus-based estimate.
-  const auto& mem_src = static_cast<const InMemorySource&>(*mem.train);
-  const Normalizer legacy = estimate_normalizer(mem_src.corpus());
-  for (std::size_t c = 0; c < a.mean.size(); ++c) {
-    EXPECT_EQ(legacy.mean[c], a.mean[c]);
   }
 }
 
@@ -135,17 +134,33 @@ TEST_F(SourceTest, DatasetsBitwiseEqualAcrossSources) {
   expect_dataset_equal(ha, hb);
 }
 
-TEST_F(SourceTest, SplitMatchesDeprecatedFreeFunction) {
-  Corpus corpus = generate_corpus(small_spec());
-  Corpus mutated = corpus;
-  const Corpus held = split_heldout(mutated, 4);
-  SourceSplit split = make_in_memory_split(std::move(corpus), split_options());
-  ASSERT_EQ(split.train->num_utterances(), mutated.utterances.size());
-  ASSERT_EQ(split.heldout->num_utterances(), held.utterances.size());
-  const auto& train_src = static_cast<const InMemorySource&>(*split.train);
-  for (std::size_t u = 0; u < mutated.utterances.size(); ++u) {
-    EXPECT_EQ(train_src.corpus().utterances[u].id, mutated.utterances[u].id);
+TEST_F(SourceTest, BothFactoriesHoldOutEveryKthOrdinal) {
+  const Corpus corpus = generate_corpus(small_spec());
+  const auto ids = [](DataSource& source) {
+    std::vector<std::uint64_t> out;
+    source.visit([&](const Utterance& utt) { out.push_back(utt.id); });
+    return out;
+  };
+  for (const std::size_t k : {2u, 3u, 5u}) {
+    std::vector<std::uint64_t> train;
+    std::vector<std::uint64_t> held;
+    for (std::size_t i = 0; i < corpus.utterances.size(); ++i) {
+      (i % k == k - 1 ? held : train).push_back(corpus.utterances[i].id);
+    }
+    ASSERT_FALSE(held.empty()) << "k=" << k;
+    SourceOptions options;
+    options.heldout_every_kth = k;
+    SourceSplit mem = make_in_memory_split(corpus, options);
+    SourceSplit sh = open_sharded_split(dir_, options);
+    for (SourceSplit* split : {&mem, &sh}) {
+      EXPECT_EQ(ids(*split->train), train) << "k=" << k;
+      EXPECT_EQ(ids(*split->heldout), held) << "k=" << k;
+    }
   }
+  SourceOptions bad;
+  bad.heldout_every_kth = 1;
+  EXPECT_THROW(make_in_memory_split(corpus, bad), std::invalid_argument);
+  EXPECT_THROW(open_sharded_split(dir_, bad), std::invalid_argument);
 }
 
 TEST_F(SourceTest, NoSplitYieldsNullHeldout) {
@@ -155,15 +170,6 @@ TEST_F(SourceTest, NoSplitYieldsNullHeldout) {
   const store::CorpusIndex index =
       store::load_index(store::index_path(dir_));
   EXPECT_EQ(split.train->num_utterances(), index.num_utterances());
-  SourceOptions bad;
-  bad.heldout_every_kth = 1;
-  EXPECT_THROW(open_sharded_split(dir_, bad), std::invalid_argument);
-}
-
-TEST_F(SourceTest, ShardedRejectsSpeakerCmvn) {
-  SourceOptions options = split_options();
-  options.speaker_cmvn = true;
-  EXPECT_THROW(open_sharded_split(dir_, options), std::invalid_argument);
 }
 
 TEST_F(SourceTest, MissingStoreThrowsTypedError) {

@@ -240,13 +240,17 @@ TEST(RuntimeEnvServeKnobs, MalformedServeBatchNamesTheKnob) {
 }
 
 TEST(RuntimeEnvCompressKnobs, MalformedTopkFractionNamesTheKnob) {
-  ASSERT_EQ(setenv("BGQHF_COMPRESS_TOPK", "5%", 1), 0);
-  try {
-    RuntimeEnv::from_process_env();
-    ADD_FAILURE() << "expected ConfigError";
-  } catch (const ConfigError& e) {
-    EXPECT_EQ(e.knob(), "BGQHF_COMPRESS_TOPK");
-    EXPECT_EQ(e.value(), "5%");
+  // nan and inf once parsed, passed a `< 0 || > 1` check and reached a
+  // float-to-size_t cast in the top-k codec.
+  for (const char* bad : {"5%", "nan", "inf", "-inf", "-0.5", "2"}) {
+    ASSERT_EQ(setenv("BGQHF_COMPRESS_TOPK", bad, 1), 0);
+    try {
+      RuntimeEnv::from_process_env();
+      ADD_FAILURE() << "expected ConfigError for " << bad;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.knob(), "BGQHF_COMPRESS_TOPK");
+      EXPECT_EQ(e.value(), bad);
+    }
   }
   unsetenv("BGQHF_COMPRESS_TOPK");
 }

@@ -1,4 +1,4 @@
-// corpus_shard: stage, convert, and inspect sharded corpus stores.
+// corpus_shard: stage and inspect sharded corpus stores.
 //
 // The paper's runs never synthesize data at training time — the corpus is
 // prepared once on the I/O nodes and streamed in. This tool is that
@@ -8,8 +8,6 @@
 //       Stream-generate the spec's corpus straight into shards (O(shard)
 //       memory; the identical utterance sequence the in-RAM generator
 //       yields at the same seed).
-//   corpus_shard convert in=FILE dir=STORE
-//       Convert a monolithic BGQC corpus file into a store.
 //   corpus_shard info dir=STORE
 //       Print the index summary (shards, utterances, frames) — reads the
 //       index only, never shard data.
@@ -19,14 +17,13 @@
 //       400-hour configuration is sized without 400 hours of disk.
 //
 // Common generate/plan flags: hours, feature_dim, num_states,
-// mean_utt_seconds, seed, shard_mb (target shard size).
+// mean_utt_seconds, seed, shard_mb (target shard size). An unknown mode or
+// flag exits 2 naming it.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "speech/corpus.h"
-#include "speech/corpus_io.h"
-#include "speech/source.h"
 #include "speech/store/format.h"
 #include "speech/store/writer.h"
 #include "util/config.h"
@@ -60,25 +57,11 @@ void print_index(const speech::store::CorpusIndex& index) {
   std::printf("num_states:    %zu\n", index.num_states);
 }
 
-int cmd_generate(const util::Config& cfg, const std::string& dir) {
-  const speech::CorpusSpec spec = spec_from(cfg);
+int cmd_generate(const speech::CorpusSpec& spec, const std::string& dir,
+                 const speech::store::WriterOptions& options) {
   const speech::store::CorpusIndex index =
-      speech::store::generate_sharded_corpus(spec, dir, writer_options(cfg));
+      speech::store::generate_sharded_corpus(spec, dir, options);
   std::printf("generated store %s\n", dir.c_str());
-  print_index(index);
-  return 0;
-}
-
-int cmd_convert(const util::Config& cfg, const std::string& dir) {
-  const std::string in = cfg.get_string("in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "convert: missing in=FILE\n");
-    return 2;
-  }
-  const speech::Corpus corpus = speech::load_corpus(in);
-  const speech::store::CorpusIndex index =
-      speech::store::write_sharded_corpus(corpus, dir, writer_options(cfg));
-  std::printf("converted %s -> %s\n", in.c_str(), dir.c_str());
   print_index(index);
   return 0;
 }
@@ -88,9 +71,7 @@ int cmd_info(const std::string& dir) {
   return 0;
 }
 
-int cmd_plan(const util::Config& cfg) {
-  const speech::CorpusSpec spec = spec_from(cfg);
-  const auto shard_bytes = writer_options(cfg).target_shard_bytes;
+int cmd_plan(const speech::CorpusSpec& spec, std::size_t shard_bytes) {
   const std::size_t frames = speech::spec_total_frames(spec);
   // Per-frame record cost: one i32 label + feature_dim f32s; utterance
   // framing (24B header + 8B CRC frame + padding) amortizes over the mean
@@ -116,24 +97,37 @@ int cmd_plan(const util::Config& cfg) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: corpus_shard generate|convert|info|plan "
+                 "usage: corpus_shard generate|info|plan "
                  "[dir=STORE] [key=value...]\n");
     return 2;
   }
   const std::string mode = argv[1];
-  const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
   try {
-    if (mode == "plan") return cmd_plan(cfg);
-    const std::string dir = cfg.get_string("dir", "");
-    if (dir.empty()) {
+    if (mode != "generate" && mode != "info" && mode != "plan") {
+      std::fprintf(stderr, "unknown mode: %s\n", mode.c_str());
+      return 2;
+    }
+    const util::Config cfg = util::Config::from_args(argc - 1, argv + 1);
+    const std::string dir =
+        mode == "plan" ? std::string() : cfg.get_string("dir", "");
+    if (mode != "plan" && dir.empty()) {
       std::fprintf(stderr, "%s: missing dir=STORE\n", mode.c_str());
       return 2;
     }
-    if (mode == "generate") return cmd_generate(cfg, dir);
-    if (mode == "convert") return cmd_convert(cfg, dir);
-    if (mode == "info") return cmd_info(dir);
-    std::fprintf(stderr, "unknown mode: %s\n", mode.c_str());
-    return 2;
+    speech::CorpusSpec spec;
+    speech::store::WriterOptions options;
+    if (mode != "info") {
+      spec = spec_from(cfg);
+      options = writer_options(cfg);
+    }
+    for (const auto& key : cfg.unused_keys()) {
+      std::fprintf(stderr, "%s: unknown flag: %s\n", mode.c_str(),
+                   key.c_str());
+      return 2;
+    }
+    if (mode == "generate") return cmd_generate(spec, dir, options);
+    if (mode == "plan") return cmd_plan(spec, options.target_shard_bytes);
+    return cmd_info(dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "corpus_shard %s: %s\n", mode.c_str(), e.what());
     return 1;
