@@ -100,12 +100,12 @@ void BM_SgemmFusedForward(benchmark::State& state) {
   const Matrix<float> w = random_matrix(out, in, 6);
   const Matrix<float> bias = random_matrix(1, out, 7);
   Matrix<float> z(batch, out);
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kSigmoid;
   for (auto _ : state) {
-    bgqhf::blas::gemm_fused<float>(Trans::kNo, Trans::kYes, 1.0f, x.view(),
-                                   w.view(), 0.0f, z.view(), ep);
+    bgqhf::blas::gemm_fused(Trans::kNo, Trans::kYes, 1.0f, x.view(),
+                            w.view(), 0.0f, z.view(), ep);
     benchmark::DoNotOptimize(z.data());
   }
   state.counters["FLOPS"] = benchmark::Counter(
@@ -161,13 +161,13 @@ double measure_fused_forward_gflops(std::size_t batch, std::size_t in,
   const Matrix<float> w = random_matrix(out, in, 6);
   const Matrix<float> bias = random_matrix(1, out, 7);
   Matrix<float> z(batch, out);
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kSigmoid;
   auto run = [&] {
     if (fused) {
-      bgqhf::blas::gemm_fused<float>(Trans::kNo, Trans::kYes, 1.0f, x.view(),
-                                     w.view(), 0.0f, z.view(), ep);
+      bgqhf::blas::gemm_fused(Trans::kNo, Trans::kYes, 1.0f, x.view(),
+                              w.view(), 0.0f, z.view(), ep);
     } else {
       bgqhf::blas::gemm<float>(Trans::kNo, Trans::kYes, 1.0f, x.view(),
                                w.view(), 0.0f, z.view());

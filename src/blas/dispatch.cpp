@@ -50,21 +50,23 @@ std::size_t topk_select_scalar(float* carrier, std::size_t n, float tau,
   return k;
 }
 
-constexpr KernelTable kScalarTable{KernelKind::kScalar, &microkernel<float>,
-                                   &sdot_scalar, &saxpy_scalar,
-                                   &sscal_scalar, &topk_select_scalar,
-                                   &int8_microkernel_scalar};
+constexpr KernelTable kScalarTable{
+    KernelKind::kScalar,      &microkernel<float>,     &sdot_scalar,
+    &saxpy_scalar,            &sscal_scalar,           &topk_select_scalar,
+    &int8_microkernel_scalar, &epilogue_tile_scalar};
 
 #if defined(BGQHF_HAVE_SSE2_KERNELS)
-constexpr KernelTable kSse2Table{KernelKind::kSse2, &sgemm_microkernel_sse2,
-                                 &sdot_sse2, &saxpy_sse2, &sscal_sse2,
-                                 &topk_select_sse2, &int8_microkernel_scalar};
+constexpr KernelTable kSse2Table{
+    KernelKind::kSse2,        &sgemm_microkernel_sse2, &sdot_sse2,
+    &saxpy_sse2,              &sscal_sse2,             &topk_select_sse2,
+    &int8_microkernel_scalar, &epilogue_tile_scalar};
 #endif
 
 #if defined(BGQHF_HAVE_AVX2_TU)
-constexpr KernelTable kAvx2Table{KernelKind::kAvx2, &sgemm_microkernel_avx2,
-                                 &sdot_avx2, &saxpy_avx2, &sscal_avx2,
-                                 &topk_select_avx2, &int8_microkernel_scalar};
+constexpr KernelTable kAvx2Table{
+    KernelKind::kAvx2,        &sgemm_microkernel_avx2, &sdot_avx2,
+    &saxpy_avx2,              &sscal_avx2,             &topk_select_avx2,
+    &int8_microkernel_scalar, &epilogue_tile_avx2};
 #endif
 
 #if defined(BGQHF_HAVE_AVX512_TU) && defined(BGQHF_HAVE_AVX2_TU)
@@ -72,9 +74,9 @@ constexpr KernelTable kAvx2Table{KernelKind::kAvx2, &sgemm_microkernel_avx2,
 // level-1 entries alias the avx2 functions, so auto-selecting this tier
 // cannot perturb any fp32 result (the default-mode bitwise guarantee).
 constexpr KernelTable kAvx512Table{
-    KernelKind::kAvx512, &sgemm_microkernel_avx512, &sdot_avx2,
-    &saxpy_avx2,         &sscal_avx2,               &topk_select_avx2,
-    &int8_microkernel_avx512};
+    KernelKind::kAvx512,      &sgemm_microkernel_avx512, &sdot_avx2,
+    &saxpy_avx2,              &sscal_avx2,               &topk_select_avx2,
+    &int8_microkernel_avx512, &epilogue_tile_avx512};
 #endif
 
 const KernelTable* table_for(KernelKind k) {

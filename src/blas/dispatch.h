@@ -1,5 +1,5 @@
-// Runtime CPU-feature dispatch for the SGEMM micro-kernel and the float
-// level-1 kernels.
+// Runtime CPU-feature dispatch for the SGEMM micro-kernel, the fused GEMM
+// epilogue and the float level-1 kernels.
 //
 // The paper hand-tuned one kernel for one machine (QPX assembly, Sec. V-A);
 // on commodity x86 we instead probe the CPU once at startup (cpuid via
@@ -19,7 +19,9 @@
 //
 // Every table also carries the int8 micro-kernel (kernels_reduced.h): the
 // scalar reference below avx512, the VNNI implementation there — bitwise
-// identical, see kernels_reduced.h.
+// identical, see kernels_reduced.h — and the fused GEMM epilogue
+// (epilogue.h): the scalar reference on scalar/sse2, a ymm or zmm version
+// on avx2/avx512, all three bitwise identical.
 //
 // The choice is overridable with BGQHF_FORCE_KERNEL=
 // scalar|sse2|avx2|avx512|auto (read once, at first use) so tests and CI
@@ -32,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "blas/epilogue.h"
 #include "blas/kernels_reduced.h"
 
 namespace bgqhf::blas {
@@ -70,6 +73,9 @@ struct KernelTable {
   /// int8 tile kernel (see kernels_reduced.h for the accumulate-only
   /// contract; the driver lives in gemm_mixed.cpp).
   Int8MicrokernelFn int8_microkernel = nullptr;
+  /// Fused-epilogue tile, called by both GEMM drivers on each finished
+  /// C tile.
+  EpilogueTileFn epilogue_tile = nullptr;
 };
 
 /// True if this build/CPU can execute `k`.

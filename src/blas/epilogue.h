@@ -8,9 +8,14 @@
 // and once more for the bias-gradient column reduction. The epilogue folds
 // all three into the last rank-kc update of each 8x16 tile, eliminating one
 // full sweep over activations per layer in forward and backprop.
+//
+// The tile function is an entry of the runtime-dispatch kernel table
+// (dispatch.h): the scalar reference below serves the scalar and SSE2
+// tiers, and kernels_avx2.cpp / kernels_avx512.cpp carry vector versions
+// that apply the same per-element operations in the same order (sigmoid
+// through blas::sigmoid, sigmoid.h), so every tier is bitwise identical.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 
 #include "blas/matrix.h"
@@ -21,23 +26,24 @@ namespace bgqhf::blas {
 /// lives in blas so the BLAS layer stays independent of nn.
 enum class EpilogueAct { kNone, kSigmoid, kTanh, kReLU };
 
-/// Elementwise tail fused into gemm_fused(). Applied per C tile in order:
+/// Elementwise tail fused into gemm_fused() (fp32 only). Applied per C tile
+/// in order:
 ///   1. C(i,j) += bias[j]                       (if bias != nullptr)
-///   2. C(i,j) = act(C(i,j))                    (if act != kNone)
+///   2. C(i,j) = act(C(i,j))                    (if act != kNone; sigmoid
+///      is blas::sigmoid, tanh std::tanh)
 ///   3. C(i,j) *= act'(deriv_aux(i,j))          (if deriv_aux.data != nullptr,
 ///      derivative expressed via the activation *output*, as in
 ///      nn::multiply_by_derivative)
 ///   4. col_sums[j] += sum_i C(i,j)             (if col_sums != nullptr; the
-///      bias-gradient column reduction)
+///      bias-gradient column reduction, rows in ascending order)
 /// Indices are in the frame of the full C matrix; bias/col_sums have length
 /// C.cols. All steps see the final (post-k-loop) C values.
-template <typename T>
 struct GemmEpilogue {
-  const T* bias = nullptr;
+  const float* bias = nullptr;
   EpilogueAct act = EpilogueAct::kNone;
-  ConstMatrixView<T> deriv_aux;  // same shape as C when active
+  ConstMatrixView<float> deriv_aux;  // same shape as C when active
   EpilogueAct deriv_act = EpilogueAct::kNone;
-  T* col_sums = nullptr;
+  float* col_sums = nullptr;
 
   bool empty() const {
     return bias == nullptr && act == EpilogueAct::kNone &&
@@ -47,81 +53,18 @@ struct GemmEpilogue {
 
 /// Apply the epilogue to the tile C(row0:row0+mr, col0:col0+nr), given as a
 /// raw pointer to its top-left element. `colsum_acc`, when non-null, points
-/// at a length-C.cols accumulator row (the driver gives each ic row-block
-/// its own row to keep threads race-free, then reduces).
-///
-/// The scalar formulas match nn/activations.cpp exactly so the fused path
-/// is bitwise-identical to gemm + apply_activation / multiply_by_derivative.
-template <typename T>
-inline void apply_epilogue_tile(const GemmEpilogue<T>& ep, T* __restrict c,
+/// at a length-C.cols accumulator row (the driver gives each row block its
+/// own row to keep threads race-free, then reduces). Any mr, nr.
+using EpilogueTileFn = void (*)(const GemmEpilogue& ep, float* c,
                                 std::size_t ldc, std::size_t mr,
                                 std::size_t nr, std::size_t row0,
-                                std::size_t col0, T* colsum_acc) {
-  if (ep.bias != nullptr) {
-    const T* __restrict bias = ep.bias + col0;
-    for (std::size_t i = 0; i < mr; ++i) {
-      T* row = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) row[j] += bias[j];
-    }
-  }
-  switch (ep.act) {
-    case EpilogueAct::kNone:
-      break;
-    case EpilogueAct::kSigmoid:
-      for (std::size_t i = 0; i < mr; ++i) {
-        T* row = c + i * ldc;
-        for (std::size_t j = 0; j < nr; ++j) {
-          row[j] = T{1} / (T{1} + std::exp(-row[j]));
-        }
-      }
-      break;
-    case EpilogueAct::kTanh:
-      for (std::size_t i = 0; i < mr; ++i) {
-        T* row = c + i * ldc;
-        for (std::size_t j = 0; j < nr; ++j) row[j] = std::tanh(row[j]);
-      }
-      break;
-    case EpilogueAct::kReLU:
-      for (std::size_t i = 0; i < mr; ++i) {
-        T* row = c + i * ldc;
-        for (std::size_t j = 0; j < nr; ++j) {
-          row[j] = row[j] > T{} ? row[j] : T{};
-        }
-      }
-      break;
-  }
-  if (ep.deriv_aux.data != nullptr) {
-    for (std::size_t i = 0; i < mr; ++i) {
-      T* row = c + i * ldc;
-      const T* aux = ep.deriv_aux.data + (row0 + i) * ep.deriv_aux.ld + col0;
-      switch (ep.deriv_act) {
-        case EpilogueAct::kNone:
-          break;
-        case EpilogueAct::kSigmoid:
-          for (std::size_t j = 0; j < nr; ++j) {
-            row[j] *= aux[j] * (T{1} - aux[j]);
-          }
-          break;
-        case EpilogueAct::kTanh:
-          for (std::size_t j = 0; j < nr; ++j) {
-            row[j] *= T{1} - aux[j] * aux[j];
-          }
-          break;
-        case EpilogueAct::kReLU:
-          for (std::size_t j = 0; j < nr; ++j) {
-            if (aux[j] <= T{}) row[j] = T{};
-          }
-          break;
-      }
-    }
-  }
-  if (colsum_acc != nullptr) {
-    T* __restrict sums = colsum_acc + col0;
-    for (std::size_t i = 0; i < mr; ++i) {
-      const T* row = c + i * ldc;
-      for (std::size_t j = 0; j < nr; ++j) sums[j] += row[j];
-    }
-  }
-}
+                                std::size_t col0, float* colsum_acc);
+
+/// The scalar reference. Its formulas match nn/activations.cpp exactly,
+/// so the fused path is bitwise identical to gemm + apply_activation /
+/// multiply_by_derivative.
+void epilogue_tile_scalar(const GemmEpilogue& ep, float* c, std::size_t ldc,
+                          std::size_t mr, std::size_t nr, std::size_t row0,
+                          std::size_t col0, float* colsum_acc);
 
 }  // namespace bgqhf::blas

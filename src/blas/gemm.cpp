@@ -99,22 +99,36 @@ struct KernelChoice {
   }
 };
 
+/// Applies the dispatched fp32 epilogue to one C tile. Only float GEMM
+/// carries an epilogue (gemm_fused is fp32), so for double this is never
+/// reached with a non-empty one.
+template <typename T>
+void epilogue_tile(EpilogueTileFn fn, const GemmEpilogue& ep, T* c,
+                   std::size_t ldc, std::size_t mr, std::size_t nr,
+                   std::size_t row0, std::size_t col0, float* colsum_acc) {
+  if constexpr (std::is_same_v<T, float>) {
+    fn(ep, c, ldc, mr, nr, row0, col0, colsum_acc);
+  }
+}
+
 /// Fused-epilogue GEMM engine; gemm() calls it with an empty epilogue.
 template <typename T>
 void gemm_engine(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
                  ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                 const GemmEpilogue<T>& ep, util::ThreadPool* pool,
+                 const GemmEpilogue& ep, util::ThreadPool* pool,
                  const GemmBlocking& blocking) {
   const std::size_t m = op_rows(a, ta);
   const std::size_t k = op_cols(a, ta);
   const std::size_t n = op_cols(b, tb);
   assert(op_rows(b, tb) == k);
   assert(c.rows == m && c.cols == n);
+  assert((std::is_same_v<T, float> || ep.empty()));
 
   if (m == 0 || n == 0) return;
 
   BGQHF_SPAN("gemm", "gemm_engine");
   GemmMetricsScope metrics(2ull * m * n * k);
+  const EpilogueTileFn epilogue = active_kernels().epilogue_tile;
 
   if (k == 0 || alpha == T{}) {
     // Degenerate: no k-loop to fold beta into; fall back to a C sweep, then
@@ -125,8 +139,8 @@ void gemm_engine(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
         const std::size_t mr = std::min(kMR, m - i);
         for (std::size_t j = 0; j < n; j += kNR) {
           const std::size_t nr = std::min(kNR, n - j);
-          apply_epilogue_tile(ep, c.data + i * c.ld + j, c.ld, mr, nr, i, j,
-                              ep.col_sums);
+          epilogue_tile(epilogue, ep, c.data + i * c.ld + j, c.ld, mr, nr, i,
+                        j, ep.col_sums);
         }
       }
     }
@@ -152,10 +166,10 @@ void gemm_engine(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
   // column range but different ic blocks would otherwise race on
   // ep.col_sums. Reduced (in fixed ascending block order, so results do not
   // depend on threading) at the end of the call.
-  util::PoolBuffer<T> colsums(mempool,
-                              ep.col_sums != nullptr ? row_blocks * n : 1);
+  util::PoolBuffer<float> colsums(
+      mempool, ep.col_sums != nullptr ? row_blocks * n : 1);
   if (ep.col_sums != nullptr) {
-    std::fill(colsums.data(), colsums.data() + row_blocks * n, T{});
+    std::fill(colsums.data(), colsums.data() + row_blocks * n, 0.0f);
   }
 
   for (std::size_t jc = 0; jc < n; jc += blocking.nc) {
@@ -206,9 +220,9 @@ void gemm_engine(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
           const T* ablk = abuf.data() + (blk - g0) * a_stride;
           const std::size_t jr_end =
               std::min(nc, (slice + 1) * kJrSliceCols);
-          T* colsum_row = (last_k && ep.col_sums != nullptr)
-                              ? colsums.data() + blk * n
-                              : nullptr;
+          float* colsum_row = (last_k && ep.col_sums != nullptr)
+                                  ? colsums.data() + blk * n
+                                  : nullptr;
           for (std::size_t jr = slice * kJrSliceCols; jr < jr_end;
                jr += kNR) {
             const std::size_t nr = std::min(kNR, nc - jr);
@@ -220,8 +234,8 @@ void gemm_engine(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
               kernel(kc, apanel, bpanel, alpha, beta_eff, ctile, c.ld, mr,
                      nr);
               if (last_k && !ep.empty()) {
-                apply_epilogue_tile(ep, ctile, c.ld, mr, nr, ic + ir,
-                                    jc + jr, colsum_row);
+                epilogue_tile(epilogue, ep, ctile, c.ld, mr, nr, ic + ir,
+                              jc + jr, colsum_row);
               }
             }
           }
@@ -232,7 +246,7 @@ void gemm_engine(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
 
   if (ep.col_sums != nullptr) {
     for (std::size_t blk = 0; blk < row_blocks; ++blk) {
-      const T* row = colsums.data() + blk * n;
+      const float* row = colsums.data() + blk * n;
       for (std::size_t j = 0; j < n; ++j) ep.col_sums[j] += row[j];
     }
   }
@@ -250,24 +264,20 @@ void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
   // engine; bf16 narrows the collectives' wire, not the GEMM (precision.h).
   if constexpr (std::is_same_v<T, float>) {
     if (active_precision() == Precision::kInt8) {
-      gemm_int8(ta, tb, alpha, a, b, beta, c, GemmEpilogue<float>{}, pool);
+      gemm_int8(ta, tb, alpha, a, b, beta, c, GemmEpilogue{}, pool);
       return;
     }
   }
-  gemm_engine(ta, tb, alpha, a, b, beta, c, GemmEpilogue<T>{}, pool,
-              blocking);
+  gemm_engine(ta, tb, alpha, a, b, beta, c, GemmEpilogue{}, pool, blocking);
 }
 
-template <typename T>
-void gemm_fused(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
-                ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                const GemmEpilogue<T>& epilogue, util::ThreadPool* pool,
+void gemm_fused(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
+                ConstMatrixView<float> b, float beta, MatrixView<float> c,
+                const GemmEpilogue& epilogue, util::ThreadPool* pool,
                 const GemmBlocking& blocking) {
-  if constexpr (std::is_same_v<T, float>) {
-    if (active_precision() == Precision::kInt8) {
-      gemm_int8(ta, tb, alpha, a, b, beta, c, epilogue, pool);
-      return;
-    }
+  if (active_precision() == Precision::kInt8) {
+    gemm_int8(ta, tb, alpha, a, b, beta, c, epilogue, pool);
+    return;
   }
   gemm_engine(ta, tb, alpha, a, b, beta, c, epilogue, pool, blocking);
 }
@@ -345,16 +355,6 @@ template void gemm<double>(Trans, Trans, double, ConstMatrixView<double>,
                            ConstMatrixView<double>, double,
                            MatrixView<double>, util::ThreadPool*,
                            const GemmBlocking&);
-template void gemm_fused<float>(Trans, Trans, float, ConstMatrixView<float>,
-                                ConstMatrixView<float>, float,
-                                MatrixView<float>, const GemmEpilogue<float>&,
-                                util::ThreadPool*, const GemmBlocking&);
-template void gemm_fused<double>(Trans, Trans, double,
-                                 ConstMatrixView<double>,
-                                 ConstMatrixView<double>, double,
-                                 MatrixView<double>,
-                                 const GemmEpilogue<double>&,
-                                 util::ThreadPool*, const GemmBlocking&);
 template void gemm_naive<float>(Trans, Trans, float, ConstMatrixView<float>,
                                 ConstMatrixView<float>, float,
                                 MatrixView<float>);

@@ -48,14 +48,13 @@ void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
           util::ThreadPool* pool = nullptr,
           const GemmBlocking& blocking = GemmBlocking{});
 
-/// GEMM with a fused elementwise epilogue (see epilogue.h) applied to each
-/// C tile right after its final k-block update. Produces results identical
-/// to gemm() followed by the equivalent separate sweeps, serial or
-/// threaded, but touches C one time fewer.
-template <typename T>
-void gemm_fused(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
-                ConstMatrixView<T> b, T beta, MatrixView<T> c,
-                const GemmEpilogue<T>& epilogue,
+/// fp32 GEMM with a fused elementwise epilogue (see epilogue.h) applied to
+/// each C tile right after its final k-block update. Produces results
+/// identical to gemm() followed by the equivalent separate sweeps, serial
+/// or threaded, on every kernel tier, but touches C one time fewer.
+void gemm_fused(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
+                ConstMatrixView<float> b, float beta, MatrixView<float> c,
+                const GemmEpilogue& epilogue,
                 util::ThreadPool* pool = nullptr,
                 const GemmBlocking& blocking = GemmBlocking{});
 

@@ -65,7 +65,7 @@ struct GemmMetricsScope {
 // Degenerate shapes (k == 0 or alpha == 0): no packed panels to fold beta
 // into; sweep C directly, then apply the epilogue.
 void degenerate_sweep(float beta, MatrixView<float> c,
-                      const GemmEpilogue<float>& ep) {
+                      const GemmEpilogue& ep) {
   if (beta != 1.0f) {
     for (std::size_t i = 0; i < c.rows; ++i) {
       float* row = c.data + i * c.ld;
@@ -77,12 +77,12 @@ void degenerate_sweep(float beta, MatrixView<float> c,
     }
   }
   if (ep.empty()) return;
+  const EpilogueTileFn epilogue = active_kernels().epilogue_tile;
   for (std::size_t i = 0; i < c.rows; i += kMRmx) {
     const std::size_t mr = std::min(kMRmx, c.rows - i);
     for (std::size_t j = 0; j < c.cols; j += kNRmx) {
       const std::size_t nr = std::min(kNRmx, c.cols - j);
-      apply_epilogue_tile(ep, c.data + i * c.ld + j, c.ld, mr, nr, i, j,
-                          ep.col_sums);
+      epilogue(ep, c.data + i * c.ld + j, c.ld, mr, nr, i, j, ep.col_sums);
     }
   }
 }
@@ -378,7 +378,7 @@ struct TileOrder {
 
 void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
                ConstMatrixView<float> b, float beta, MatrixView<float> c,
-               const GemmEpilogue<float>& ep, util::ThreadPool* pool) {
+               const GemmEpilogue& ep, util::ThreadPool* pool) {
   const std::size_t m = op_rows(a, ta);
   const std::size_t k = op_cols(a, ta);
   const std::size_t n = op_cols(b, tb);
@@ -397,6 +397,7 @@ void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
   const bool trans_a = (ta == Trans::kYes);
   const bool trans_b = (tb == Trans::kYes);
   const auto kernel = active_kernels().int8_microkernel;
+  const EpilogueTileFn epilogue = active_kernels().epilogue_tile;
   auto& mempool = util::MemoryPool::global();
 
   const std::size_t row_blocks = (m + kMRmx - 1) / kMRmx;
@@ -446,7 +447,7 @@ void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
     if (!ep.empty()) {
       float* colsum_row =
           ep.col_sums != nullptr ? colsums.data() + blk * n : nullptr;
-      apply_epilogue_tile(ep, ctile, c.ld, mr, nr, i0, j0, colsum_row);
+      epilogue(ep, ctile, c.ld, mr, nr, i0, j0, colsum_row);
     }
   });
 
@@ -517,7 +518,7 @@ Int8PackedMatrix pack_int8_weights(const std::int8_t* w, std::size_t n,
 }
 
 void gemm_int8_packed(ConstMatrixView<float> a, const Int8PackedMatrix& bq,
-                      MatrixView<float> c, const GemmEpilogue<float>& ep,
+                      MatrixView<float> c, const GemmEpilogue& ep,
                       Int8Scratch& scratch, float static_scale) {
   const std::size_t m = a.rows;
   const std::size_t k = a.cols;
@@ -530,6 +531,7 @@ void gemm_int8_packed(ConstMatrixView<float> a, const Int8PackedMatrix& bq,
   GemmMetricsScope metrics(2ull * m * n * k);
 
   const auto kernel = active_kernels().int8_microkernel;
+  const EpilogueTileFn epilogue = active_kernels().epilogue_tile;
   const std::size_t row_blocks = (m + kMRmx - 1) / kMRmx;
   const std::size_t col_panels = (n + kNRmx - 1) / kNRmx;
   const std::size_t kg = bq.kgroups;
@@ -560,7 +562,7 @@ void gemm_int8_packed(ConstMatrixView<float> a, const Int8PackedMatrix& bq,
                       bq.col_sums.data() + p * kNRmx, 1.0f, 0.0f, ctile,
                       c.ld, mr, nr);
       if (!ep.empty()) {
-        apply_epilogue_tile(ep, ctile, c.ld, mr, nr, i0, j0, ep.col_sums);
+        epilogue(ep, ctile, c.ld, mr, nr, i0, j0, ep.col_sums);
       }
     }
   }

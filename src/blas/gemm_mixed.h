@@ -23,11 +23,11 @@
 
 namespace bgqhf::blas {
 
-/// Entry point used by gemm<float>/gemm_fused<float> when
+/// Entry point used by gemm<float>/gemm_fused when
 /// active_precision() == kInt8. Same contract as gemm_fused.
 void gemm_int8(Trans ta, Trans tb, float alpha, ConstMatrixView<float> a,
                ConstMatrixView<float> b, float beta, MatrixView<float> c,
-               const GemmEpilogue<float>& ep, util::ThreadPool* pool);
+               const GemmEpilogue& ep, util::ThreadPool* pool);
 
 // ---- pre-packed int8 weights (the serving hot path) ----
 
@@ -67,7 +67,7 @@ struct Int8Scratch {
 /// each row uses its own max-abs/127. beta is implicitly 0 (C is written,
 /// never read), matching the forward-pass gemm_fused call shape.
 void gemm_int8_packed(ConstMatrixView<float> a, const Int8PackedMatrix& bq,
-                      MatrixView<float> c, const GemmEpilogue<float>& ep,
+                      MatrixView<float> c, const GemmEpilogue& ep,
                       Int8Scratch& scratch, float static_scale = 0.0f);
 
 }  // namespace bgqhf::blas

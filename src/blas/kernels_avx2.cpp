@@ -1,5 +1,6 @@
-// Compiled with -mavx2 -mfma (see CMakeLists.txt); nothing in here may be
-// called before the runtime dispatcher has verified CPU support.
+// Compiled with -mavx2 -mfma -ffp-contract=off (see CMakeLists.txt), so
+// every fused multiply-add in here is an explicit one; nothing in here may
+// be called before the runtime dispatcher has verified CPU support.
 #include "blas/kernels_avx2.h"
 
 #if defined(BGQHF_HAVE_AVX2_TU)
@@ -10,6 +11,7 @@
 #include <cmath>
 
 #include "blas/pack.h"
+#include "blas/sigmoid.h"
 
 namespace bgqhf::blas {
 
@@ -119,7 +121,7 @@ double sdot_avx2(const float* x, const float* y, std::size_t n) {
   _mm256_store_pd(lanes, _mm256_add_pd(acc0, acc1));
   double acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
   for (; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
+    acc = std::fma(static_cast<double>(x[i]), static_cast<double>(y[i]), acc);
   }
   return acc;
 }
@@ -140,7 +142,7 @@ void saxpy_avx2(float alpha, const float* x, float* y, std::size_t n) {
         y + i, _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i),
                                _mm256_loadu_ps(y + i)));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
 }
 
 void sscal_avx2(float alpha, float* x, std::size_t n) {
@@ -150,6 +152,120 @@ void sscal_avx2(float alpha, float* x, std::size_t n) {
     _mm256_storeu_ps(x + i, _mm256_mul_ps(av, _mm256_loadu_ps(x + i)));
   }
   for (; i < n; ++i) x[i] *= alpha;
+}
+
+namespace {
+
+/// blas::sigmoid on 8 lanes: the scalar steps, one instruction each.
+__m256 sigmoid8(__m256 x) {
+  using namespace sigmoid_const;
+  const __m256 shifter = _mm256_set1_ps(kShifter);
+  __m256 t = _mm256_xor_ps(x, _mm256_set1_ps(-0.0f));
+  // min/max(bound, t) return t when t is NaN, as the scalar clamps do.
+  t = _mm256_min_ps(_mm256_set1_ps(kClampHi), t);
+  t = _mm256_max_ps(_mm256_set1_ps(kClampLo), t);
+  const __m256 shifted = _mm256_fmadd_ps(t, _mm256_set1_ps(kLog2e), shifter);
+  const __m256 n = _mm256_sub_ps(shifted, shifter);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Hi), t);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Lo), r);
+  __m256 p = _mm256_fmadd_ps(_mm256_set1_ps(kC6), r, _mm256_set1_ps(kC5));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kC4));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kC3));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(0.5f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.0f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.0f));
+  const __m256i scale_bits = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_sub_epi32(_mm256_castps_si256(shifted),
+                                        _mm256_castps_si256(shifter)),
+                       _mm256_set1_epi32(static_cast<int>(kExpBias))),
+      23);
+  const __m256 e = _mm256_mul_ps(
+      _mm256_mul_ps(p, _mm256_castsi256_ps(scale_bits)), _mm256_set1_ps(2.0f));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  return _mm256_div_ps(one, _mm256_add_ps(one, e));
+}
+
+/// Columns [j, j + lanes) of a tile row; a partial chunk is read and written
+/// through a lane mask, so nothing past the tile is touched.
+struct Chunk {
+  __m256i mask;
+  bool full;
+
+  __m256 load(const float* p) const {
+    return full ? _mm256_loadu_ps(p) : _mm256_maskload_ps(p, mask);
+  }
+  void store(float* p, __m256 v) const {
+    if (full) {
+      _mm256_storeu_ps(p, v);
+    } else {
+      _mm256_maskstore_ps(p, mask, v);
+    }
+  }
+};
+
+}  // namespace
+
+void epilogue_tile_avx2(const GemmEpilogue& ep, float* c, std::size_t ldc,
+                        std::size_t mr, std::size_t nr, std::size_t row0,
+                        std::size_t col0, float* colsum_acc) {
+  // Per 8-column chunk, each row takes steps 1-4 in epilogue_tile_scalar's
+  // order, and the chunk's column sums add the rows in ascending order.
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t j = 0; j < nr; j += 8) {
+    const std::size_t lanes = std::min<std::size_t>(8, nr - j);
+    const Chunk chunk{
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                           lane_ids),
+        lanes == 8};
+    const __m256 bias =
+        ep.bias != nullptr ? chunk.load(ep.bias + col0 + j) : zero;
+    __m256 sums =
+        colsum_acc != nullptr ? chunk.load(colsum_acc + col0 + j) : zero;
+    for (std::size_t i = 0; i < mr; ++i) {
+      float* row = c + i * ldc + j;
+      __m256 v = chunk.load(row);
+      if (ep.bias != nullptr) v = _mm256_add_ps(v, bias);
+      switch (ep.act) {
+        case EpilogueAct::kNone:
+          break;
+        case EpilogueAct::kSigmoid:
+          v = sigmoid8(v);
+          break;
+        case EpilogueAct::kTanh: {
+          alignas(32) float lane[8];
+          _mm256_store_ps(lane, v);
+          for (std::size_t l = 0; l < lanes; ++l) lane[l] = std::tanh(lane[l]);
+          v = _mm256_load_ps(lane);
+          break;
+        }
+        case EpilogueAct::kReLU:
+          v = _mm256_max_ps(v, zero);  // v > 0 ? v : +0
+          break;
+      }
+      if (ep.deriv_aux.data != nullptr) {
+        const __m256 a = chunk.load(ep.deriv_aux.data +
+                                    (row0 + i) * ep.deriv_aux.ld + col0 + j);
+        switch (ep.deriv_act) {
+          case EpilogueAct::kNone:
+            break;
+          case EpilogueAct::kSigmoid:
+            v = _mm256_mul_ps(v, _mm256_mul_ps(a, _mm256_sub_ps(one, a)));
+            break;
+          case EpilogueAct::kTanh:
+            v = _mm256_mul_ps(v, _mm256_sub_ps(one, _mm256_mul_ps(a, a)));
+            break;
+          case EpilogueAct::kReLU:
+            v = _mm256_andnot_ps(_mm256_cmp_ps(a, zero, _CMP_LE_OQ), v);
+            break;
+        }
+      }
+      if (colsum_acc != nullptr) sums = _mm256_add_ps(sums, v);
+      chunk.store(row, v);
+    }
+    if (colsum_acc != nullptr) chunk.store(colsum_acc + col0 + j, sums);
+  }
 }
 
 std::size_t topk_select_avx2(float* carrier, std::size_t n, float tau,

@@ -13,6 +13,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "blas/epilogue.h"
+
 namespace bgqhf::blas {
 
 // The AVX2 translation unit is only compiled on x86 targets (see
@@ -41,6 +43,11 @@ void sscal_avx2(float alpha, float* x, std::size_t n);
 std::size_t topk_select_avx2(float* carrier, std::size_t n, float tau,
                              std::uint32_t index_base, std::uint32_t* idx,
                              float* val);
+
+/// Fused-epilogue tile (epilogue.h), bitwise equal to epilogue_tile_scalar.
+void epilogue_tile_avx2(const GemmEpilogue& ep, float* c, std::size_t ldc,
+                        std::size_t mr, std::size_t nr, std::size_t row0,
+                        std::size_t col0, float* colsum_acc);
 
 #endif  // BGQHF_HAVE_AVX2_TU
 

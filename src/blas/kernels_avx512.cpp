@@ -1,16 +1,20 @@
-// Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512vnni (see
-// CMakeLists.txt); nothing in here may be called before the runtime
-// dispatcher has verified CPU support.
+// Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512vnni
+// -ffp-contract=off (see CMakeLists.txt), so every fused multiply-add in
+// here is an explicit one; nothing in here may be called before the
+// runtime dispatcher has verified CPU support.
 #include "blas/kernels_avx512.h"
 
 #if defined(BGQHF_HAVE_AVX512_TU)
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "blas/kernels_reduced.h"
 #include "blas/pack.h"
+#include "blas/sigmoid.h"
 
 namespace bgqhf::blas {
 
@@ -69,6 +73,107 @@ void sgemm_microkernel_avx512(std::size_t kc, const float* a_panel,
         _mm512_fmadd_ps(av, rows[i], _mm512_mul_ps(bv, cv));
     _mm512_mask_storeu_ps(c + i * ldc, cols,
                           _mm512_mask_blend_ps(full, fused_acc, fused_c));
+  }
+}
+
+namespace {
+
+/// blas::sigmoid on 16 lanes: the scalar steps, one instruction each.
+__m512 sigmoid16(__m512 x) {
+  using namespace sigmoid_const;
+  const __m512 shifter = _mm512_set1_ps(kShifter);
+  // Negation as a sign-bit flip (_mm512_xor_ps would need AVX512DQ).
+  __m512 t = _mm512_castsi512_ps(
+      _mm512_xor_si512(_mm512_castps_si512(x), _mm512_set1_epi32(INT32_MIN)));
+  // min/max(bound, t) return t when t is NaN, as the scalar clamps do.
+  t = _mm512_min_ps(_mm512_set1_ps(kClampHi), t);
+  t = _mm512_max_ps(_mm512_set1_ps(kClampLo), t);
+  const __m512 shifted = _mm512_fmadd_ps(t, _mm512_set1_ps(kLog2e), shifter);
+  const __m512 n = _mm512_sub_ps(shifted, shifter);
+  __m512 r = _mm512_fmadd_ps(n, _mm512_set1_ps(-kLn2Hi), t);
+  r = _mm512_fmadd_ps(n, _mm512_set1_ps(-kLn2Lo), r);
+  __m512 p = _mm512_fmadd_ps(_mm512_set1_ps(kC6), r, _mm512_set1_ps(kC5));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(kC4));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(kC3));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(0.5f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f));
+  p = _mm512_fmadd_ps(p, r, _mm512_set1_ps(1.0f));
+  const __m512i scale_bits = _mm512_slli_epi32(
+      _mm512_add_epi32(_mm512_sub_epi32(_mm512_castps_si512(shifted),
+                                        _mm512_castps_si512(shifter)),
+                       _mm512_set1_epi32(static_cast<int>(kExpBias))),
+      23);
+  const __m512 e = _mm512_mul_ps(
+      _mm512_mul_ps(p, _mm512_castsi512_ps(scale_bits)), _mm512_set1_ps(2.0f));
+  const __m512 one = _mm512_set1_ps(1.0f);
+  return _mm512_div_ps(one, _mm512_add_ps(one, e));
+}
+
+}  // namespace
+
+void epilogue_tile_avx512(const GemmEpilogue& ep, float* c, std::size_t ldc,
+                          std::size_t mr, std::size_t nr, std::size_t row0,
+                          std::size_t col0, float* colsum_acc) {
+  // Per 16-column chunk, each row takes steps 1-4 in epilogue_tile_scalar's
+  // order, and the chunk's column sums add the rows in ascending order.
+  // Masked lanes are neither read nor written.
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 one = _mm512_set1_ps(1.0f);
+  for (std::size_t j = 0; j < nr; j += 16) {
+    const std::size_t lanes = std::min<std::size_t>(16, nr - j);
+    const __mmask16 cols = static_cast<__mmask16>((1u << lanes) - 1u);
+    const __m512 bias = ep.bias != nullptr
+                            ? _mm512_maskz_loadu_ps(cols, ep.bias + col0 + j)
+                            : zero;
+    __m512 sums = colsum_acc != nullptr
+                      ? _mm512_maskz_loadu_ps(cols, colsum_acc + col0 + j)
+                      : zero;
+    for (std::size_t i = 0; i < mr; ++i) {
+      float* row = c + i * ldc + j;
+      __m512 v = _mm512_maskz_loadu_ps(cols, row);
+      if (ep.bias != nullptr) v = _mm512_add_ps(v, bias);
+      switch (ep.act) {
+        case EpilogueAct::kNone:
+          break;
+        case EpilogueAct::kSigmoid:
+          v = sigmoid16(v);
+          break;
+        case EpilogueAct::kTanh: {
+          alignas(64) float lane[16];
+          _mm512_store_ps(lane, v);
+          for (std::size_t l = 0; l < lanes; ++l) lane[l] = std::tanh(lane[l]);
+          v = _mm512_load_ps(lane);
+          break;
+        }
+        case EpilogueAct::kReLU:
+          v = _mm512_max_ps(v, zero);  // v > 0 ? v : +0
+          break;
+      }
+      if (ep.deriv_aux.data != nullptr) {
+        const __m512 a = _mm512_maskz_loadu_ps(
+            cols,
+            ep.deriv_aux.data + (row0 + i) * ep.deriv_aux.ld + col0 + j);
+        switch (ep.deriv_act) {
+          case EpilogueAct::kNone:
+            break;
+          case EpilogueAct::kSigmoid:
+            v = _mm512_mul_ps(v, _mm512_mul_ps(a, _mm512_sub_ps(one, a)));
+            break;
+          case EpilogueAct::kTanh:
+            v = _mm512_mul_ps(v, _mm512_sub_ps(one, _mm512_mul_ps(a, a)));
+            break;
+          case EpilogueAct::kReLU:
+            v = _mm512_mask_mov_ps(
+                v, _mm512_cmp_ps_mask(a, zero, _CMP_LE_OQ), zero);
+            break;
+        }
+      }
+      if (colsum_acc != nullptr) sums = _mm512_add_ps(sums, v);
+      _mm512_mask_storeu_ps(row, cols, v);
+    }
+    if (colsum_acc != nullptr) {
+      _mm512_mask_storeu_ps(colsum_acc + col0 + j, cols, sums);
+    }
   }
 }
 

@@ -24,6 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "blas/epilogue.h"
+
 namespace bgqhf::blas {
 
 #if defined(BGQHF_HAVE_AVX512_TU)
@@ -37,6 +39,11 @@ void sgemm_microkernel_avx512(std::size_t kc, const float* a_panel,
 
 void int8_microkernel_avx512(std::size_t kgroups, const std::uint8_t* a_panel,
                              const std::int8_t* b_panel, std::int32_t* acc);
+
+/// Fused-epilogue tile (epilogue.h), bitwise equal to epilogue_tile_scalar.
+void epilogue_tile_avx512(const GemmEpilogue& ep, float* c, std::size_t ldc,
+                          std::size_t mr, std::size_t nr, std::size_t row0,
+                          std::size_t col0, float* colsum_acc);
 
 #endif  // BGQHF_HAVE_AVX512_TU
 

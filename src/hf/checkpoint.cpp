@@ -264,10 +264,8 @@ CheckpointWeights load_checkpoint_weights(const std::string& path) {
   r.pod<double>();         // lambda
   r.pod<double>();         // loss_prev
   r.pod<std::uint64_t>();  // stall
-  const auto n_params = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  w.theta.resize(n_params);
-  for (auto& v : w.theta) v = r.pod<float>();
-  r.skip<float>(n_params);  // d0: CG-restart momentum, training-only
+  w.theta = r.pod_vector<float>();  // the parameter count, then theta
+  r.skip<float>(w.theta.size());    // d0: CG-restart momentum, training-only
   return w;
 }
 

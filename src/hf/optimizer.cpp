@@ -29,6 +29,7 @@ HfResult HfOptimizer::run(HfCompute& compute, std::span<float> theta,
   std::vector<float> d0(n, 0.0f);
   std::vector<float> grad(n, 0.0f);
   std::vector<float> trial(n, 0.0f);
+  std::vector<float> prev_trial(n, 0.0f);
 
   double loss_prev = 0.0;
   std::size_t stall = 0;
@@ -140,14 +141,22 @@ HfResult HfOptimizer::run(HfCompute& compute, std::span<float> theta,
     log.num_iterates = cg.iterates.size();
     log.q_dn = cg.q_values.back();
 
-    // Evaluate held-out loss at theta + d for a given iterate.
+    // Evaluate held-out loss at theta + scale * d. Late CG iterates can
+    // differ by less than theta's float resolution, so a trial bitwise
+    // equal to the one evaluated just before reuses that loss.
+    bool have_prev = false;
+    double prev_loss = 0.0;
     auto loss_at_step = [&](std::span<const float> d, double scale) {
       for (std::size_t i = 0; i < n; ++i) {
         trial[i] = theta[i] + static_cast<float>(scale) * d[i];
       }
+      if (have_prev && trial == prev_trial) return prev_loss;
       compute.set_params(trial);
       ++log.heldout_evals;
-      return compute.heldout_loss().mean_loss();
+      prev_loss = compute.heldout_loss().mean_loss();
+      prev_trial = trial;
+      have_prev = true;
+      return prev_loss;
     };
 
     // --- Backtracking over the CG iterate sequence (Algorithm 1). ---
@@ -192,12 +201,15 @@ HfResult HfOptimizer::run(HfCompute& compute, std::span<float> theta,
     }
 
     // --- Armijo line search along the chosen iterate. ---
+    // Its alpha = 1 probe is theta + d_best, whose held-out loss the
+    // backtracking above already measured as loss_best: reuse it.
     const std::span<const float> d = cg.iterates[best_idx];
     const double directional = blas::dot<float>(grad, d);
-    LineSearchOptions ls_opts = options_.linesearch;
     const LineSearchResult ls = armijo_backtrack(
-        [&](double alpha) { return loss_at_step(d, alpha); }, loss_prev,
-        directional, ls_opts);
+        [&](double alpha) {
+          return alpha == 1.0 ? loss_best : loss_at_step(d, alpha);
+        },
+        loss_prev, directional, options_.linesearch);
 
     if (ls.alpha <= 0.0) {
       lm.on_failed_iteration();

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "blas/sigmoid.h"
+
 namespace bgqhf::nn {
 
 std::string to_string(Activation a) {
@@ -41,7 +43,7 @@ void apply_activation(Activation act, blas::MatrixView<float> z) {
       for (std::size_t r = 0; r < z.rows; ++r) {
         float* row = z.data + r * z.ld;
         for (std::size_t c = 0; c < z.cols; ++c) {
-          row[c] = 1.0f / (1.0f + std::exp(-row[c]));
+          row[c] = blas::sigmoid(row[c]);
         }
       }
       return;

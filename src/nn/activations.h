@@ -22,7 +22,7 @@ std::string to_string(Activation a);
 /// paths agree bitwise.
 blas::EpilogueAct to_epilogue(Activation a);
 
-/// In-place elementwise activation.
+/// In-place elementwise activation (sigmoid is blas::sigmoid).
 void apply_activation(Activation act, blas::MatrixView<float> z);
 
 /// In-place: m(i,j) *= act'(z) expressed via the activation output a(i,j).

@@ -40,12 +40,12 @@ void accumulate_gradient(const Network& net, blas::ConstMatrixView<float> x,
     // Propagated deltas ping-pong between the scratch's two buffers.
     const blas::MatrixView<float> prev_delta =
         scratch.ensure(l % 2 == 1, delta.rows, wl.w.cols);
-    blas::GemmEpilogue<float> ep;
+    blas::GemmEpilogue ep;
     ep.deriv_aux = cache.act(l - 1);
     ep.deriv_act = to_epilogue(net.layers()[l - 1].act);
     ep.col_sums = gprev.b.data();
-    blas::gemm_fused<float>(blas::Trans::kNo, blas::Trans::kNo, 1.0f, delta,
-                            wl.w, 0.0f, prev_delta, ep, pool);
+    blas::gemm_fused(blas::Trans::kNo, blas::Trans::kNo, 1.0f, delta,
+                     wl.w, 0.0f, prev_delta, ep, pool);
     delta = prev_delta;
   }
 }

@@ -30,7 +30,7 @@ blas::Matrix<float> r_forward(const Network& net,
 
     // The rb_l broadcast and the act' mask ride the epilogue of whichever
     // GEMM finishes the R{z_l} accumulation (the second one when l > 0).
-    blas::GemmEpilogue<float> ep;
+    blas::GemmEpilogue ep;
     ep.bias = vl.b.data();
     if (l + 1 < L) {
       ep.deriv_aux = cache.act(l);
@@ -40,14 +40,14 @@ blas::Matrix<float> r_forward(const Network& net,
     r_z = blas::Matrix<float>(x.rows, net.layers()[l].out);
     if (l == 0) {
       // R{z_0} = x * V_0^T + rb_0
-      blas::gemm_fused<float>(blas::Trans::kNo, blas::Trans::kYes, 1.0f,
-                              a_prev, vl.w, 0.0f, r_z.view(), ep, pool);
+      blas::gemm_fused(blas::Trans::kNo, blas::Trans::kYes, 1.0f,
+                       a_prev, vl.w, 0.0f, r_z.view(), ep, pool);
     } else {
       // R{z_l} = a_prev * V_l^T + R{a_{l-1}} * W_l^T + rb_l
       blas::gemm<float>(blas::Trans::kNo, blas::Trans::kYes, 1.0f, a_prev,
                         vl.w, 0.0f, r_z.view(), pool);
-      blas::gemm_fused<float>(blas::Trans::kNo, blas::Trans::kYes, 1.0f,
-                              r_act.view(), wl.w, 1.0f, r_z.view(), ep, pool);
+      blas::gemm_fused(blas::Trans::kNo, blas::Trans::kYes, 1.0f,
+                       r_act.view(), wl.w, 1.0f, r_z.view(), ep, pool);
     }
     if (l + 1 < L) {
       r_act = std::move(r_z);

@@ -91,11 +91,11 @@ namespace {
 void affine_forward(blas::ConstMatrixView<float> in, ConstLayerParams lp,
                     Activation act, blas::MatrixView<float> out,
                     util::ThreadPool* pool) {
-  blas::GemmEpilogue<float> ep;
+  blas::GemmEpilogue ep;
   ep.bias = lp.b.data();
   ep.act = to_epilogue(act);
-  blas::gemm_fused<float>(blas::Trans::kNo, blas::Trans::kYes, 1.0f, in, lp.w,
-                          0.0f, out, ep, pool);
+  blas::gemm_fused(blas::Trans::kNo, blas::Trans::kYes, 1.0f, in, lp.w,
+                   0.0f, out, ep, pool);
 }
 
 }  // namespace

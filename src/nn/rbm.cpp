@@ -1,9 +1,9 @@
 #include "nn/rbm.h"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "blas/gemm.h"
+#include "blas/sigmoid.h"
 
 namespace bgqhf::nn {
 
@@ -11,9 +11,7 @@ namespace {
 
 void sigmoid_inplace(blas::MatrixView<float> m) {
   for (std::size_t r = 0; r < m.rows; ++r) {
-    for (std::size_t c = 0; c < m.cols; ++c) {
-      m(r, c) = 1.0f / (1.0f + std::exp(-m(r, c)));
-    }
+    for (std::size_t c = 0; c < m.cols; ++c) m(r, c) = blas::sigmoid(m(r, c));
   }
 }
 

@@ -159,7 +159,7 @@ void QuantizedModel::score(blas::ConstMatrixView<float> x,
     const bool last = l + 1 == layers_.size();
     const blas::MatrixView<float> dst =
         last ? out : scratch.acts.ensure(l % 2 == 1, x.rows, ql.out);
-    blas::GemmEpilogue<float> ep;
+    blas::GemmEpilogue ep;
     ep.bias = ql.bias.data();
     ep.act = nn::to_epilogue(ql.act);
     blas::gemm_int8_packed(in, ql.packed, dst, ep, scratch.int8,

@@ -39,8 +39,8 @@ OrdinalSplit split_ordinals(std::size_t n, std::size_t every_kth) {
 }
 
 /// Split `n` ordinals and wrap each half as the view `make(ordinals,
-/// strategy)` builds: the training half partitions per options, the
-/// held-out half naively by count.
+/// strategy)` builds. Both halves partition per options: every blocking
+/// held-out loss waits for its largest shard, just as a gradient does.
 template <typename MakeView>
 SourceSplit make_split(std::size_t n, const SourceOptions& options,
                        const MakeView& make) {
@@ -48,8 +48,7 @@ SourceSplit make_split(std::size_t n, const SourceOptions& options,
   SourceSplit split;
   split.train = make(std::move(ordinals.train), options.partition);
   if (options.heldout_every_kth != 0) {
-    split.heldout = make(std::move(ordinals.heldout),
-                         PartitionStrategy::kNaiveEqualCount);
+    split.heldout = make(std::move(ordinals.heldout), options.partition);
   }
   return split;
 }

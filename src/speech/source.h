@@ -37,8 +37,8 @@ struct SourceOptions {
   /// all data is training data and SourceSplit.heldout is null. Values 1
   /// are invalid.
   std::size_t heldout_every_kth = 0;
-  /// Partition strategy baked into the training source (partition() uses
-  /// it). The held-out source always partitions naively by count.
+  /// Partition strategy baked into the training and held-out sources
+  /// (partition() uses it).
   PartitionStrategy partition = PartitionStrategy::kSortedBalanced;
   /// Sharded sources only: prefetch window and the deterministic slow-I/O
   /// hook (tests / datastore bench).

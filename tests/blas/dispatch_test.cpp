@@ -15,6 +15,7 @@
 
 #include "blas/gemm.h"
 #include "blas/level1.h"
+#include "blas/sigmoid.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -201,7 +202,7 @@ TEST(DispatchParity, Avx512MatchesAvx2Bitwise) {
               }
               Matrix<float> c2 = c0, c5 = c0;
               std::vector<float> sums2(n, 0.25f), sums5(n, 0.25f);
-              GemmEpilogue<float> ep;
+              GemmEpilogue ep;
               ep.bias = bias.data();
               ep.act = EpilogueAct::kTanh;
               ep.deriv_aux = aux.view();
@@ -209,14 +210,14 @@ TEST(DispatchParity, Avx512MatchesAvx2Bitwise) {
               {
                 ScopedKernel guard(KernelKind::kAvx2);
                 ep.col_sums = sums2.data();
-                gemm_fused<float>(transa, transb, 0.9f, a.view(), b.view(),
-                                  0.5f, c2.view(), ep, p);
+                gemm_fused(transa, transb, 0.9f, a.view(), b.view(),
+                           0.5f, c2.view(), ep, p);
               }
               {
                 ScopedKernel guard(KernelKind::kAvx512);
                 ep.col_sums = sums5.data();
-                gemm_fused<float>(transa, transb, 0.9f, a.view(), b.view(),
-                                  0.5f, c5.view(), ep, p);
+                gemm_fused(transa, transb, 0.9f, a.view(), b.view(),
+                           0.5f, c5.view(), ep, p);
               }
               ASSERT_TRUE(same_bits(c2.data(), c5.data(), m * n))
                   << "fused m=" << m << " n=" << n << " k=" << k;
@@ -276,10 +277,9 @@ TEST(DispatchParity, Level1KernelsMatchScalar) {
 
 // ---- fused epilogue ----
 
-float sigmoidf(float v) { return 1.0f / (1.0f + std::exp(-v)); }
-
-// Unfused reference: gemm, then the separate bias/activation sweeps exactly
-// as the pre-fusion nn code did them.
+// Unfused reference: gemm, then the separate bias and activation sweeps
+// as nn::apply_activation does them (sigmoid is blas::sigmoid on every
+// path).
 TEST(FusedEpilogue, BiasActivationMatchesUnfusedBitwise) {
   for (const KernelKind kind : supported_kernels()) {
     ScopedKernel guard(kind);
@@ -295,16 +295,16 @@ TEST(FusedEpilogue, BiasActivationMatchesUnfusedBitwise) {
                 c_ref.view());
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        c_ref(i, j) = sigmoidf(c_ref(i, j) + bias[j]);
+        c_ref(i, j) = sigmoid(c_ref(i, j) + bias[j]);
       }
     }
 
     Matrix<float> c_fused(m, n);
-    GemmEpilogue<float> ep;
+    GemmEpilogue ep;
     ep.bias = bias.data();
     ep.act = EpilogueAct::kSigmoid;
-    gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                      c_fused.view(), ep);
+    gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+               c_fused.view(), ep);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         // Same kernel, same scalar formulas, same order: bitwise equal.
@@ -344,12 +344,12 @@ TEST(FusedEpilogue, DerivMaskAndColSumsMatchUnfused) {
 
     Matrix<float> c_fused(m, n);
     std::vector<float> sums_fused(n, 0.5f);
-    GemmEpilogue<float> ep;
+    GemmEpilogue ep;
     ep.deriv_aux = aux.view();
     ep.deriv_act = EpilogueAct::kSigmoid;
     ep.col_sums = sums_fused.data();
-    gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                      c_fused.view(), ep);
+    gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+               c_fused.view(), ep);
 
     EXPECT_EQ(max_abs_diff(c_fused, c_ref), 0.0) << to_string(kind);
     for (std::size_t j = 0; j < n; ++j) {
@@ -371,19 +371,19 @@ TEST(FusedEpilogue, ThreadedMatchesSerialBitwise) {
   std::vector<float> bias(n);
   for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kTanh;
   std::vector<float> sums_serial(n, 0.0f), sums_par(n, 0.0f);
 
   Matrix<float> c_serial(m, n), c_par(m, n);
   ep.col_sums = sums_serial.data();
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                    c_serial.view(), ep, nullptr);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+             c_serial.view(), ep, nullptr);
   util::ThreadPool pool(4);
   ep.col_sums = sums_par.data();
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                    c_par.view(), ep, &pool);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+             c_par.view(), ep, &pool);
 
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -402,12 +402,12 @@ TEST(FusedEpilogue, DegenerateKStillAppliesEpilogue) {
   c.fill(2.0f);
   std::vector<float> bias(6, 1.0f);
   std::vector<float> sums(6, 0.0f);
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kReLU;
   ep.col_sums = sums.data();
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), -0.5f,
-                    c.view(), ep);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), -0.5f,
+             c.view(), ep);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
       EXPECT_FLOAT_EQ(c(i, j), 0.0f);  // relu(-0.5*2 + 1) = 0

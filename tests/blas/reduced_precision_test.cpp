@@ -13,6 +13,7 @@
 
 #include "blas/dispatch.h"
 #include "blas/precision.h"
+#include "blas/sigmoid.h"
 #include "util/config.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -191,12 +192,12 @@ TEST(ReducedGemm, Bf16ModeKeepsGemmOnTheFp32Engine) {
   const Precision modes[2] = {Precision::kFp32, Precision::kBf16};
   for (int t = 0; t < 2; ++t) {
     ScopedPrecision mode(modes[t]);
-    GemmEpilogue<float> ep;
+    GemmEpilogue ep;
     ep.bias = bias.data();
     ep.act = EpilogueAct::kTanh;
     ep.col_sums = sums[t].data();
-    gemm_fused<float>(Trans::kNo, Trans::kYes, 0.75f, a.view(), b.view(),
-                      0.5f, c[t].view(), ep);
+    gemm_fused(Trans::kNo, Trans::kYes, 0.75f, a.view(), b.view(),
+               0.5f, c[t].view(), ep);
   }
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -294,16 +295,16 @@ TEST(ReducedGemm, FusedEpilogueMatchesUnfusedBitwise) {
               c_ref.view());
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      c_ref(i, j) = 1.0f / (1.0f + std::exp(-(c_ref(i, j) + bias[j])));
+      c_ref(i, j) = sigmoid(c_ref(i, j) + bias[j]);
     }
   }
 
   Matrix<float> c_fused(m, n);
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kSigmoid;
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                    c_fused.view(), ep);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+             c_fused.view(), ep);
   EXPECT_EQ(max_abs_diff(c_fused, c_ref), 0.0);
 }
 
@@ -315,19 +316,19 @@ TEST(ReducedGemm, ThreadedMatchesSerialBitwise) {
   const Matrix<float> b = random_matrix(k, n, rng);
   std::vector<float> bias(n);
   for (auto& v : bias) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kTanh;
   std::vector<float> sums_serial(n, 0.0f), sums_par(n, 0.0f);
 
   Matrix<float> c_serial(m, n), c_par(m, n);
   ep.col_sums = sums_serial.data();
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                    c_serial.view(), ep, nullptr);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+             c_serial.view(), ep, nullptr);
   util::ThreadPool pool(4);
   ep.col_sums = sums_par.data();
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
-                    c_par.view(), ep, &pool);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(), 0.0f,
+             c_par.view(), ep, &pool);
 
   EXPECT_EQ(max_abs_diff(c_serial, c_par), 0.0);
   for (std::size_t j = 0; j < n; ++j) {
@@ -340,11 +341,11 @@ TEST(ReducedGemm, DegenerateShapesStillSweepEpilogue) {
   Matrix<float> a(4, 0), b(0, 6), c(4, 6);
   c.fill(2.0f);
   std::vector<float> bias(6, 1.0f);
-  GemmEpilogue<float> ep;
+  GemmEpilogue ep;
   ep.bias = bias.data();
   ep.act = EpilogueAct::kReLU;
-  gemm_fused<float>(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(),
-                    -0.5f, c.view(), ep);
+  gemm_fused(Trans::kNo, Trans::kNo, 1.0f, a.view(), b.view(),
+             -0.5f, c.view(), ep);
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
       ASSERT_FLOAT_EQ(c(i, j), 0.0f);
@@ -372,7 +373,7 @@ TEST(Int8Packed, PackedWeightsMatchDynamicEngineBitwise) {
   EXPECT_EQ(bq.n, n);
   Int8Scratch scratch;
   Matrix<float> c_packed(m, n);
-  gemm_int8_packed(x.view(), bq, c_packed.view(), GemmEpilogue<float>{},
+  gemm_int8_packed(x.view(), bq, c_packed.view(), GemmEpilogue{},
                    scratch);
   EXPECT_EQ(max_abs_diff(c_dyn, c_packed), 0.0);
 }
@@ -426,7 +427,7 @@ TEST(Int8Packed, StaticScaleClampsOutliers) {
   Int8Scratch scratch;
   Matrix<float> c(m, n);
   const float scale = 1.0f / 127.0f;  // representable range [-1, 1]
-  gemm_int8_packed(x.view(), bq, c.view(), GemmEpilogue<float>{}, scratch,
+  gemm_int8_packed(x.view(), bq, c.view(), GemmEpilogue{}, scratch,
                    scale);
   EXPECT_NEAR(c(0, 0), 1.0f, 1e-6);           // clamped to range max
   EXPECT_NEAR(c(1, 0), 0.5f, scale * 0.5f + 1e-6);  // in-range survives

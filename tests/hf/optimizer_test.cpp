@@ -118,6 +118,91 @@ TEST(Optimizer, MomentumWarmStartReducesCgWork) {
             c.hf.iterations.front().heldout_before);
 }
 
+// Forwards to a real compute and records the theta installed at every
+// held-out evaluation, grouped by outer iteration (each opens with one
+// gradient call).
+class CountingCompute : public HfCompute {
+ public:
+  explicit CountingCompute(HfCompute& inner) : inner_(inner) {}
+
+  std::size_t num_params() const override { return inner_.num_params(); }
+  std::size_t total_train_frames() const override {
+    return inner_.total_train_frames();
+  }
+  void set_params(std::span<const float> theta) override {
+    theta_.assign(theta.begin(), theta.end());
+    inner_.set_params(theta);
+  }
+  nn::BatchLoss gradient(std::span<float> grad_out) override {
+    per_iteration.emplace_back();
+    return inner_.gradient(grad_out);
+  }
+  nn::BatchLoss gradient_with_squares(std::span<float> grad_out,
+                                      std::span<float> grad_sq_out) override {
+    per_iteration.emplace_back();
+    return inner_.gradient_with_squares(grad_out, grad_sq_out);
+  }
+  void prepare_curvature(std::uint64_t seed) override {
+    inner_.prepare_curvature(seed);
+  }
+  void curvature_product(std::span<const float> v,
+                         std::span<float> out) override {
+    inner_.curvature_product(v, out);
+  }
+  nn::BatchLoss heldout_loss() override {
+    ++calls;
+    if (!per_iteration.empty()) per_iteration.back().push_back(theta_);
+    return inner_.heldout_loss();
+  }
+
+  std::vector<std::vector<std::vector<float>>> per_iteration;
+  std::size_t calls = 0;
+
+ private:
+  HfCompute& inner_;
+  std::vector<float> theta_;
+};
+
+TEST(Optimizer, NoThetaGetsTwoHeldoutEvaluationsInOneIteration) {
+  TrainerConfig cfg = small_config();
+  Shards shards = build_shards(cfg);
+  std::vector<std::unique_ptr<Workload>> wl;
+  wl.push_back(std::make_unique<SpeechWorkload>(
+      shards.net, speech::concat_datasets(shards.train),
+      speech::concat_datasets(shards.heldout), 0,
+      make_workload_options(cfg, shards.num_states, shards.advance_prob,
+                            nullptr)));
+  SerialCompute serial(std::move(wl));
+  CountingCompute compute(serial);
+  std::vector<float> theta(shards.net.params().begin(),
+                           shards.net.params().end());
+  const HfResult result = HfOptimizer(cfg.hf).run(compute, theta);
+
+  // The last call is the final evaluation after the loop, not part of an
+  // iteration (the first one precedes every gradient and is not recorded).
+  ASSERT_EQ(compute.per_iteration.size(), result.iterations.size());
+  ASSERT_FALSE(compute.per_iteration.back().empty());
+  compute.per_iteration.back().pop_back();
+  std::size_t accepted_full_steps = 0;
+  std::size_t logged = 0;
+  for (std::size_t it = 0; it < result.iterations.size(); ++it) {
+    const auto& thetas = compute.per_iteration[it];
+    for (std::size_t a = 0; a < thetas.size(); ++a) {
+      for (std::size_t b = a + 1; b < thetas.size(); ++b) {
+        EXPECT_NE(thetas[a], thetas[b])
+            << "iteration " << it + 1 << " evaluates one theta twice";
+      }
+    }
+    EXPECT_EQ(thetas.size(), result.iterations[it].heldout_evals);
+    logged += result.iterations[it].heldout_evals;
+    if (result.iterations[it].alpha == 1.0) ++accepted_full_steps;
+  }
+  // The reused alpha = 1 probe is the common case, so the run exercises it.
+  EXPECT_GT(accepted_full_steps, 0u);
+  // One evaluation before the first iteration and one after the last.
+  EXPECT_EQ(compute.calls, logged + 2);
+}
+
 TEST(Optimizer, ThetaSizeMismatchThrows) {
   TrainerConfig cfg = small_config();
   Shards shards = build_shards(cfg);

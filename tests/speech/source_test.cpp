@@ -163,6 +163,31 @@ TEST_F(SourceTest, BothFactoriesHoldOutEveryKthOrdinal) {
   EXPECT_THROW(open_sharded_split(dir_, bad), std::invalid_argument);
 }
 
+TEST_F(SourceTest, HeldoutShardsBalanceFrames) {
+  // ce_long_utts' corpus lengths (0.12 h of log-normal ~5 s utterances;
+  // every 5th, 17 of them, held out) over 4 ranks. Equal-count held-out
+  // shards read max/mean frames 1.50 (seed 1) and 1.45 (seed 1009);
+  // frame-balanced ones 1.022 and 1.019.
+  for (const std::uint64_t seed : {1u, 1009u}) {
+    CorpusSpec spec = small_spec();
+    spec.hours = 0.12;
+    spec.mean_utt_seconds = 5.0;
+    spec.seed = seed;
+    const Corpus corpus = generate_corpus(spec);
+    SourceOptions options;
+    options.heldout_every_kth = 5;
+    const SourceSplit split = make_in_memory_split(corpus, options);
+    const std::vector<std::size_t>& lengths = split.heldout->lengths();
+    const Partition balanced = split.heldout->partition(4);
+    EXPECT_LT(balanced.imbalance(lengths), 1.05) << "seed " << seed;
+
+    options.partition = PartitionStrategy::kNaiveEqualCount;
+    const SourceSplit naive = make_in_memory_split(corpus, options);
+    EXPECT_GT(naive.heldout->partition(4).imbalance(lengths), 1.4)
+        << "seed " << seed;
+  }
+}
+
 TEST_F(SourceTest, NoSplitYieldsNullHeldout) {
   SourceOptions options;  // heldout_every_kth = 0
   SourceSplit split = open_sharded_split(dir_, options);

@@ -87,8 +87,10 @@ int cmd_plan(const speech::CorpusSpec& spec, std::size_t shard_bytes) {
   std::printf("utterances:    ~%.0f\n", utts);
   std::printf("store_bytes:   ~%.0f (%.2f GiB)\n", bytes,
               bytes / (1024.0 * 1024.0 * 1024.0));
+  // generate writes at least one shard, however small the store.
   std::printf("shards:        ~%.0f at %zu bytes each\n",
-              bytes / static_cast<double>(shard_bytes), shard_bytes);
+              std::max(1.0, bytes / static_cast<double>(shard_bytes)),
+              shard_bytes);
   return 0;
 }
 
